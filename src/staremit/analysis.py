@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AsymmetricProfile, ThresholdOutOfRange
-from .evolution import SurvivalSeries
+from .evolution import SurvivalSeries, _survival
 from .inverse import SpectralProfile
 
 # Mirror symmetry tolerance for the cosine form.
@@ -79,13 +79,7 @@ def profile_survival(profile: SpectralProfile, t):
     Evaluates ``|sum_m overlap_m exp(-i E_m t)|^2`` on the profile's
     implied level ladder; vectorized over ``t``.
     """
-    t = np.asarray(t, dtype=float)
-    tt = np.atleast_1d(t)
-    amp = profile.overlaps @ np.exp(
-        -1j * np.multiply.outer(profile.eigenvalues(), tt)
-    )
-    p = np.clip(np.abs(amp) ** 2, 0.0, 1.0)
-    return float(p[0]) if t.ndim == 0 else p
+    return _survival(profile.eigenvalues(), profile.overlaps, t)
 
 
 def dirichlet_survival(m_half: int, d_width: float, t):

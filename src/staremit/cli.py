@@ -27,7 +27,7 @@ from .analysis import (
     revival_period,
 )
 from .errors import DegenerateProfile
-from .evolution import SurvivalSeries, TimeGrid, survival_probability
+from .evolution import SurvivalSeries, TimeGrid, _csv_table, survival_probability
 from .hermitian import eigh
 from .inverse import (
     SpectralProfile,
@@ -58,15 +58,6 @@ def _write_text(path, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def _csv_table(ts, columns: dict) -> str:
-    lines = ["t," + ",".join(columns)]
-    col_values = list(columns.values())
-    for i, t in enumerate(ts):
-        row = [f"{t:.11e}"] + [f"{v[i]:.11e}" for v in col_values]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
 
 
 def _json_table(ts, columns: dict) -> str:
@@ -162,6 +153,8 @@ def _load_profile(path: str) -> SpectralProfile:
         return SpectralProfile.from_dict(data)
     except KeyError as exc:
         raise ValueError(f"{path}: missing field {exc}") from exc
+    except TypeError as exc:  # e.g. "m_half": null
+        raise ValueError(f"{path}: malformed field: {exc}") from exc
 
 
 def _cmd_inverse(args) -> int:
@@ -197,27 +190,30 @@ def _cmd_inverse(args) -> int:
 
 
 def _cmd_figure1(args) -> int:
-    outdir = Path(args.out) if args.out else Path(".")
-    outdir.mkdir(parents=True, exist_ok=True)
-    curves = []
+    # compute every trace and its metrics before writing anything, so a
+    # bad input (say, a threshold outside (0, 1)) leaves no partial output
+    runs = []
     for m_half in args.m_list:
         period = revival_period(m_half, args.d) * args.hbar
         grid = TimeGrid(0.0, args.periods * period, args.samples)
-        ts = grid.times()
         profile = flat_profile(m_half, args.eps0, args.d)
-        values = profile_survival(profile, ts / args.hbar)
+        values = profile_survival(profile, grid.times() / args.hbar)
         series = SurvivalSeries(grid=grid, values=values)
+        runs.append((m_half, period, series, emission_metrics(series, args.threshold)))
+
+    def _show(x):
+        return "none" if x is None else f"{x:.6g}"
+
+    outdir = Path(args.out) if args.out else Path(".")
+    outdir.mkdir(parents=True, exist_ok=True)
+    curves = []
+    for m_half, period, series, metrics in runs:
         _write_text(outdir / f"figure1_M{m_half}.csv", series.to_csv())
-        metrics = emission_metrics(series, args.threshold)
         _write_text(
             outdir / f"figure1_M{m_half}_metrics.json",
             json.dumps(metrics.to_dict(), indent=2) + "\n",
         )
-        curves.append((f"M={m_half}", ts, values))
-
-        def _show(x):
-            return "none" if x is None else f"{x:.6g}"
-
+        curves.append((f"M={m_half}", series.times, series.values))
         print(
             f"M={m_half}: period={period:.6g}"
             f" decay_time={_show(metrics.decay_time)}"

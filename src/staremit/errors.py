@@ -14,7 +14,7 @@ class StepTooLarge(ValueError):
 
 
 class DegenerateProfile(ValueError):
-    """A spectral profile cannot span the full space (orthogonalization broke down)."""
+    """A spectral profile cannot span the full space (a weight below ``MIN_WEIGHT``)."""
 
 
 class AsymmetricProfile(ValueError):

@@ -49,10 +49,14 @@ class SurvivalSeries:
 
     def to_csv(self) -> str:
         """Render as ``t,P`` CSV: 12 significant digits, LF line endings."""
-        lines = ["t,P"]
-        for t, p in zip(self.grid.times(), self.values):
-            lines.append(f"{t:.11e},{p:.11e}")
-        return "\n".join(lines) + "\n"
+        return _csv_table(self.grid.times(), {"P": self.values})
+
+
+def _csv_table(ts, columns: dict) -> str:
+    # header ``t,<names>``, then one ``.11e`` row per sample
+    fmt = ",".join(["%.11e"] * (len(columns) + 1))
+    rows = [fmt % row for row in zip(ts, *columns.values())]
+    return "\n".join(["t," + ",".join(columns)] + rows) + "\n"
 
 
 def evolve_state(d: SpectralDecomposition, psi0, t: float) -> np.ndarray:
@@ -70,9 +74,14 @@ def survival_probability(d: SpectralDecomposition, t):
     Evaluates ``|sum_n |<0|e_n>|^2 exp(-i E_n t)|^2`` from the cached
     overlaps; vectorized over ``t``.
     """
+    return _survival(d.eigenvalues, d.zero_overlaps, t)
+
+
+def _survival(levels, weights, t):
+    # |sum weights exp(-i levels t)|^2 clipped to [0, 1]; a float for scalar t
     t = np.asarray(t, dtype=float)
     tt = np.atleast_1d(t)
-    amp = d.zero_overlaps @ np.exp(-1j * np.multiply.outer(d.eigenvalues, tt))
+    amp = weights @ np.exp(-1j * np.multiply.outer(levels, tt))
     p = np.clip(np.abs(amp) ** 2, 0.0, 1.0)
     return float(p[0]) if t.ndim == 0 else p
 

@@ -5,8 +5,10 @@ together with the equally spaced level ladder, is realizable by an
 arrowhead Hamiltonian. The construction works entirely in the eigenbasis
 of the target operator, where the operator is ``diag(E_m)`` and the
 initial state can be written with real positive components
-``sqrt(overlaps)``; a change of basis headed by that state exposes the
-arrowhead parameters.
+``sqrt(overlaps)``. One Householder reflection gives an orthonormal basis
+headed by that state in closed form; diagonalizing the rest of the
+operator in that basis exposes the arrowhead parameters. Weights below
+``MIN_WEIGHT`` are refused, wherever they sit on the ladder.
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ from .model import StarModel, build_hamiltonian
 # Overlap weights must sum to one within this tolerance.
 PROFILE_SUM_TOL = 1e-12
 
-# Candidate vectors shrinking below this during orthogonalization mean
-# the profile cannot span the full space.
-ORTHOGONALIZATION_TOL = 1e-12
+# Weights below this raise DegenerateProfile wherever they sit: the level's
+# amplitude on the initial state, sqrt(weight) < 1e-12, is numerically zero.
+MIN_WEIGHT = 1e-24
 
 
 def equally_spaced_spectrum(m_half: int, eps0: float, d_width: float) -> np.ndarray:
@@ -131,11 +133,15 @@ def construct_hamiltonian(profile: SpectralProfile) -> StarModel:
     """Find diagonal energies and couplings realizing a spectral profile.
 
     In the eigenbasis of the target operator the initial state has
-    components ``sqrt(overlaps)``. The construction:
+    components ``head = sqrt(overlaps)``. The construction:
 
-    1. orthonormalize (initial state, then the eigenbasis unit vectors
-       excluding ``m = 0``) by modified Gram-Schmidt, initial state first;
-    2. express the operator in that basis;
+    1. reflect with the Householder matrix ``P = I - 2 u u^T``,
+       ``u ~ head + e_j`` with ``j`` the ``m = 0`` index, which swaps
+       ``e_j`` and ``-head``; ``head > 0`` keeps ``|head + e_j| >= 1``, so
+       forming ``u`` never cancels;
+    2. express the operator in the reflected basis, ``P diag(E_m) P``, as a
+       rank-2 update of ``diag(E_m)``, with the ``m = 0`` row and column
+       (now the initial state) moved to the front;
     3. diagonalize the block orthogonal to the initial state and rotate
        those coordinates onto its eigenvectors, after which the operator
        is an arrowhead headed by the initial state;
@@ -149,38 +155,28 @@ def construct_hamiltonian(profile: SpectralProfile) -> StarModel:
     Raises
     ------
     DegenerateProfile
-        If orthogonalization collapses (candidate norm below
-        ``ORTHOGONALIZATION_TOL``), i.e. the profile does not span the
-        space; in practice a weight numerically indistinguishable from 0.
+        If any overlap weight, at any position, is below ``MIN_WEIGHT``:
+        such a level is numerically decoupled from the initial state.
     """
-    energies = profile.eigenvalues()
-    dim = profile.dim
-    head = np.sqrt(profile.overlaps)
+    weights = profile.overlaps
+    j = profile.m_half
+    idx = int(np.argmin(weights))
+    if weights[idx] < MIN_WEIGHT:
+        raise DegenerateProfile(
+            f"overlap weight {weights[idx]:.3g} at m = {idx - j} is below {MIN_WEIGHT:g}"
+        )
+    perm = np.r_[j, :j, j + 1 : profile.dim]  # the m = 0 level first
+    energies = profile.eigenvalues()[perm]
+    head = np.sqrt(weights[perm])
     head /= np.linalg.norm(head)
 
-    basis = np.zeros((dim, dim))
-    basis[:, 0] = head
-    col = 1
-    for idx in range(dim):
-        if idx == profile.m_half:  # m = 0: covered by the initial state
-            continue
-        y = np.zeros(dim)
-        y[idx] = 1.0
-        # modified Gram-Schmidt; the second pass restores orthogonality
-        # lost to cancellation
-        for _ in range(2):
-            for j in range(col):
-                y -= (basis[:, j] @ y) * basis[:, j]
-        norm = np.linalg.norm(y)
-        if norm < ORTHOGONALIZATION_TOL:
-            raise DegenerateProfile(
-                f"orthogonalization broke down at column {col}; "
-                "an overlap weight is numerically zero"
-            )
-        basis[:, col] = y / norm
-        col += 1
-
-    transformed = basis.T @ (energies[:, None] * basis)
+    u = head.copy()
+    u[0] += 1.0
+    u /= np.linalg.norm(u)
+    # P diag(E) P = diag(E) - 2 (u z^T + z u^T) with z = Eu - (u.Eu) u
+    eu = energies * u
+    z = eu - (u @ eu) * u
+    transformed = np.diag(energies) - 2.0 * (np.outer(u, z) + np.outer(z, u))
     head_energy = transformed[0, 0]
     try:
         mode_energies, rot = np.linalg.eigh(transformed[1:, 1:])

@@ -129,8 +129,13 @@ def test_inverse_malformed_json(tmp_path, capsys):
 
 def test_inverse_missing_field(tmp_path, capsys):
     path = tmp_path / "incomplete.json"
-    path.write_text(json.dumps({"m_half": 1, "eps0": 0.0}))
-    assert main(["inverse", "--profile", str(path)]) == 2
+    for payload in (
+        {"m_half": 1, "eps0": 0.0},
+        {"m_half": None, "eps0": 0.0, "d_width": 1.0, "overlaps": [0.25, 0.5, 0.25]},
+    ):
+        path.write_text(json.dumps(payload))
+        assert main(["inverse", "--profile", str(path)]) == 2
+        assert str(path) in capsys.readouterr().err
 
 
 def test_inverse_missing_source_flag(capsys):
@@ -206,6 +211,12 @@ def test_figure1_svg(tmp_path):
     text = svg.read_text()
     assert text.startswith("<svg")
     assert text.count("<polyline") == 3
+
+
+def test_figure1_bad_threshold_writes_nothing(tmp_path, capsys):
+    assert main(["figure1", "--m-list", "1,2", "--samples", "101",
+                 "--threshold", "1.5", "--out", str(tmp_path)]) == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_figure1_rejects_empty_m_list():

@@ -136,6 +136,10 @@ def test_series_csv_format():
     parsed = np.array([row.split(",") for row in lines[1:-1]], dtype=float)
     assert np.abs(parsed[:, 0] - grid.times()).max() < 1e-9
     assert np.abs(parsed[:, 1] - s.values).max() < 1e-9
+    # byte-exact against a row-by-row reference rendering
+    assert text == "t,P\n" + "".join(
+        f"{t:.11e},{p:.11e}\n" for t, p in zip(grid.times(), s.values)
+    )
 
 
 def test_oracle_zero_time_returns_input():

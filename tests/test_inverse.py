@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from staremit import (
     DegenerateProfile,
@@ -151,11 +153,38 @@ def test_construct_survives_tiny_but_positive_weight():
 
 
 def test_construct_rejects_numerically_zero_weight():
-    # 1e-30 passes the positivity check but cannot span the space
-    overlaps = np.array([0.5, 1e-30, 0.5])
-    p = SpectralProfile(1, 0.0, 1.0, overlaps)
-    with pytest.raises(DegenerateProfile):
-        construct_hamiltonian(p)
+    # 1e-30 passes the positivity check but cannot span the space,
+    # wherever on the ladder it sits
+    for idx in range(3):  # m = -1, 0, +1
+        overlaps = np.full(3, 0.5)
+        overlaps[idx] = 1e-30
+        p = SpectralProfile(1, 0.0, 1.0, overlaps)
+        with pytest.raises(DegenerateProfile):
+            construct_hamiltonian(p)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    m_half=st.integers(1, 12),
+    eps0=st.floats(-2.0, 2.0),
+    d_width=st.floats(0.5, 3.0),
+    data=st.data(),
+)
+def test_construct_property_interlacing_mean_round_trip(m_half, eps0, d_width, data):
+    # weights spanning twelve decades, 1e-12 .. 1 before normalization
+    exponents = data.draw(
+        st.lists(st.floats(-12.0, 0.0), min_size=2 * m_half + 1, max_size=2 * m_half + 1)
+    )
+    w = 10.0 ** np.array(exponents)
+    p = SpectralProfile(m_half, eps0, d_width, w / w.sum())
+    model = construct_hamiltonian(p)
+    ladder = p.eigenvalues()
+    tol = 1e-12 * (abs(eps0) + d_width)
+    modes = np.sort(model.eps[1:])
+    assert np.all(ladder[:-1] - tol <= modes) and np.all(modes <= ladder[1:] + tol)
+    assert model.eps[0] == pytest.approx(p.overlaps @ ladder, abs=tol)
+    report = verify_round_trip(model, p, 1e-8)
+    assert report.passed, report
 
 
 def test_verify_round_trip_self_consistency():
