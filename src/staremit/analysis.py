@@ -142,22 +142,19 @@ def _interp_crossing(t0, v0, t1, v1, level):
     return t0 + (level - v0) / (v1 - v0) * (t1 - t0)
 
 
-def _segment_above(t0, v0, t1, v1, level):
-    # time spent above `level` by the linear segment (t0,v0)-(t1,v1)
-    if v0 > level and v1 > level:
-        return t1 - t0
-    if v0 <= level and v1 <= level:
-        return 0.0
-    tc = _interp_crossing(t0, v0, t1, v1, level)
-    return (t1 - tc) if v1 > level else (tc - t0)
-
-
 def emission_metrics(series: SurvivalSeries, threshold: float) -> EmissionMetrics:
     """Scan a survival trace for decay and revival threshold crossings.
 
     Crossing times are linearly interpolated between samples, so their
     resolution is set by the grid spacing. The series must start at
     ``t = 0``.
+
+    The revival is the first up-crossing of ``1 - threshold`` after the
+    trace has been at or below that level, counting from the first sample
+    below ``threshold``. The window fraction is the exact time the linear
+    interpolant spends above ``threshold`` on ``[0, revival_time]``, with
+    the crossing point ``(revival_time, 1 - threshold)`` closing the last
+    segment, divided by ``revival_time``.
     """
     if not 0.0 < threshold < 1.0:
         raise ThresholdOutOfRange(f"threshold must be in (0, 1), got {threshold}")
@@ -165,53 +162,38 @@ def emission_metrics(series: SurvivalSeries, threshold: float) -> EmissionMetric
         raise ValueError("series must start at t = 0")
     ts = series.grid.times()
     vs = np.asarray(series.values, dtype=float)
+    level = 1.0 - threshold
+    decay_time = revival_time = post_decay_max = window_fraction = None
 
-    decay_time = None
-    decay_idx = None
     below = np.flatnonzero(vs < threshold)
     if below.size:
         i = int(below[0])
         if i == 0:
-            decay_time = float(ts[0])
+            decay_time = ts[0]
         else:
             decay_time = _interp_crossing(ts[i - 1], vs[i - 1], ts[i], vs[i], threshold)
-        decay_idx = i
-
-    revival_time = None
-    if decay_idx is not None:
-        level = 1.0 - threshold
-        armed = False  # require an excursion below the level before the up-crossing
-        for k in range(decay_idx, vs.size):
-            if not armed:
-                if vs[k] <= level:
-                    armed = True
-            elif vs[k] > level:
-                revival_time = _interp_crossing(
-                    ts[k - 1], vs[k - 1], ts[k], vs[k], level
-                )
-                break
-
-    post_decay_max = None
-    if decay_time is not None:
-        upper = revival_time if revival_time is not None else np.inf
-        inside = (ts > decay_time) & (ts < upper)
+        low = np.flatnonzero(vs[i:] <= level)
+        if low.size:
+            start = i + int(low[0])
+            high = np.flatnonzero(vs[start:] > level)
+            if high.size:
+                k = start + int(high[0])
+                revival_time = _interp_crossing(ts[k - 1], vs[k - 1], ts[k], vs[k], level)
+        inside = (ts > decay_time) & (ts < (np.inf if revival_time is None else revival_time))
         if inside.any():
-            post_decay_max = float(vs[inside].max())
+            post_decay_max = vs[inside].max()
 
-    window_fraction = None
     if revival_time is not None and revival_time > 0:
-        above = 0.0
-        for k in range(1, ts.size):
-            t0, t1 = float(ts[k - 1]), float(ts[k])
-            if t0 >= revival_time:
-                break
-            v0, v1 = float(vs[k - 1]), float(vs[k])
-            if t1 > revival_time:
-                # clip the last partial segment at the revival crossing
-                v1 = v0 + (v1 - v0) * (revival_time - t0) / (t1 - t0)
-                t1 = revival_time
-            above += _segment_above(t0, v0, t1, v1, threshold)
-        window_fraction = above / revival_time
+        # segment end values a, b relative to the threshold: the time above
+        # is dt (a+ + b+) / (|a| + |b|), and 0 when both ends sit on it
+        ends = np.append(vs[:k], level) - threshold
+        a, b = ends[:-1], ends[1:]
+        width = np.abs(a) + np.abs(b)
+        share = np.divide(
+            np.maximum(a, 0.0) + np.maximum(b, 0.0), width,
+            out=np.zeros_like(width), where=width > 0,
+        )
+        window_fraction = np.diff(np.append(ts[:k], revival_time)) @ share / revival_time
 
     return EmissionMetrics(
         threshold=float(threshold),

@@ -5,8 +5,9 @@ an analytic overlay), ``inverse`` (construct a star model from a spectral
 profile and verify the round trip), ``figure1`` (flat-profile revival
 sweep over several M values).
 
-Exit codes: 0 ok, 2 usage or input error, 3 construction error,
-4 round-trip verification failure. Output files are written atomically
+Exit codes: 0 ok, 2 usage or input error (including inputs whose results
+overflow to non-finite values), 3 construction error, 4 round-trip
+verification failure. Output files are written atomically
 (temp file + rename), and identical flags produce byte-identical output.
 """
 
@@ -17,6 +18,7 @@ import json
 import os
 import sys
 import tempfile
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -83,8 +85,8 @@ def _samples_arg(text: str) -> int:
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {text}")
+    if not 0 < value < np.inf:
+        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text}")
     return value
 
 
@@ -95,7 +97,19 @@ def _m_list(text: str) -> list[int]:
     return [_positive_int(s.strip()) for s in items]
 
 
-def _emit_series(args, ts, columns: dict, svg_title: str) -> None:
+def _require_finite(*columns) -> None:
+    # NaN/inf would otherwise be written as data rows and exit 0
+    if not all(np.isfinite(c).all() for c in columns):
+        raise ValueError("result is not finite; the inputs overflow double precision")
+
+
+def _run_series(args, model: StarModel, analytic, svg_title: str) -> int:
+    # exact survival of `model` with the closed form `analytic(tau)` overlaid
+    ts = np.linspace(0.0, args.t_max, args.samples)
+    tau = ts / args.hbar
+    d = eigh(build_hamiltonian(model))
+    columns = {"P": survival_probability(d, tau), "P_analytic": analytic(tau)}
+    _require_finite(ts, *columns.values())
     text = _csv_table(ts, columns) if args.format == "csv" else _json_table(ts, columns)
     if args.out:
         _write_text(args.out, text)
@@ -104,6 +118,7 @@ def _emit_series(args, ts, columns: dict, svg_title: str) -> None:
     if args.svg:
         curves = [(name, ts, values) for name, values in columns.items()]
         _write_text(args.svg, render_line_chart(curves, title=svg_title))
+    return 0
 
 
 def _cmd_two_level(args) -> int:
@@ -111,18 +126,11 @@ def _cmd_two_level(args) -> int:
     model = StarModel(
         eps=np.array([args.eps0, eps1]), alpha=np.array([args.alpha], dtype=complex)
     )
-    d = eigh(build_hamiltonian(model))
-    ts = np.linspace(0.0, args.t_max, args.samples)
-    tau = ts / args.hbar
-    values = np.atleast_1d(survival_probability(d, tau))
     if eps1 == args.eps0:
-        analytic = two_level_survival(abs(args.alpha), tau)
+        analytic = partial(two_level_survival, abs(args.alpha))
     else:
-        analytic = detuned_two_level_survival(args.eps0, eps1, args.alpha, tau)
-    _emit_series(
-        args, ts, {"P": values, "P_analytic": np.atleast_1d(analytic)}, "two-level survival"
-    )
-    return 0
+        analytic = partial(detuned_two_level_survival, args.eps0, eps1, args.alpha)
+    return _run_series(args, model, analytic, "two-level survival")
 
 
 def _cmd_identical_modes(args) -> int:
@@ -130,18 +138,12 @@ def _cmd_identical_modes(args) -> int:
         eps=np.full(args.n + 1, args.eps0),
         alpha=np.full(args.n, args.alpha, dtype=complex),
     )
-    d = eigh(build_hamiltonian(model))
-    ts = np.linspace(0.0, args.t_max, args.samples)
-    tau = ts / args.hbar
-    values = np.atleast_1d(survival_probability(d, tau))
-    analytic = identical_modes_survival(args.n, abs(args.alpha), tau)
-    _emit_series(
+    return _run_series(
         args,
-        ts,
-        {"P": values, "P_analytic": np.atleast_1d(analytic)},
+        model,
+        partial(identical_modes_survival, args.n, abs(args.alpha)),
         f"identical modes, n={args.n}",
     )
-    return 0
 
 
 def _load_profile(path: str) -> SpectralProfile:
@@ -198,6 +200,7 @@ def _cmd_figure1(args) -> int:
         grid = TimeGrid(0.0, args.periods * period, args.samples)
         profile = flat_profile(m_half, args.eps0, args.d)
         values = profile_survival(profile, grid.times() / args.hbar)
+        _require_finite(values)
         series = SurvivalSeries(grid=grid, values=values)
         runs.append((m_half, period, series, emission_metrics(series, args.threshold)))
 
@@ -300,7 +303,7 @@ def main(argv=None) -> int:
     except DegenerateProfile as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -110,8 +110,7 @@ def identical_modes_survival(n: int, alpha_abs: float, t):
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    t = np.asarray(t, dtype=float)
-    return np.cos(np.sqrt(n) * alpha_abs * t) ** 2
+    return two_level_survival(np.sqrt(n) * alpha_abs, t)
 
 
 @dataclass(frozen=True)

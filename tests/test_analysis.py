@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from staremit import (
     AsymmetricProfile,
@@ -215,3 +217,66 @@ def test_decay_time_stable_while_period_grows():
     assert abs(d40 - d10) / d10 < 0.10
     r10, r40 = results[10].revival_time, results[40].revival_time
     assert r40 / r10 == pytest.approx(4.0, rel=0.02)
+
+
+def _metrics_by_sample(ts, vs, threshold):
+    # per-sample reference: decay, armed revival scan, segment-by-segment window
+    def crossing(k, level):
+        return ts[k - 1] + (level - vs[k - 1]) / (vs[k] - vs[k - 1]) * (ts[k] - ts[k - 1])
+
+    level = 1.0 - threshold
+    decay = revival = peak = window = None
+    i = next((k for k, v in enumerate(vs) if v < threshold), None)
+    if i is not None:
+        decay = ts[0] if i == 0 else crossing(i, threshold)
+        armed = False
+        for k in range(i, len(vs)):
+            if armed and vs[k] > level:
+                revival = crossing(k, level)
+                break
+            armed = armed or vs[k] <= level
+        upper = np.inf if revival is None else revival
+        inside = [v for t, v in zip(ts, vs) if decay < t < upper]
+        peak = max(inside) if inside else None
+    if revival is not None and revival > 0:
+        above = 0.0
+        for k in range(1, len(ts)):
+            t0, t1, v0, v1 = ts[k - 1], ts[k], vs[k - 1], vs[k]
+            if t0 >= revival:
+                break
+            if t1 > revival:
+                v1 = v0 + (v1 - v0) * (revival - t0) / (t1 - t0)
+                t1 = revival
+            if v0 > threshold and v1 > threshold:
+                above += t1 - t0
+            elif v0 > threshold or v1 > threshold:
+                tc = t0 + (threshold - v0) / (v1 - v0) * (t1 - t0)
+                above += (t1 - tc) if v1 > threshold else (tc - t0)
+        window = above / revival
+    return decay, revival, peak, window
+
+
+@st.composite
+def _traces(draw):
+    # samples often sit exactly on threshold or 1 - threshold, so traces
+    # decay at t = 0, never revive, or revive exactly on a sample
+    threshold = draw(st.sampled_from([0.01, 0.1, 0.3, 0.5, 0.7]) | st.floats(0.001, 0.999))
+    value = st.sampled_from([threshold, 1.0 - threshold, 0.0, 1.0]) | st.floats(0.0, 1.0)
+    vs = draw(st.lists(value, min_size=2, max_size=40))
+    grid = TimeGrid(0.0, draw(st.floats(0.01, 100.0)), len(vs))
+    return SurvivalSeries(grid=grid, values=np.array(vs)), threshold
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_traces())
+def test_emission_metrics_matches_per_sample_scan(case):
+    series, threshold = case
+    decay, revival, peak, window = _metrics_by_sample(
+        series.times.tolist(), series.values.tolist(), threshold
+    )
+    m = emission_metrics(series, threshold)
+    assert (m.decay_time, m.revival_time, m.post_decay_max) == (decay, revival, peak)
+    if window is None:
+        assert m.window_fraction is None
+    else:
+        assert m.window_fraction == pytest.approx(window, rel=0, abs=1e-12)

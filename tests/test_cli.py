@@ -94,6 +94,30 @@ def test_identical_modes_rejects_zero_modes():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["two-level", "--t-max", "inf"],
+        ["two-level", "--alpha", "1e308"],
+        ["identical-modes", "--n", "2", "--alpha", "1e308"],
+        ["two-level", "--alpha", "1e308", "--format", "json"],
+        ["two-level", "--alpha", "1e200", "--eps1", "1"],
+        ["figure1", "--m-list", "2", "--eps0", "1e308"],
+    ],
+)
+@pytest.mark.filterwarnings("ignore:.*(overflow|invalid value):RuntimeWarning")
+def test_non_finite_result_exits_2_and_writes_nothing(argv, tmp_path, capsys):
+    # overflowing inputs exit 2 instead of writing inf/NaN rows (or invalid JSON)
+    out = tmp_path / ("figs" if argv[0] == "figure1" else "series.txt")
+    try:
+        rc = main(argv + ["--out", str(out)])
+    except SystemExit as exc:  # rejected while parsing
+        rc = exc.code
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_inverse_flat_m1(tmp_path, capsys):
     out = tmp_path / "model.json"
     rc = main(["inverse", "--flat", "--m", "1", "--d", "1", "--eps0", "0",
