@@ -6,8 +6,8 @@ profile and verify the round trip), ``figure1`` (flat-profile revival
 sweep over several M values).
 
 Exit codes: 0 ok, 2 usage or input error (including inputs whose results
-overflow to non-finite values), 3 construction error, 4 round-trip
-verification failure. Output files are written atomically
+overflow to non-finite values), 3 construction or eigensolver failure,
+4 round-trip verification failure. Output files are written atomically
 (temp file + rename), and identical flags produce byte-identical output.
 """
 
@@ -28,7 +28,7 @@ from .analysis import (
     profile_survival,
     revival_period,
 )
-from .errors import DegenerateProfile
+from .errors import DegenerateProfile, NonConvergence
 from .evolution import SurvivalSeries, TimeGrid, _csv_table, survival_probability
 from .hermitian import eigh
 from .inverse import (
@@ -299,8 +299,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except DegenerateProfile as exc:
+        # overflow to inf/NaN is reported by _require_finite, not as warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
+    except (DegenerateProfile, NonConvergence) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, KeyError, OSError, OverflowError) as exc:

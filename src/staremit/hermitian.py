@@ -1,9 +1,15 @@
-"""Dense complex Hermitian matrices and their spectral decompositions.
+"""Dense Hermitian matrices and their spectral decompositions.
 
 Everything downstream (time evolution, the inverse construction, the
 revival analysis) consumes the output of :func:`eigh`, so the
 decomposition also caches the overlap weights of the designated initial
 basis state, index 0.
+
+Star (arrowhead) matrices, whose nonzero off-diagonal entries all sit in
+row and column 0, are the model's Hamiltonians. Their coupling phases are a
+per-mode gauge: a diagonal unitary turns them into real symmetric
+matrices, which :func:`eigh` diagonalizes in real arithmetic. Any other
+Hermitian matrix goes to the complex solver.
 """
 
 from __future__ import annotations
@@ -63,8 +69,31 @@ class SpectralDecomposition:
         return self.eigenvalues.size
 
 
+def _eigh_star(diagonal: np.ndarray, c: np.ndarray):
+    # D^H H D with D = diag(1, c/|c|) is the real arrowhead with couplings |c|
+    mod = np.abs(c)
+    arrow = np.diag(diagonal)
+    arrow[1:, 0] = arrow[0, 1:] = mod
+    eigenvalues, vectors = np.linalg.eigh(arrow)
+    coupled = mod > 0
+    phase = np.ones(diagonal.size, dtype=complex)
+    phase[1:][coupled] = c[coupled] / mod[coupled]
+    return eigenvalues, phase[:, None] * vectors
+
+
 def eigh(mat) -> SpectralDecomposition:
     """Diagonalize a Hermitian matrix.
+
+    A star matrix, with all off-diagonal nonzeros in row and column 0, is
+    solved in real arithmetic. With ``c = mat[1:, 0]`` (the lower triangle,
+    which is what the complex solver reads) and the diagonal unitary
+    ``D = diag(1, c/|c|)``, taking phase 1 where ``c`` is zero,
+    ``D^H mat D`` is the real arrowhead with diagonal ``Re diag(mat)`` and
+    couplings ``|c|``. It has the same eigenvalues, and its eigenvectors
+    ``V_real`` give those of ``mat`` as ``D V_real``. The transformation is
+    exact up to the rounding of the phases, so only the cost changes: the
+    real solver is several times faster than the complex one. Other
+    Hermitian matrices go to the complex solver.
 
     Parameters
     ----------
@@ -90,9 +119,14 @@ def eigh(mat) -> SpectralDecomposition:
     tol = HERMITICITY_RTOL * np.abs(m).max()
     if not check_hermitian(m, tol):
         raise ValueError("matrix is not Hermitian within tolerance")
+    # a star: away from row and column 0, only the diagonal is nonzero
+    star = np.count_nonzero(m[1:, 1:]) == np.count_nonzero(m.diagonal()[1:])
     try:
-        eigenvalues, eigenvectors = np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - pathological input
+        if star:
+            eigenvalues, eigenvectors = _eigh_star(m.diagonal().real, m[1:, 0])
+        else:
+            eigenvalues, eigenvectors = np.linalg.eigh(m)
+    except np.linalg.LinAlgError as exc:
         raise NonConvergence(f"eigensolver did not converge: {exc}") from exc
     return SpectralDecomposition(
         eigenvalues=eigenvalues,
@@ -125,8 +159,6 @@ def aggregate_degenerate(eigenvalues, overlaps, tol: float = DEGENERACY_TOL):
         raise ValueError("eigenvalues and overlaps must be matching 1-d arrays")
     if np.any(np.diff(e) < 0):
         raise ValueError("eigenvalues must be sorted ascending")
-    starts = np.flatnonzero(np.diff(e) > tol)
-    bounds = np.concatenate(([0], starts + 1, [e.size]))
-    levels = np.array([e[a:b].mean() for a, b in zip(bounds[:-1], bounds[1:])])
-    weights = np.array([w[a:b].sum() for a, b in zip(bounds[:-1], bounds[1:])])
-    return levels, weights
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(e) > tol) + 1))
+    counts = np.diff(np.append(starts, e.size))
+    return np.add.reduceat(e, starts) / counts, np.add.reduceat(w, starts)

@@ -180,7 +180,7 @@ def construct_hamiltonian(profile: SpectralProfile) -> StarModel:
     head_energy = transformed[0, 0]
     try:
         mode_energies, rot = np.linalg.eigh(transformed[1:, 1:])
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - pathological input
+    except np.linalg.LinAlgError as exc:
         raise NonConvergence(f"reduced block diagonalization failed: {exc}") from exc
     couplings = np.abs(rot.T @ transformed[1:, 0])  # gauge: alpha_k >= 0
     order = np.lexsort((mode_energies, -couplings))
@@ -227,14 +227,16 @@ def verify_round_trip(
     got_levels, got_weights = aggregate_degenerate(d.eigenvalues, d.zero_overlaps)
     want_levels, want_weights = aggregate_degenerate(target_e, profile.overlaps)
     window = 0.5 * np.diff(want_levels).min() if want_levels.size > 1 else np.inf
+    # nearest target level, the lower one on equal distances
+    hi = np.minimum(np.searchsorted(want_levels, got_levels), want_levels.size - 1)
+    lo = np.maximum(hi - 1, 0)
+    dist_lo = np.abs(want_levels[lo] - got_levels)
+    dist_hi = np.abs(want_levels[hi] - got_levels)
+    nearest = np.where(dist_lo <= dist_hi, lo, hi)
+    matched = np.minimum(dist_lo, dist_hi) <= window
     assigned = np.zeros_like(want_weights)
-    stray = 0.0
-    for level, weight in zip(got_levels, got_weights):
-        j = int(np.argmin(np.abs(want_levels - level)))
-        if abs(want_levels[j] - level) <= window:
-            assigned[j] += weight
-        else:
-            stray = max(stray, weight)
+    np.add.at(assigned, nearest[matched], got_weights[matched])
+    stray = got_weights[~matched].max(initial=0.0)
     overlap_err = float(max(np.abs(assigned - want_weights).max(), stray))
     return RoundTripReport(
         max_eigenvalue_error=eig_err,

@@ -92,7 +92,7 @@ def detuned_two_level_survival(eps0: float, eps1: float, alpha: complex, t):
     the atom is never certainly de-excited.
     """
     t = np.asarray(t, dtype=float)
-    a2 = abs(alpha) ** 2
+    a2 = np.abs(alpha) ** 2  # overflows to inf, not OverflowError
     delta = 0.5 * (eps1 - eps0)
     omega2 = a2 + delta * delta
     if omega2 == 0.0:

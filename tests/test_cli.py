@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -105,16 +106,37 @@ def test_identical_modes_rejects_zero_modes():
         ["figure1", "--m-list", "2", "--eps0", "1e308"],
     ],
 )
-@pytest.mark.filterwarnings("ignore:.*(overflow|invalid value):RuntimeWarning")
 def test_non_finite_result_exits_2_and_writes_nothing(argv, tmp_path, capsys):
-    # overflowing inputs exit 2 instead of writing inf/NaN rows (or invalid JSON)
+    # overflowing inputs exit 2 with one error line, and no numpy warnings,
+    # instead of writing inf/NaN rows (or invalid JSON)
     out = tmp_path / ("figs" if argv[0] == "figure1" else "series.txt")
-    try:
-        rc = main(argv + ["--out", str(out)])
-    except SystemExit as exc:  # rejected while parsing
-        rc = exc.code
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            rc = main(argv + ["--out", str(out)])
+        except SystemExit as exc:  # rejected while parsing
+            rc = exc.code
     assert rc == 2
-    assert "error:" in capsys.readouterr().err
+    assert caught == []
+    err = capsys.readouterr().err
+    if argv[-1] == "inf":  # argparse prints its usage line first
+        assert "error: argument --t-max" in err
+    else:
+        assert err == "error: result is not finite; the inputs overflow double precision\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv", [["two-level"], ["inverse", "--m", "3", "--flat"]], ids=["two-level", "inverse"]
+)
+def test_eigensolver_failure_exits_3_and_writes_nothing(argv, tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    out = tmp_path / "out.txt"
+    assert main(argv + ["--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from staremit import (
     StarModel,
@@ -10,7 +12,7 @@ from staremit import (
     reconstruct,
 )
 
-from helpers import random_hermitian
+from helpers import random_hermitian, random_star_model
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -70,10 +72,11 @@ def test_eigh_rejects_nonfinite():
 
 def test_eigh_deterministic():
     rng = np.random.default_rng(11)
-    h = random_hermitian(rng, 7)
-    d1, d2 = eigh(h), eigh(h)
-    assert np.array_equal(d1.eigenvalues, d2.eigenvalues)
-    assert np.array_equal(d1.eigenvectors, d2.eigenvectors)
+    # a dense matrix takes the complex solver, a star matrix the real one
+    for h in (random_hermitian(rng, 7), build_hamiltonian(random_star_model(rng, 7))):
+        d1, d2 = eigh(h), eigh(h)
+        assert np.array_equal(d1.eigenvalues, d2.eigenvalues)
+        assert np.array_equal(d1.eigenvectors, d2.eigenvectors)
 
 
 def test_eigh_invariants_random():
@@ -136,3 +139,108 @@ def test_aggregate_degenerate_validates_input():
         aggregate_degenerate([1.0, 0.0], [0.5, 0.5])
     with pytest.raises(ValueError):
         aggregate_degenerate([0.0, 1.0], [1.0])
+
+
+def _aggregate_reference(e, w, tol=1e-9):
+    # a new level starts wherever the gap to the previous sample exceeds tol
+    runs = [[0]]
+    for i in range(1, len(e)):
+        if e[i] - e[i - 1] > tol:
+            runs.append([])
+        runs[-1].append(i)
+    return np.array([np.mean(e[r]) for r in runs]), np.array([sum(w[r]) for r in runs])
+
+
+@st.composite
+def _clustered(draw):
+    # sorted samples where some values repeat, exactly or within 1e-9
+    base = draw(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=30))
+    e = sorted(
+        b + draw(st.sampled_from([0.0, 1e-12]) | st.floats(0.0, 5e-10))
+        for b in base
+        for _ in range(draw(st.integers(1, 5)))
+    )
+    w = draw(st.lists(st.floats(0.0, 1.0), min_size=len(e), max_size=len(e)))
+    return np.array(e), np.array(w)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_clustered())
+def test_aggregate_degenerate_matches_run_loop(case):
+    e, w = case
+    levels, weights = aggregate_degenerate(e, w)
+    ref_levels, ref_weights = _aggregate_reference(e, w)
+    # same runs; the sums may associate differently, by a few ulp
+    assert levels.shape == ref_levels.shape
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(levels - ref_levels) <= 4 * eps * np.abs(ref_levels))
+    assert np.all(np.abs(weights - ref_weights) <= 8 * eps * ref_weights)
+
+
+# Couplings: zero, negative real, or complex with any phase. Energies sit
+# on a 0.1 grid, so they repeat, and levels that are not exactly degenerate
+# stay far apart compared with DEGENERACY_TOL.
+_COUPLING = (
+    st.just(0.0)
+    | st.floats(-2.0, -0.05)
+    | st.builds(
+        lambda r, phi: r * np.exp(1j * phi), st.floats(0.05, 2.0), st.floats(0.0, 2 * np.pi)
+    )
+)
+_ENERGY = st.integers(-20, 20).map(lambda k: k / 10)
+
+
+@st.composite
+def _star_matrices(draw):
+    dim = draw(st.integers(1, 40))
+    if dim > 1 and draw(st.booleans()):  # identical modes
+        eps = np.full(dim, draw(_ENERGY))
+        alpha = np.full(dim - 1, draw(_COUPLING), dtype=complex)
+    else:
+        eps = np.array(draw(st.lists(_ENERGY, min_size=dim, max_size=dim)))
+        alpha = np.array(
+            draw(st.lists(_COUPLING, min_size=dim - 1, max_size=dim - 1)), dtype=complex
+        )
+    if dim == 1:
+        return eps.reshape(1, 1).astype(complex)
+    return build_hamiltonian(StarModel(eps=eps, alpha=alpha))
+
+
+def _bound(h):
+    return 1e-12 * max(1.0, np.abs(h).max())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_star_matrices())
+def test_eigh_star_matches_dense_complex_solver(h):
+    d = eigh(h)
+    ref_e, ref_v = np.linalg.eigh(h)
+    v, e = d.eigenvectors, d.eigenvalues
+    assert np.abs(e - ref_e).max() <= _bound(h)
+    assert np.abs(h @ v - v * e).max() <= _bound(h)
+    assert np.abs(v.conj().T @ v - np.eye(d.dim)).max() <= 1e-12
+    assert np.array_equal(d.zero_overlaps, np.abs(v[0]) ** 2)
+    levels, weights = aggregate_degenerate(e, d.zero_overlaps)
+    ref_levels, ref_weights = aggregate_degenerate(ref_e, np.abs(ref_v[0]) ** 2)
+    assert levels.shape == ref_levels.shape
+    assert np.abs(weights - ref_weights).max() <= 1e-12
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_star_matrices(), st.integers(0, 2**32 - 1), st.floats(-5.0, 5.0))
+def test_eigh_star_gauge_and_shift_covariance(h, seed, shift):
+    d = eigh(h)
+    levels, weights = aggregate_degenerate(d.eigenvalues, d.zero_overlaps)
+    # a phase on each coupling is a gauge: nothing observable moves
+    phase = np.exp(2j * np.pi * np.random.default_rng(seed).uniform(size=h.shape[0] - 1))
+    gauged = h.copy()
+    gauged[1:, 0] *= phase
+    gauged[0, 1:] *= phase.conj()
+    # a common energy shift moves every level by the same amount
+    shifted = h + shift * np.eye(h.shape[0])
+    for other, offset in ((gauged, 0.0), (shifted, shift)):
+        o = eigh(other)
+        assert np.abs(o.eigenvalues - offset - d.eigenvalues).max() <= _bound(other)
+        o_levels, o_weights = aggregate_degenerate(o.eigenvalues, o.zero_overlaps)
+        assert o_levels.shape == levels.shape
+        assert np.abs(o_weights - weights).max() <= 1e-12
