@@ -6,7 +6,7 @@ profile and verify the round trip), ``figure1`` (flat-profile revival
 sweep over several M values).
 
 Exit codes: 0 ok, 2 usage or input error (including inputs whose results
-overflow to non-finite values), 3 construction or eigensolver failure,
+overflow to non-finite values, and inputs too large for the memory), 3 construction or eigensolver failure,
 4 round-trip verification failure. Output files are written atomically
 (temp file + rename), and identical flags produce byte-identical output.
 """
@@ -63,9 +63,9 @@ def _write_text(path, text: str) -> None:
 
 
 def _json_table(ts, columns: dict) -> str:
-    payload = {"t": [float(t) for t in ts]}
+    payload = {"t": np.asarray(ts, dtype=float).tolist()}
     for name, values in columns.items():
-        payload[name] = [float(v) for v in values]
+        payload[name] = np.asarray(values, dtype=float).tolist()
     return json.dumps(payload, indent=2) + "\n"
 
 
@@ -307,6 +307,10 @@ def main(argv=None) -> int:
         return 3
     except (ValueError, KeyError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # the grid or the model is too large
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory",
+              file=sys.stderr)
         return 2
 
 

@@ -107,9 +107,9 @@ def render_line_chart(
 
     for k, (label, xs, ys) in enumerate(curves):
         color = PALETTE[k % len(PALETTE)]
-        pts = " ".join(
-            f"{_fmt(sx(float(x)))},{_fmt(sy(float(y)))}" for x, y in zip(xs, ys)
-        )
+        px = sx(np.asarray(xs, dtype=float)).tolist()
+        py = sy(np.asarray(ys, dtype=float)).tolist()
+        pts = " ".join(map("%.2f,%.2f".__mod__, zip(px, py)))
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.3"/>'
         )

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -146,6 +148,40 @@ def test_dirichlet_matches_direct_sum():
         direct = profile_survival(flat_profile(m_half, 0.0, d_width), ts)
         closed = dirichlet_survival(m_half, d_width, ts)
         assert np.abs(direct - closed).max() < 1e-12
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 60),
+    st.floats(0.1, 10.0),
+    st.floats(-1.0, 1.0),
+    st.sampled_from([1.0, 1e-3, 0.37, 250.0]),
+    st.floats(-2.0, 2.0),
+    st.floats(0.1, 3.0),
+    st.sampled_from([3, 4, 63, 64, 65, 399, 400, 401, 4001]) | st.integers(3, 3000),
+)
+def test_flat_profile_survival_on_uniform_grids_is_dirichlet(
+    m_half, d_width, eps0, hbar, start, periods, samples
+):
+    # the figure1 grid: a span in display units, divided by hbar
+    period = revival_period(m_half, d_width)
+    grid = TimeGrid(start * period * hbar, (start + periods) * period * hbar, samples)
+    ts = grid.times() / hbar
+    direct = profile_survival(flat_profile(m_half, eps0, d_width), ts)
+    assert np.abs(direct - dirichlet_survival(m_half, d_width, ts)).max() < 1e-12
+
+
+def test_profile_survival_memory_is_bounded():
+    # dim 201 x 20001 samples: the phasor table alone would be 64 MB
+    profile = flat_profile(100, 0.0, 1.0)
+    ts = np.linspace(0.0, 2.0 * revival_period(100, 1.0), 20001)
+    tracemalloc.start()
+    try:
+        profile_survival(profile, ts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_emission_metrics_threshold_validation():

@@ -140,6 +140,22 @@ def test_eigensolver_failure_exits_3_and_writes_nothing(argv, tmp_path, capsys, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv", [["two-level"], ["identical-modes", "--n", "4"]], ids=["two-level", "identical-modes"]
+)
+@pytest.mark.parametrize("message", ["Unable to allocate 640. MiB", ""], ids=["numpy", "bare"])
+def test_memory_error_exits_2_and_writes_nothing(argv, message, tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr("staremit.cli.build_hamiltonian", fail)
+    out, svg = tmp_path / "out.csv", tmp_path / "out.svg"
+    assert main(argv + ["--out", str(out), "--svg", str(svg)]) == 2
+    expected = f"error: out of memory: {message}\n" if message else "error: out of memory\n"
+    assert capsys.readouterr().err == expected
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_inverse_flat_m1(tmp_path, capsys):
     out = tmp_path / "model.json"
     rc = main(["inverse", "--flat", "--m", "1", "--d", "1", "--eps0", "0",

@@ -2,6 +2,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from staremit import (
     DimensionMismatch,
@@ -140,6 +142,52 @@ def test_series_csv_format():
     assert text == "t,P\n" + "".join(
         f"{t:.11e},{p:.11e}\n" for t, p in zip(grid.times(), s.values)
     )
+
+
+# grid lengths around the coarse x fine split (nb = ceil(sqrt(S))), plus
+# the shortest grids that take it
+_GRID_SAMPLES = st.sampled_from([3, 4, 5, 35, 36, 37, 1023, 1024, 1025]) | st.integers(3, 1500)
+
+
+def _grid_case(seed, samples):
+    # a random star model and a uniform grid with t0 != 0, in either direction
+    rng = np.random.default_rng(seed)
+    d = eigh(build_hamiltonian(random_star_model(rng, max_dim=30)))
+    t0, t1 = rng.uniform(-150.0, 150.0, 2)
+    return d, np.linspace(t0, t1, samples)
+
+
+def _scalar_calls(d, ts):
+    return np.array([survival_probability(d, float(t)) for t in ts])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), _GRID_SAMPLES)
+def test_survival_on_uniform_grid_matches_scalar_calls(seed, samples):
+    d, ts = _grid_case(seed, samples)
+    assert np.abs(survival_probability(d, ts) - _scalar_calls(d, ts)).max() < 1e-12
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), _GRID_SAMPLES, st.sampled_from([-1.0, 1.0]))
+def test_survival_with_one_sample_off_grid_matches_scalar_calls(seed, samples, sign):
+    # a sample moved by |E delta| = 1e-9 keeps the grid path; the first-order
+    # residual term must carry the shift. It is placed where P moves fastest,
+    # so that leaving the term out would cost about 1e-9 |dP/dt| / max|E|.
+    d, ts = _grid_case(seed, samples)
+    j = int(np.argmax(np.abs(np.gradient(_scalar_calls(d, ts)))))
+    ts[j] += sign * 1e-9 / np.abs(d.eigenvalues).max()
+    assert np.abs(survival_probability(d, ts) - _scalar_calls(d, ts)).max() < 1e-12
+
+
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(4097, 9000))
+def test_survival_on_non_uniform_grid_matches_scalar_calls(seed, samples):
+    # the direct sum runs in blocks of 4096 samples; check across the seams
+    rng = np.random.default_rng(seed)
+    d = eigh(build_hamiltonian(random_star_model(rng, max_dim=30)))
+    ts = np.sort(rng.uniform(-100.0, 100.0, samples))
+    assert np.abs(survival_probability(d, ts) - _scalar_calls(d, ts)).max() < 1e-12
 
 
 def test_oracle_zero_time_returns_input():

@@ -37,6 +37,23 @@ def test_check_hermitian_complex_offdiagonal():
     assert not check_hermitian(np.array([[0.0, a], [a, 0.0]]), 1e-12)
 
 
+@pytest.mark.parametrize("dim", [2, 64, 65, 150])
+def test_check_hermitian_finds_one_defect_anywhere(dim):
+    # the check reads the matrix in row slabs; a defect in any slab counts
+    h = random_hermitian(np.random.default_rng(dim), dim)
+    for i, j in ((dim - 1, 0), (0, dim - 1), (dim // 2, dim // 2 - 1)):
+        m = h.copy()
+        m[i, j] += 1e-6j
+        assert check_hermitian(m, 1.1e-6) and not check_hermitian(m, 0.9e-6)
+
+
+def test_check_hermitian_accepts_entries_whose_modulus_overflows():
+    # finite entries, although |z| overflows to inf: not a non-finite input
+    big = 1.5e308 + 1.5e308j
+    with np.errstate(over="ignore"):
+        assert check_hermitian(np.array([[0.0, big], [np.conj(big), 0.0]]), 0.0)
+
+
 def test_check_hermitian_requires_square():
     with pytest.raises(ValueError):
         check_hermitian(np.zeros((2, 3)), 1e-12)
