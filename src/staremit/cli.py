@@ -23,13 +23,14 @@ from pathlib import Path
 
 import numpy as np
 
+from ._numtext import csv_table, json_table
 from .analysis import (
     emission_metrics,
     profile_survival,
     revival_period,
 )
 from .errors import DegenerateProfile, NonConvergence
-from .evolution import SurvivalSeries, TimeGrid, _csv_table, survival_probability
+from .evolution import SurvivalSeries, TimeGrid, survival_probability
 from .hermitian import eigh
 from .inverse import (
     SpectralProfile,
@@ -60,13 +61,6 @@ def _write_text(path, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def _json_table(ts, columns: dict) -> str:
-    payload = {"t": np.asarray(ts, dtype=float).tolist()}
-    for name, values in columns.items():
-        payload[name] = np.asarray(values, dtype=float).tolist()
-    return json.dumps(payload, indent=2) + "\n"
 
 
 def _positive_int(text: str) -> int:
@@ -110,7 +104,7 @@ def _run_series(args, model: StarModel, analytic, svg_title: str) -> int:
     d = eigh(build_hamiltonian(model))
     columns = {"P": survival_probability(d, tau), "P_analytic": analytic(tau)}
     _require_finite(ts, *columns.values())
-    text = _csv_table(ts, columns) if args.format == "csv" else _json_table(ts, columns)
+    text = (csv_table if args.format == "csv" else json_table)(ts, columns)
     if args.out:
         _write_text(args.out, text)
     else:

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._numtext import csv_table
 from .errors import DimensionMismatch, StepTooLarge
 from .hermitian import SpectralDecomposition
 
@@ -71,15 +72,7 @@ class SurvivalSeries:
 
     def to_csv(self) -> str:
         """Render as ``t,P`` CSV: 12 significant digits, LF line endings."""
-        return _csv_table(self.grid.times(), {"P": self.values})
-
-
-def _csv_table(ts, columns: dict) -> str:
-    # header ``t,<names>``, then one ``.11e`` row per sample
-    fmt = ",".join(["%.11e"] * (len(columns) + 1))
-    cols = [np.asarray(c, dtype=float).tolist() for c in (ts, *columns.values())]
-    rows = [fmt % row for row in zip(*cols)]
-    return "\n".join(["t," + ",".join(columns)] + rows) + "\n"
+        return csv_table(self.grid.times(), {"P": self.values})
 
 
 def evolve_state(d: SpectralDecomposition, psi0, t: float) -> np.ndarray:

@@ -31,34 +31,43 @@ _SLAB = 64
 
 
 def _as_square_matrix(mat):
-    # the converted matrix and its largest entry modulus, which doubles as
-    # the finiteness test: it is finite unless an entry is inf or NaN or the
-    # modulus of a finite entry overflows, which the exact test then tells
+    # the converted matrix, a power-of-two factor f and max|f m|: f is 1, or
+    # 1/4 when the modulus of a finite entry overflows, so that neither
+    # max|f m| nor the difference of two scaled entries can. The modulus
+    # doubles as the finiteness test: it is finite unless an entry is inf
+    # or NaN or a finite modulus overflows, which the exact test then tells.
     m = np.asarray(mat, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     scale = np.abs(m).max()
-    if not np.isfinite(scale) and not np.all(np.isfinite(m)):
+    if np.isfinite(scale):
+        return m, 1.0, scale
+    if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
-    return m, scale
+    return m, 0.25, np.abs(m * 0.25).max()
 
 
-def _hermiticity_defect(m: np.ndarray) -> float:
-    # max |m[i,j] - conj(m[j,i])|, in row slabs so the transposed read
-    # stays in cache
+def _hermiticity_defect(m: np.ndarray, f: float = 1.0) -> float:
+    # max |f m[i,j] - conj(f m[j,i])| for a power of two f (so the scaling
+    # is exact), in row slabs so the transposed read stays in cache
     defect = 0.0
     for i in range(0, m.shape[0], _SLAB):
-        defect = max(defect, np.abs(m[i : i + _SLAB] - m[:, i : i + _SLAB].conj().T).max())
+        rows, cols = m[i : i + _SLAB], m[:, i : i + _SLAB].conj().T
+        if f != 1.0:
+            rows, cols = rows * f, cols * f
+        defect = max(defect, np.abs(rows - cols).max())
     return defect
 
 
 def check_hermitian(mat, tol: float) -> bool:
     """Return True iff ``max |m[i,j] - conj(m[j,i])| <= tol``.
 
-    Pure predicate; ``mat`` must be square with finite entries.
+    Pure predicate; ``mat`` must be square with finite entries. Entries
+    whose modulus overflows are compared at a quarter of their size, with
+    ``tol`` scaled alike, so the comparison itself cannot overflow.
     """
-    m, _ = _as_square_matrix(mat)
-    return bool(_hermiticity_defect(m) <= tol)
+    m, f, _ = _as_square_matrix(mat)
+    return bool(_hermiticity_defect(m, f) <= tol * f)
 
 
 @dataclass(frozen=True)
@@ -115,7 +124,9 @@ def eigh(mat) -> SpectralDecomposition:
     ----------
     mat : array_like
         Square matrix, Hermitian within ``HERMITICITY_RTOL`` relative to
-        its largest entry modulus.
+        its largest entry modulus. When that modulus overflows, the
+        comparison is made on the matrix scaled by 1/4 (exactly), so such
+        a matrix is held to the same relative tolerance.
 
     Returns
     -------
@@ -131,8 +142,8 @@ def eigh(mat) -> SpectralDecomposition:
     NonConvergence
         If the underlying iteration fails to converge.
     """
-    m, scale = _as_square_matrix(mat)
-    if not _hermiticity_defect(m) <= HERMITICITY_RTOL * scale:
+    m, f, scale = _as_square_matrix(mat)
+    if not _hermiticity_defect(m, f) <= HERMITICITY_RTOL * scale:
         raise ValueError("matrix is not Hermitian within tolerance")
     # a star: away from row and column 0, only the diagonal is nonzero
     star = np.count_nonzero(m[1:, 1:]) == np.count_nonzero(m.diagonal()[1:])

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._numtext import svg_points
+
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 _MARGIN_LEFT = 64.0
@@ -33,7 +35,16 @@ def render_line_chart(
     width: int = 860,
     height: int = 520,
 ) -> str:
-    """Render ``curves`` (sequence of ``(label, x, y)``) as an SVG string."""
+    """Render ``curves`` (sequence of ``(label, x, y)``) as an SVG string.
+
+    Each curve is one polyline with one point per sample, written exactly
+    as ``"%.2f,%.2f"`` of its pixel coordinates and joined by spaces. The
+    points are formatted as whole arrays (``rint(100 v)`` and a digit
+    table); a coordinate within 1e-6 of a rounding tie is formatted by
+    ``%`` itself, and a curve with a non-finite coordinate (which prints
+    ``nan`` or ``inf``) goes through the per-point template, so the bytes
+    never depend on which path ran.
+    """
     if not curves:
         raise ValueError("need at least one curve")
     x_min = min(float(np.min(x)) for _, x, _ in curves)
@@ -107,9 +118,7 @@ def render_line_chart(
 
     for k, (label, xs, ys) in enumerate(curves):
         color = PALETTE[k % len(PALETTE)]
-        px = sx(np.asarray(xs, dtype=float)).tolist()
-        py = sy(np.asarray(ys, dtype=float)).tolist()
-        pts = " ".join(map("%.2f,%.2f".__mod__, zip(px, py)))
+        pts = svg_points(sx(np.asarray(xs, dtype=float)), sy(np.asarray(ys, dtype=float)))
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.3"/>'
         )

@@ -54,6 +54,19 @@ def test_check_hermitian_accepts_entries_whose_modulus_overflows():
         assert check_hermitian(np.array([[0.0, big], [np.conj(big), 0.0]]), 0.0)
 
 
+def test_eigh_rejects_non_hermitian_whose_modulus_overflows():
+    # max|m| overflows, so the relative tolerance must not become inf
+    big = 1.5e308 + 1.5e308j
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            eigh(np.array([[0.0, big], [0.0, 0.0]]))
+        assert not check_hermitian(np.array([[0.0, big], [0.0, 0.0]]), 1e300)
+        # a defect within the relative tolerance at that scale still passes
+        eigh(np.array([[0.0, big], [np.conj(big) * (1 + 1e-14), 0.0]]))
+        with pytest.raises(ValueError, match="not Hermitian"):
+            eigh(np.array([[0.0, big], [np.conj(big) * (1 + 1e-10), 0.0]]))
+
+
 def test_check_hermitian_requires_square():
     with pytest.raises(ValueError):
         check_hermitian(np.zeros((2, 3)), 1e-12)
