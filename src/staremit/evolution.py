@@ -81,7 +81,8 @@ def evolve_state(d: SpectralDecomposition, psi0, t: float) -> np.ndarray:
     if psi.shape != (d.dim,):
         raise DimensionMismatch(f"state has shape {psi.shape}, expected ({d.dim},)")
     phases = np.exp(-1j * d.eigenvalues * t)
-    return d.eigenvectors @ (phases * (d.eigenvectors.conj().T @ psi))
+    # V^dag psi as conj(psi^dag V): no conjugate transpose of V is copied
+    return d.eigenvectors @ (phases * np.conj(psi.conj() @ d.eigenvectors))
 
 
 def survival_probability(d: SpectralDecomposition, t):

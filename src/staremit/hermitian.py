@@ -7,9 +7,30 @@ basis state, index 0.
 
 Star (arrowhead) matrices, whose nonzero off-diagonal entries all sit in
 row and column 0, are the model's Hamiltonians. Their coupling phases are a
-per-mode gauge: a diagonal unitary turns them into real symmetric
-matrices, which :func:`eigh` diagonalizes in real arithmetic. Any other
-Hermitian matrix goes to the complex solver.
+per-mode gauge: a diagonal unitary turns them into real arrowheads
+``[[a, z^T], [z, diag(p)]]`` with ``z >= 0``, whose eigenvalues are the
+roots of the model's secular equation
+``g(E) = E - a - sum_k z_k^2 / (E - p_k)``. :func:`eigh` solves them in
+O(n^2) time (Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 16, 1995;
+Jakovčević Stor, Slapničar & Barlow, Linear Algebra Appl. 464, 2015):
+
+1. Scale by a power of two, so the largest entry lies in [1/2, 1), and
+   deflate. A coupling at or below ``8 eps ||H||`` leaves its mode as a
+   dark eigenvector; poles within that distance of a group's first pole
+   are rotated by one Householder reflection into one bright mode and
+   dark modes.
+2. Find each root of ``g`` in its interval between poles, kept as its
+   nearer pole plus an offset, so every distance ``E - p_k`` has full
+   relative accuracy. A bracketed rational step with one pole at each end
+   of the interval (the middle way) updates only the roots that have not
+   converged, in row blocks that keep temporaries at O(block n).
+3. Recompute the couplings from the roots by Löwner's formula, so the
+   computed roots are exact eigenvalues of a nearby arrowhead, and take the
+   eigenvectors ``[1, zhat_k / (E - p_k)]``, normalized: they come out
+   orthogonal to working precision.
+4. Merge the dark and bright eigenpairs in ascending order.
+
+Any other Hermitian matrix goes to LAPACK's complex solver.
 """
 
 from __future__ import annotations
@@ -28,6 +49,18 @@ DEGENERACY_TOL = 1e-9
 
 # Rows per slab of the Hermiticity check.
 _SLAB = 64
+
+_EPS = np.finfo(float).eps
+
+# A star coupling at or below _DEFLATION * eps * ||H|| leaves its mode as a
+# dark eigenvector, and mode energies that close merge into one bright mode.
+_DEFLATION = 8.0
+
+# Iteration cap of the secular root finder; reaching it raises NonConvergence.
+_MAX_ITER = 50
+
+# Matrix entries per row block of the star solver's temporaries.
+_BLOCK_CELLS = 1 << 15
 
 
 def _as_square_matrix(mat):
@@ -94,12 +127,255 @@ class SpectralDecomposition:
         return self.eigenvalues.size
 
 
+def _pick_root(qa, qb, qc, lo, hi):
+    # the root of qa x^2 - qb x + qc = 0 that lies inside (lo, hi), NaN
+    # where neither does
+    disc = np.sqrt(np.abs(qb * qb - 4.0 * qa * qc))
+    q = 0.5 * (qb + np.copysign(disc, qb))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        small, large = qc / q, q / qa
+    x = np.where((large > lo) & (large < hi), large, np.nan)
+    return np.where((small > lo) & (small < hi), small, x)
+
+
+class _Secular:
+    """Roots of ``g(l) = l - a - sum_k zeta2_k / (l - d_k)`` for increasing ``d``.
+
+    Root ``i`` lies between poles ``i - 1`` and ``i`` (the first and last
+    beyond the outer poles) and is kept as its nearer pole ``d[origin[i]]``
+    plus the offset ``tau[i]``, so its distance to every pole has full
+    relative accuracy.
+    """
+
+    def __init__(self, a: float, d: np.ndarray, zeta2: np.ndarray):
+        self.a, self.d, self.zeta2 = a, d, zeta2
+        r = d.size
+        self.index = np.arange(r + 1)
+        self.gap = np.zeros(r + 1)
+        self.gap[1:r] = np.diff(d)
+        self.rows = max(1, _BLOCK_CELLS // r)
+        self.buf = np.empty((2, min(self.rows, r + 1), r))
+
+    def _block(self, i, origin, tau):
+        # g at d[origin] + tau, its slope from the poles left and right of
+        # each root (the linear term acts as a pole at -inf, on the left),
+        # and a bound on the rounding error of g
+        d, zeta2 = self.d, self.zeta2
+        both = self.buf[:, : tau.size]
+        square, rec = both
+        np.subtract(d, d[origin][:, None], out=rec)
+        rec -= tau[:, None]  # d_k - lambda, exactly -tau at k == origin
+        np.divide(1.0, rec, out=rec)
+        np.square(rec, out=square)
+        # row j's left poles are the columns k < i[j]; the rows are sorted,
+        # so only the columns between the first and the last row's split
+        # need a mask
+        c0, c1 = i[0], i[-1]
+        band, zb = both[..., c0:c1], zeta2[c0:c1]
+        mixed = np.where(np.arange(c0, c1) < i[:, None], band, 0.0) @ zb
+        slope_l, psi = both[..., :c0] @ zeta2[:c0] + mixed
+        slope_r, phi = both[..., c1:] @ zeta2[c1:] + (band @ zb - mixed)
+        lin = (d[origin] - self.a) + tau
+        g = lin + psi + phi
+        slope_l += 1.0
+        err = 8.0 * (phi - psi + np.abs(lin)) + np.abs(tau) * (slope_l + slope_r)
+        return g, slope_l, slope_r, err
+
+    def evaluate(self, act, origin, tau):
+        out = np.empty((4, act.size))
+        for s in range(0, act.size, self.rows):
+            blk = act[s : s + self.rows]
+            out[:, s : s + blk.size] = self._block(blk, origin[blk], tau[blk])
+        return out
+
+    def step(self, act, origin, tau, lo, hi, g, slope_l, slope_r):
+        # Interior roots take the middle way: a model with one pole at each
+        # end of the interval, weighted to match g and g' at the current
+        # point. The outer roots keep the linear term exact and lump all
+        # poles into the one next to them. The new offset is solved for in
+        # the origin's frame, so a root close to its pole keeps its digits.
+        i, t = act, tau[act]
+        gap = self.gap[i]
+        at_left = origin[act] == i - 1
+        dl = np.where(at_left, -t, -gap - t)
+        dr = np.where(at_left, gap - t, -t)
+        s_l, s_r = dl * dl * slope_l, dr * dr * slope_r
+        c = g - dl * slope_l - dr * slope_r
+        span = np.where(at_left, gap, -gap)
+        qa, qb, qc = c, c * span + s_l + s_r, np.where(at_left, s_l, s_r) * span
+        outer = (i == 0) | (i == self.d.size)
+        if outer.any():
+            slope = np.where(i == 0, slope_r, slope_l - 1.0)
+            qa = np.where(outer, 1.0, qa)
+            qb = np.where(outer, t - g - t * slope, qb)
+            qc = np.where(outer, -t * t * slope, qc)
+        return _pick_root(qa, qb, qc, lo[act], hi[act])
+
+    def solve(self):
+        a, d, zeta2 = self.a, self.d, self.zeta2
+        r = d.size
+        i = self.index
+        origin = np.maximum(i - 1, 0)
+        lo, hi = np.zeros(r + 1), 0.5 * self.gap
+        # Weyl's bounds place the outer roots within |zeta| of the diagonal
+        znorm = np.sqrt(zeta2.sum())
+        lo[0] = (min(a - d[0], 0.0) - znorm) * (1.0 + 4.0 * _EPS)
+        hi[r] = (max(a - d[-1], 0.0) + znorm) * (1.0 + 4.0 * _EPS)
+        tau = 0.5 * (lo + hi)
+        tau[1:r] = hi[1:r]
+        # g at each interval's midpoint tells which half holds the root,
+        # and so its nearer pole
+        g, slope_l, slope_r, _ = self.evaluate(i, origin, tau)
+        inner = (i > 0) & (i < r)
+        right = inner & (g < 0)
+        origin[right] = i[right]
+        lo[right], hi[right] = -hi[right], 0.0
+        tau[right] = lo[right]
+        hi[~inner & (g > 0)] = tau[~inner & (g > 0)]
+        lo[~inner & (g < 0)] = tau[~inner & (g < 0)]
+        act = i
+        new = self.step(act, origin, tau, lo, hi, g, slope_l, slope_r)
+        new = np.where(np.isnan(new), 0.5 * (lo + hi), new)
+        last = np.abs(new - tau) / np.abs(new)  # relative size of each root's last step
+        tau[:] = new
+        for _ in range(_MAX_ITER):
+            g, slope_l, slope_r, err = self.evaluate(act, origin, tau)
+            t = tau[act]
+            above = g > 0
+            hi[act] = np.where(above, t, hi[act])
+            lo[act] = np.where(above, lo[act], t)
+            new = self.step(act, origin, tau, lo, hi, g, slope_l, slope_r)
+            # a converged root still takes the step its last evaluation
+            # offers, if that stays in the bracket; the others bisect
+            # where the step leaves it
+            done = np.abs(g) <= _EPS * err
+            done |= hi[act] - lo[act] <= 2.0 * _EPS * np.maximum(-lo[act], hi[act])
+            new = np.where(np.isnan(new), np.where(done, t, 0.5 * (lo[act] + hi[act])), new)
+            tau[act] = new
+            # the step converges quadratically: after steps of relative size
+            # last and rho, the error left is near rho^3 / last^2, and a
+            # root whose error that puts below eps / 8 needs no further sweep
+            rho = np.abs(new - t) / np.abs(new)
+            done |= (rho <= 1e-6) & (rho**3 <= 0.125 * _EPS * last[act] ** 2)
+            last[act] = rho
+            act = act[~done]
+            if act.size == 0:
+                return origin, tau
+        raise NonConvergence(
+            f"eigensolver did not converge: {act.size} secular roots after {_MAX_ITER} iterations"
+        )
+
+
+def _lowner_vectors(d, origin, tau, rank, out):
+    # Row k of ``out`` gets zhat_k / (lambda_i - d[rank_k]), where
+    # lambda = d[origin] + tau. Löwner's formula
+    #   zhat_k^2 = -(lambda_k - d_k)(lambda_r - d_k) prod_{i != k, i < r}
+    #              (lambda_i - d_k) / (d_i - d_k)
+    # gives the couplings for which the computed roots are exact, so the
+    # vectors come out orthogonal. Returns the column norms of [1; out].
+    r = d.size
+    d_origin = d[origin]
+    norm2 = np.ones(r + 1)
+    rows = max(1, _BLOCK_CELLS // r)
+    ratio = np.empty((min(rows, r), r))
+    for s in range(0, r, rows):
+        k = rank[s : s + rows]
+        p = d[k]
+        diff, rt = out[s : s + p.size], ratio[: p.size]
+        np.subtract(d_origin, p[:, None], out=diff)
+        diff += tau  # lambda_i - p_k, exactly tau_i where origin[i] == k
+        np.subtract(d, p[:, None], out=rt)
+        rt[np.arange(p.size), k] = -1.0 / diff[:, r]
+        np.divide(diff[:, :r], rt, out=rt)
+        zhat = np.sqrt(np.prod(rt, axis=1))
+        np.divide(zhat[:, None], diff, out=diff)
+        norm2 += np.einsum("ij,ij->j", diff, diff)
+    return np.sqrt(norm2)
+
+
+def _pole_groups(sorted_poles: np.ndarray, tol: float) -> np.ndarray:
+    # starts of the runs in which every pole lies within tol of the run's
+    # first one
+    if not np.any(np.diff(sorted_poles) <= tol):
+        return np.arange(sorted_poles.size)
+    starts, anchor = [0], sorted_poles[0]
+    for j, x in enumerate(sorted_poles.tolist()):
+        if x - anchor > tol:
+            starts.append(j)
+            anchor = x
+    return np.array(starts)
+
+
+def _arrowhead_eigh(a: float, p: np.ndarray, z: np.ndarray):
+    # ascending eigenvalues and real orthonormal eigenvectors of the
+    # arrowhead [[a, z^T], [z, diag(p)]] with z >= 0
+    m = p.size
+    n = m + 1
+    top = max(abs(a), np.abs(p).max(initial=0.0), z.max(initial=0.0))
+    if top == 0.0:
+        return np.zeros(n), np.eye(n)
+    # an exact power-of-two scale puts the largest entry in [1/2, 1): no
+    # z_k^2 overflows, and none above the deflation threshold underflows
+    e = int(np.frexp(top)[1])
+    a, p, z = float(np.ldexp(a, -e)), np.ldexp(p, -e), np.ldexp(z, -e)
+    tol = _DEFLATION * _EPS * (max(abs(a), np.abs(p).max(initial=0.0)) + np.sqrt(z @ z))
+    bright = np.flatnonzero(z > tol)
+    bright = bright[np.argsort(p[bright], kind="stable")]
+    starts = _pole_groups(p[bright], tol)
+    ends = np.append(starts[1:], bright.size)
+    r = starts.size
+    reps = bright[starts]
+    d, zeta = p[reps], z[reps]
+    # one Householder reflection per group of equal poles turns its
+    # couplings into one bright direction u, of coupling |z| over the
+    # group, and size - 1 dark ones; |z| is scaled by the largest coupling,
+    # which makes it exact for equal couplings
+    groups = []
+    for j in np.flatnonzero(ends - starts > 1):
+        members = bright[starts[j] : ends[j]]
+        big = z[members].max()
+        zeta[j] = big * np.sqrt(np.sum((z[members] / big) ** 2))
+        groups.append((members, z[members] / zeta[j]))
+    vals, block = np.full(1, a), np.ones((1, 1))
+    if r:
+        origin, tau = _Secular(a, d, zeta * zeta).solve()
+        vals = d[origin] + tau
+        block = np.empty((r + 1, r + 1))
+        block[0] = 1.0
+        # rows in mode order, so that with nothing deflated they are final
+        by_mode = np.argsort(reps)
+        block /= _lowner_vectors(d, origin, tau, by_mode, block[1:])
+        if r == m:
+            return np.ldexp(vals, e), block
+        reps = reps[by_mode]
+    lone = np.flatnonzero(z <= tol)
+    dark_vals = [np.full(members.size - 1, p[members[0]]) for members, _ in groups]
+    all_vals = np.concatenate([vals, *dark_vals, p[lone]])
+    order = np.argsort(all_vals, kind="stable")
+    col = np.empty(n, dtype=int)
+    col[order] = np.arange(n)
+    v = np.zeros((n, n))
+    bright_cols = col[: r + 1]
+    v[np.ix_(np.append(0, 1 + reps), bright_cols)] = block
+    c = r + 1
+    for members, u in groups:
+        # the group's share of each bright vector, then its dark vectors
+        # H e_j (j >= 1) of H = I - w w^T / (1 + u_0), w = u + e_0
+        v[np.ix_(1 + members, bright_cols)] = np.outer(u, v[1 + members[0], bright_cols])
+        w = u.copy()
+        w[0] += 1.0
+        h = np.outer(w, u[1:] / -w[0])
+        h[1:] += np.eye(members.size - 1)
+        v[np.ix_(1 + members, col[c : c + members.size - 1])] = h
+        c += members.size - 1
+    v[1 + lone, col[c:]] = 1.0
+    return np.ldexp(all_vals[order], e), v
+
+
 def _eigh_star(diagonal: np.ndarray, c: np.ndarray):
     # D^H H D with D = diag(1, c/|c|) is the real arrowhead with couplings |c|
     mod = np.abs(c)
-    arrow = np.diag(diagonal)
-    arrow[1:, 0] = arrow[0, 1:] = mod
-    eigenvalues, vectors = np.linalg.eigh(arrow)
+    eigenvalues, vectors = _arrowhead_eigh(diagonal[0], diagonal[1:], mod)
     coupled = mod > 0
     phase = np.ones(diagonal.size, dtype=complex)
     phase[1:][coupled] = c[coupled] / mod[coupled]
@@ -110,15 +386,17 @@ def eigh(mat) -> SpectralDecomposition:
     """Diagonalize a Hermitian matrix.
 
     A star matrix, with all off-diagonal nonzeros in row and column 0, is
-    solved in real arithmetic. With ``c = mat[1:, 0]`` (the lower triangle,
-    which is what the complex solver reads) and the diagonal unitary
-    ``D = diag(1, c/|c|)``, taking phase 1 where ``c`` is zero,
+    solved as a real arrowhead. With ``c = mat[1:, 0]`` (the lower
+    triangle, which is what the complex solver reads) and the diagonal
+    unitary ``D = diag(1, c/|c|)``, taking phase 1 where ``c`` is zero,
     ``D^H mat D`` is the real arrowhead with diagonal ``Re diag(mat)`` and
     couplings ``|c|``. It has the same eigenvalues, and its eigenvectors
-    ``V_real`` give those of ``mat`` as ``D V_real``. The transformation is
-    exact up to the rounding of the phases, so only the cost changes: the
-    real solver is several times faster than the complex one. Other
-    Hermitian matrices go to the complex solver.
+    ``V_real`` give those of ``mat`` as ``D V_real``. The arrowhead is
+    deflated (negligible couplings and equal mode energies give dark
+    levels), its other eigenvalues are the roots of the secular equation,
+    each kept as an offset from its nearer pole, and its eigenvectors come
+    from Löwner's formula, all in O(n^2) time (see the module docstring).
+    Other Hermitian matrices go to LAPACK's complex solver.
 
     Parameters
     ----------
@@ -140,13 +418,21 @@ def eigh(mat) -> SpectralDecomposition:
     ValueError
         If the matrix is not square, finite and Hermitian.
     NonConvergence
-        If the underlying iteration fails to converge.
+        If the underlying iteration fails to converge: the secular root
+        finder within ``_MAX_ITER`` steps, or LAPACK.
     """
     m, f, scale = _as_square_matrix(mat)
-    if not _hermiticity_defect(m, f) <= HERMITICITY_RTOL * scale:
-        raise ValueError("matrix is not Hermitian within tolerance")
-    # a star: away from row and column 0, only the diagonal is nonzero
+    # a star: away from row and column 0, only the diagonal is nonzero, so
+    # only the first row, first column and diagonal can break Hermiticity
     star = np.count_nonzero(m[1:, 1:]) == np.count_nonzero(m.diagonal()[1:])
+    if star:
+        arrow = f * np.concatenate((m[0], m.diagonal()))
+        mirror = f * np.concatenate((m[:, 0], m.diagonal()))
+        defect = np.abs(arrow - mirror.conj()).max()
+    else:
+        defect = _hermiticity_defect(m, f)
+    if not defect <= HERMITICITY_RTOL * scale:
+        raise ValueError("matrix is not Hermitian within tolerance")
     try:
         if star:
             eigenvalues, eigenvectors = _eigh_star(m.diagonal().real, m[1:, 0])

@@ -27,6 +27,20 @@ def _tick_label(x: float) -> str:
     return f"{x:.4g}"
 
 
+def _finite_range(arrays) -> tuple[float, float]:
+    # min and max over the finite entries of all arrays, (0, 1) if none is;
+    # an array's min and max are both finite exactly when all its entries are
+    lo, hi = np.inf, -np.inf
+    for a in arrays:
+        v = np.asarray(a, dtype=float)
+        a_lo, a_hi = v.min(initial=np.inf), v.max(initial=-np.inf)
+        if not (np.isfinite(a_lo) and np.isfinite(a_hi)):
+            v = v[np.isfinite(v)]
+            a_lo, a_hi = v.min(initial=np.inf), v.max(initial=-np.inf)
+        lo, hi = min(lo, a_lo), max(hi, a_hi)
+    return (float(lo), float(hi)) if lo <= hi else (0.0, 1.0)
+
+
 def render_line_chart(
     curves,
     title: str = "",
@@ -43,14 +57,14 @@ def render_line_chart(
     table); a coordinate within 1e-6 of a rounding tie is formatted by
     ``%`` itself, and a curve with a non-finite coordinate (which prints
     ``nan`` or ``inf``) goes through the per-point template, so the bytes
-    never depend on which path ran.
+    never depend on which path ran. The axes span the finite coordinates of
+    all curves, whatever their order; the y axis always covers [0, 1].
     """
     if not curves:
         raise ValueError("need at least one curve")
-    x_min = min(float(np.min(x)) for _, x, _ in curves)
-    x_max = max(float(np.max(x)) for _, x, _ in curves)
-    y_min = min(0.0, min(float(np.min(y)) for _, _, y in curves))
-    y_max = max(1.0, max(float(np.max(y)) for _, _, y in curves))
+    x_min, x_max = _finite_range(x for _, x, _ in curves)
+    y_min, y_max = _finite_range(y for _, _, y in curves)
+    y_min, y_max = min(0.0, y_min), max(1.0, y_max)
     if x_max == x_min:
         x_max = x_min + 1.0
     if y_max == y_min:

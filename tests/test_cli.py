@@ -127,13 +127,18 @@ def test_non_finite_result_exits_2_and_writes_nothing(argv, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv", [["two-level"], ["inverse", "--m", "3", "--flat"]], ids=["two-level", "inverse"]
+    "argv",
+    [["two-level"], ["identical-modes", "--n", "4"], ["inverse", "--m", "3", "--flat"]],
+    ids=["two-level", "identical-modes", "inverse"],
 )
 def test_eigensolver_failure_exits_3_and_writes_nothing(argv, tmp_path, capsys, monkeypatch):
-    def fail(*args, **kwargs):
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    if argv[0] == "inverse":  # LAPACK diagonalizes the reduced block
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(np.linalg, "eigh", fail)
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+    else:  # star Hamiltonians go to the secular root finder
+        monkeypatch.setattr("staremit.hermitian._MAX_ITER", 0)
     out = tmp_path / "out.txt"
     assert main(argv + ["--out", str(out)]) == 3
     assert capsys.readouterr().err.startswith("error: ")

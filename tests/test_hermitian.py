@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from staremit import (
+    NonConvergence,
     StarModel,
     aggregate_degenerate,
     build_hamiltonian,
@@ -11,6 +12,8 @@ from staremit import (
     eigh,
     reconstruct,
 )
+
+from staremit.hermitian import DEGENERACY_TOL
 
 from helpers import random_hermitian, random_star_model
 
@@ -65,6 +68,19 @@ def test_eigh_rejects_non_hermitian_whose_modulus_overflows():
         eigh(np.array([[0.0, big], [np.conj(big) * (1 + 1e-14), 0.0]]))
         with pytest.raises(ValueError, match="not Hermitian"):
             eigh(np.array([[0.0, big], [np.conj(big) * (1 + 1e-10), 0.0]]))
+
+
+@pytest.mark.parametrize("dim", [2, 70, 150])
+def test_eigh_rejects_star_with_one_defect_anywhere(dim):
+    # a star is checked on its first row, first column and diagonal only
+    h = build_hamiltonian(random_star_model(np.random.default_rng(dim), dim))
+    for i, j, bump in ((0, dim - 1, 1e-6), (dim - 1, 0, 1e-6j), (dim // 2, dim // 2, 1e-6j)):
+        m = h.copy()
+        m[i, j] += bump
+        with pytest.raises(ValueError, match="not Hermitian"):
+            eigh(m)
+        m[i, j] -= bump * (1 - 1e-9)  # a defect within tolerance passes
+        eigh(m)
 
 
 def test_check_hermitian_requires_square():
@@ -240,20 +256,30 @@ def _bound(h):
     return 1e-12 * max(1.0, np.abs(h).max())
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(_star_matrices())
-def test_eigh_star_matches_dense_complex_solver(h):
+def _check_against_lapack(h, agg_tol):
     d = eigh(h)
-    ref_e, ref_v = np.linalg.eigh(h)
+    # LAPACK's complex solver fails to converge on some of these matrices
+    # (couplings 1e26, 1e-14 and 1e-16 at dim 25) unless they are scaled;
+    # the power of two is exact
+    k = int(np.clip(np.frexp(np.abs(h).max())[1], -1000, 1000))
+    ref_e, ref_v = np.linalg.eigh(h * 2.0**-k)
+    ref_e *= 2.0**k
     v, e = d.eigenvectors, d.eigenvalues
+    assert np.all(np.diff(e) >= 0)
     assert np.abs(e - ref_e).max() <= _bound(h)
     assert np.abs(h @ v - v * e).max() <= _bound(h)
     assert np.abs(v.conj().T @ v - np.eye(d.dim)).max() <= 1e-12
     assert np.array_equal(d.zero_overlaps, np.abs(v[0]) ** 2)
-    levels, weights = aggregate_degenerate(e, d.zero_overlaps)
-    ref_levels, ref_weights = aggregate_degenerate(ref_e, np.abs(ref_v[0]) ** 2)
+    levels, weights = aggregate_degenerate(e, d.zero_overlaps, agg_tol)
+    ref_levels, ref_weights = aggregate_degenerate(ref_e, np.abs(ref_v[0]) ** 2, agg_tol)
     assert levels.shape == ref_levels.shape
     assert np.abs(weights - ref_weights).max() <= 1e-12
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_star_matrices())
+def test_eigh_star_matches_dense_complex_solver(h):
+    _check_against_lapack(h, DEGENERACY_TOL)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -274,3 +300,84 @@ def test_eigh_star_gauge_and_shift_covariance(h, seed, shift):
         o_levels, o_weights = aggregate_degenerate(o.eigenvalues, o.zero_overlaps)
         assert o_levels.shape == levels.shape
         assert np.abs(o_weights - weights).max() <= 1e-12
+
+
+def test_star_input_never_reaches_lapack(monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("LAPACK called")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    rng = np.random.default_rng(3)
+    d = eigh(build_hamiltonian(random_star_model(rng, 30)))
+    assert d.dim == 30
+    # dense input still goes to LAPACK, whose failure is a NonConvergence
+    with pytest.raises(NonConvergence, match="did not converge"):
+        eigh(random_hermitian(rng, 5))
+
+
+# Mode energies sit on a 0.1 grid, each repeated exactly or moved off its
+# grid point by one ulp, 1e-14 or 1e-10: all within DEGENERACY_TOL, so the
+# deflation tolerance decides which of them merge. Couplings range from
+# zero and 1e-300 through 1e-16..1e-8 of the energy scale to 1e200.
+_OFFSET = st.sampled_from(["exact", "ulp", 1e-14, 1e-10])
+_TINY_COUPLING = (
+    st.sampled_from([0.0, 1e-300])
+    | st.floats(-16.0, -8.0).map(lambda x: 10.0**x)
+    | st.floats(0.05, 2.0)
+    | st.floats(0.0, 200.0).map(lambda x: 10.0**x)
+)
+
+
+@st.composite
+def _near_deflation_stars(draw):
+    dim = draw(st.integers(1, 60))
+    centers = draw(st.lists(_ENERGY, min_size=1, max_size=4))
+    eps = []
+    for _ in range(dim):
+        c, off = draw(st.sampled_from(centers)), draw(_OFFSET)
+        eps.append(c if off == "exact" else np.nextafter(c, np.inf) if off == "ulp" else c + off)
+    alpha = [draw(_TINY_COUPLING) * np.exp(1j * draw(st.floats(0.0, 6.0))) for _ in range(dim - 1)]
+    if dim == 1:
+        return np.array(eps).reshape(1, 1).astype(complex)
+    return build_hamiltonian(StarModel(eps=np.array(eps), alpha=np.array(alpha, dtype=complex)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_near_deflation_stars())
+def test_eigh_star_near_deflation_and_scale(h):
+    # levels are told apart relative to the matrix scale: at max|H| = 1e200
+    # LAPACK's own eigenvalues carry absolute errors near 1e184
+    _check_against_lapack(h, DEGENERACY_TOL * max(1.0, np.abs(h).max()))
+
+
+@pytest.mark.parametrize("weak", [1e-6, 1e-8, 1e-10])
+def test_eigh_star_weak_mode_between_close_strong_ones(weak):
+    # near the weak mode's energy the terms of the two strong modes 1e-8
+    # away cancel, so the root next to it is known only to about 1e-7 of
+    # its offset; the couplings recomputed from the roots (Löwner's
+    # formula) still give orthonormal eigenvectors
+    model = StarModel(
+        eps=np.array([0.5, -0.4, -1e-8, 0.0, 1e-8, 0.35]),
+        alpha=np.array([0.3, 1.0j, weak, -1.0, 0.2]),
+    )
+    _check_against_lapack(build_hamiltonian(model), DEGENERACY_TOL)
+
+
+@pytest.mark.parametrize("dim", [300, 1024])
+@pytest.mark.parametrize("kind", ["random", "identical", "zero-couplings"])
+def test_eigh_large_stars(dim, kind):
+    rng = np.random.default_rng(dim)
+    n = dim - 1
+    if kind == "identical":
+        model = StarModel(eps=np.full(dim, 0.3), alpha=np.full(n, 0.7 * np.exp(0.4j) / np.sqrt(n)))
+    else:
+        alpha = (rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)) / np.sqrt(n)
+        if kind == "zero-couplings":
+            alpha[rng.uniform(size=n) < 0.7] = 0.0
+        model = StarModel(eps=rng.uniform(-1, 1, dim), alpha=alpha)
+    h = build_hamiltonian(model)
+    d = eigh(h)
+    v, e = d.eigenvectors, d.eigenvalues
+    assert np.abs(h @ v - v * e).max() <= _bound(h)
+    assert np.abs(v.conj().T @ v - np.eye(dim)).max() <= 1e-12
+    assert np.abs(e - np.linalg.eigvalsh(h)).max() <= _bound(h)

@@ -1,6 +1,7 @@
 """The whole-array writers against their per-value ``%`` references."""
 
 import json
+import re
 from unittest import mock
 
 import numpy as np
@@ -164,6 +165,19 @@ def test_render_line_chart_matches_per_point_reference(monkeypatch):
     text = svgplot.render_line_chart(nan_curves)
     assert text == _reference_chart(monkeypatch, nan_curves)
     assert ",nan " in text
+
+
+def test_render_line_chart_axes_do_not_depend_on_curve_order_with_nan():
+    x = np.linspace(0.0, 4.0, 5)
+    neg = ("neg", x, np.array([0.5, -2.0, 0.25, 1.0, 0.0]))
+    nan = ("nan", x, np.array([0.5, np.nan, 0.25, np.nan, 1.0]))
+
+    def ticks(text):
+        return re.findall(r'font-size="11">([^<]*)</text>', text)
+
+    first, second = (ticks(svgplot.render_line_chart(c)) for c in ([neg, nan], [nan, neg]))
+    assert first == second
+    assert "-2" in first and "1" in first and "4" in first
 
 
 @pytest.mark.parametrize("samples", [0, 2, 10_000])
