@@ -31,6 +31,14 @@ Jakovčević Stor, Slapničar & Barlow, Linear Algebra Appl. 464, 2015):
 4. Merge the dark and bright eigenpairs in ascending order.
 
 Any other Hermitian matrix goes to LAPACK's complex solver.
+
+The inverse direction, from eigenvalues ``lam`` and first-row weights
+``w`` to an arrowhead, is the same secular equation with the roles of
+roots and poles swapped. Its mode energies are the roots of
+``sum_m w_m / (lam_m - x)``, found by the same root finder without the
+linear term, and its couplings come from Löwner's formula with the roots
+as poles. So one root finder serves both directions, and neither forms a
+dense matrix.
 """
 
 from __future__ import annotations
@@ -144,13 +152,14 @@ class _Secular:
     Root ``i`` lies between poles ``i - 1`` and ``i`` (the first and last
     beyond the outer poles) and is kept as its nearer pole ``d[origin[i]]``
     plus the offset ``tau[i]``, so its distance to every pole has full
-    relative accuracy.
+    relative accuracy. With ``linear=False`` the term ``l - a`` is left
+    out, and only the ``r - 1`` roots between the poles exist.
     """
 
-    def __init__(self, a: float, d: np.ndarray, zeta2: np.ndarray):
-        self.a, self.d, self.zeta2 = a, d, zeta2
+    def __init__(self, a: float, d: np.ndarray, zeta2: np.ndarray, linear: bool = True):
+        self.a, self.d, self.zeta2, self.linear = a, d, zeta2, linear
         r = d.size
-        self.index = np.arange(r + 1)
+        self.index = np.arange(r + 1) if linear else np.arange(1, r)
         self.gap = np.zeros(r + 1)
         self.gap[1:r] = np.diff(d)
         self.rows = max(1, _BLOCK_CELLS // r)
@@ -175,9 +184,10 @@ class _Secular:
         mixed = np.where(np.arange(c0, c1) < i[:, None], band, 0.0) @ zb
         slope_l, psi = both[..., :c0] @ zeta2[:c0] + mixed
         slope_r, phi = both[..., c1:] @ zeta2[c1:] + (band @ zb - mixed)
-        lin = (d[origin] - self.a) + tau
+        lin = (d[origin] - self.a) + tau if self.linear else 0.0
         g = lin + psi + phi
-        slope_l += 1.0
+        if self.linear:
+            slope_l += 1.0
         err = 8.0 * (phi - psi + np.abs(lin)) + np.abs(tau) * (slope_l + slope_r)
         return g, slope_l, slope_r, err
 
@@ -212,32 +222,41 @@ class _Secular:
         return _pick_root(qa, qb, qc, lo[act], hi[act])
 
     def solve(self):
+        """Nearer poles and offsets of the roots ``self.index``, in order."""
         a, d, zeta2 = self.a, self.d, self.zeta2
         r = d.size
         i = self.index
-        origin = np.maximum(i - 1, 0)
+        origin = np.maximum(np.arange(r + 1) - 1, 0)
         lo, hi = np.zeros(r + 1), 0.5 * self.gap
-        # Weyl's bounds place the outer roots within |zeta| of the diagonal
-        znorm = np.sqrt(zeta2.sum())
-        lo[0] = (min(a - d[0], 0.0) - znorm) * (1.0 + 4.0 * _EPS)
-        hi[r] = (max(a - d[-1], 0.0) + znorm) * (1.0 + 4.0 * _EPS)
+        if self.linear:
+            # Weyl's bounds place the outer roots within |zeta| of the diagonal
+            znorm = np.sqrt(zeta2.sum())
+            lo[0] = (min(a - d[0], 0.0) - znorm) * (1.0 + 4.0 * _EPS)
+            hi[r] = (max(a - d[-1], 0.0) + znorm) * (1.0 + 4.0 * _EPS)
         tau = 0.5 * (lo + hi)
         tau[1:r] = hi[1:r]
         # g at each interval's midpoint tells which half holds the root,
         # and so its nearer pole
-        g, slope_l, slope_r, _ = self.evaluate(i, origin, tau)
+        g, slope_l, slope_r, err = self.evaluate(i, origin, tau)
         inner = (i > 0) & (i < r)
-        right = inner & (g < 0)
-        origin[right] = i[right]
+        right = i[inner & (g < 0)]
+        origin[right] = right
         lo[right], hi[right] = -hi[right], 0.0
         tau[right] = lo[right]
-        hi[~inner & (g > 0)] = tau[~inner & (g > 0)]
-        lo[~inner & (g < 0)] = tau[~inner & (g < 0)]
-        act = i
-        new = self.step(act, origin, tau, lo, hi, g, slope_l, slope_r)
-        new = np.where(np.isnan(new), 0.5 * (lo + hi), new)
-        last = np.abs(new - tau) / np.abs(new)  # relative size of each root's last step
-        tau[:] = new
+        above, below = i[~inner & (g > 0)], i[~inner & (g < 0)]
+        hi[above] = tau[above]
+        lo[below] = tau[below]
+        new = self.step(i, origin, tau, lo, hi, g, slope_l, slope_r)
+        # a root within rounding of its interval's midpoint (as the middle
+        # level of a symmetric spectrum is) has converged: model steps from
+        # inside its half land just beyond the midpoint, and bisection
+        # would take ~40 sweeps to close the bracket
+        done = np.abs(g) <= _EPS * err
+        new = np.where(np.isnan(new), np.where(done, tau[i], 0.5 * (lo[i] + hi[i])), new)
+        last = np.zeros(r + 1)
+        last[i] = np.abs(new - tau[i]) / np.abs(new)  # relative size of each root's last step
+        tau[i] = new
+        act = i[~done]
         for _ in range(_MAX_ITER):
             g, slope_l, slope_r, err = self.evaluate(act, origin, tau)
             t = tau[act]
@@ -260,18 +279,29 @@ class _Secular:
             last[act] = rho
             act = act[~done]
             if act.size == 0:
-                return origin, tau
+                return origin[i], tau[i]
         raise NonConvergence(
             f"eigensolver did not converge: {act.size} secular roots after {_MAX_ITER} iterations"
         )
 
 
-def _lowner_vectors(d, origin, tau, rank, out):
-    # Row k of ``out`` gets zhat_k / (lambda_i - d[rank_k]), where
-    # lambda = d[origin] + tau. Löwner's formula
+def _lowner(diff, d, k, ratio):
+    # Löwner's formula
     #   zhat_k^2 = -(lambda_k - d_k)(lambda_r - d_k) prod_{i != k, i < r}
     #              (lambda_i - d_k) / (d_i - d_k)
-    # gives the couplings for which the computed roots are exact, so the
+    # for the poles d[k], from diff[j, i] = lambda_i - d[k_j] over the r + 1
+    # roots lambda of the r poles d: the couplings for which those roots
+    # are exact. ``ratio`` is a work array shaped like diff[:, :r].
+    r = d.size
+    np.subtract(d, d[k][:, None], out=ratio)
+    ratio[np.arange(k.size), k] = -1.0 / diff[:, r]
+    np.divide(diff[:, :r], ratio, out=ratio)
+    return np.sqrt(np.prod(ratio, axis=1))
+
+
+def _lowner_vectors(d, origin, tau, rank, out):
+    # Row k of ``out`` gets zhat_k / (lambda_i - d[rank_k]), where
+    # lambda = d[origin] + tau and zhat comes from Löwner's formula, so the
     # vectors come out orthogonal. Returns the column norms of [1; out].
     r = d.size
     d_origin = d[origin]
@@ -280,17 +310,41 @@ def _lowner_vectors(d, origin, tau, rank, out):
     ratio = np.empty((min(rows, r), r))
     for s in range(0, r, rows):
         k = rank[s : s + rows]
-        p = d[k]
-        diff, rt = out[s : s + p.size], ratio[: p.size]
-        np.subtract(d_origin, p[:, None], out=diff)
-        diff += tau  # lambda_i - p_k, exactly tau_i where origin[i] == k
-        np.subtract(d, p[:, None], out=rt)
-        rt[np.arange(p.size), k] = -1.0 / diff[:, r]
-        np.divide(diff[:, :r], rt, out=rt)
-        zhat = np.sqrt(np.prod(rt, axis=1))
+        diff = out[s : s + k.size]
+        np.subtract(d_origin, d[k][:, None], out=diff)
+        diff += tau  # lambda_i - d_k, exactly tau_i where origin[i] == k
+        zhat = _lowner(diff, d, k, ratio[: k.size])
         np.divide(zhat[:, None], diff, out=diff)
         norm2 += np.einsum("ij,ij->j", diff, diff)
     return np.sqrt(norm2)
+
+
+def _arrowhead_from_spectrum(lam: np.ndarray, w: np.ndarray):
+    # mode energies p and couplings z >= 0 of the arrowhead whose
+    # eigenvalues are the strictly increasing lam and whose eigenvectors
+    # have squared first components w (summing to one). The p are the
+    # roots of sum_m w_m / (lam_m - x), interlaced with lam; the z follow
+    # from Löwner's formula with the roles swapped (lam the roots, p the
+    # poles), evaluated on the rounded p, so the arrowhead that is returned
+    # has eigenvalues lam to working precision. lam is scaled by a power
+    # of two, so the largest |lam| lies in [1/2, 1), and scaled back.
+    e = int(np.frexp(np.abs(lam).max())[1])
+    lam = np.ldexp(lam, -e)
+    origin, tau = _Secular(0.0, lam, w, linear=False).solve()
+    p = lam[origin] + tau
+    r = p.size
+    z = np.empty(r)
+    rows = max(1, _BLOCK_CELLS // (r + 1))
+    diff, ratio = np.empty((min(rows, r), r + 1)), np.empty((min(rows, r), r))
+    # a root rounded onto lam[-1] gives -1/0 in Löwner's formula, and
+    # coupling 0, which is exact for it
+    with np.errstate(divide="ignore"):
+        for s in range(0, r, rows):
+            k = np.arange(s, min(s + rows, r))
+            blk = diff[: k.size]
+            np.subtract(lam, p[k][:, None], out=blk)
+            z[s : s + k.size] = _lowner(blk, p, k, ratio[: k.size])
+    return np.ldexp(p, e), np.ldexp(z, e)
 
 
 def _pole_groups(sorted_poles: np.ndarray, tol: float) -> np.ndarray:
@@ -372,14 +426,20 @@ def _arrowhead_eigh(a: float, p: np.ndarray, z: np.ndarray):
     return np.ldexp(all_vals[order], e), v
 
 
-def _eigh_star(diagonal: np.ndarray, c: np.ndarray):
+def _eigh_star(diagonal: np.ndarray, c: np.ndarray) -> SpectralDecomposition:
+    # the star with real diagonal `diagonal` and couplings c in column 0:
     # D^H H D with D = diag(1, c/|c|) is the real arrowhead with couplings |c|
     mod = np.abs(c)
     eigenvalues, vectors = _arrowhead_eigh(diagonal[0], diagonal[1:], mod)
     coupled = mod > 0
     phase = np.ones(diagonal.size, dtype=complex)
     phase[1:][coupled] = c[coupled] / mod[coupled]
-    return eigenvalues, phase[:, None] * vectors
+    eigenvectors = phase[:, None] * vectors
+    return SpectralDecomposition(
+        eigenvalues=eigenvalues,
+        eigenvectors=eigenvectors,
+        zero_overlaps=np.abs(eigenvectors[0]) ** 2,
+    )
 
 
 def eigh(mat) -> SpectralDecomposition:
@@ -433,11 +493,10 @@ def eigh(mat) -> SpectralDecomposition:
         defect = _hermiticity_defect(m, f)
     if not defect <= HERMITICITY_RTOL * scale:
         raise ValueError("matrix is not Hermitian within tolerance")
+    if star:
+        return _eigh_star(m.diagonal().real, m[1:, 0])
     try:
-        if star:
-            eigenvalues, eigenvectors = _eigh_star(m.diagonal().real, m[1:, 0])
-        else:
-            eigenvalues, eigenvectors = np.linalg.eigh(m)
+        eigenvalues, eigenvectors = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         raise NonConvergence(f"eigensolver did not converge: {exc}") from exc
     return SpectralDecomposition(

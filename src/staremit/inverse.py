@@ -2,13 +2,14 @@
 
 Any strictly positive set of initial-state weights summing to one,
 together with the equally spaced level ladder, is realizable by an
-arrowhead Hamiltonian. The construction works entirely in the eigenbasis
-of the target operator, where the operator is ``diag(E_m)`` and the
-initial state can be written with real positive components
-``sqrt(overlaps)``. One Householder reflection gives an orthonormal basis
-headed by that state in closed form; diagonalizing the rest of the
-operator in that basis exposes the arrowhead parameters. Weights below
-``MIN_WEIGHT`` are refused, wherever they sit on the ladder.
+arrowhead Hamiltonian. The inverse problem is a secular equation, like
+the forward one: the mode energies are the zeros of
+``sum_m w_m / (z - E_m)``, one between each pair of neighbouring levels,
+and the couplings follow from them in closed form (Löwner's formula). It
+is solved in O(n^2) by the star eigensolver's root finder
+(:mod:`staremit.hermitian`), and the round trip is verified by the same
+solver, so no dense matrix is formed. Weights below ``MIN_WEIGHT`` are
+refused, wherever they sit on the ladder.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateProfile, DimensionMismatch, NonConvergence
-from .hermitian import aggregate_degenerate, eigh
-from .model import StarModel, build_hamiltonian
+from .errors import DegenerateProfile, DimensionMismatch
+from .hermitian import _arrowhead_from_spectrum, _eigh_star, aggregate_degenerate
+from .model import StarModel
 
 # Overlap weights must sum to one within this tolerance.
 PROFILE_SUM_TOL = 1e-12
@@ -132,31 +133,36 @@ def random_profile(
 def construct_hamiltonian(profile: SpectralProfile) -> StarModel:
     """Find diagonal energies and couplings realizing a spectral profile.
 
-    In the eigenbasis of the target operator the initial state has
-    components ``head = sqrt(overlaps)``. The construction:
+    The arrowhead ``[[eps_0, alpha^T], [alpha, diag(eps_k)]]`` has the
+    ladder ``E_m`` as eigenvalues and the weights ``w_m`` on state 0 iff
 
-    1. reflect with the Householder matrix ``P = I - 2 u u^T``,
-       ``u ~ head + e_j`` with ``j`` the ``m = 0`` index, which swaps
-       ``e_j`` and ``-head``; ``head > 0`` keeps ``|head + e_j| >= 1``, so
-       forming ``u`` never cancels;
-    2. express the operator in the reflected basis, ``P diag(E_m) P``, as a
-       rank-2 update of ``diag(E_m)``, with the ``m = 0`` row and column
-       (now the initial state) moved to the front;
-    3. diagonalize the block orthogonal to the initial state and rotate
-       those coordinates onto its eigenvectors, after which the operator
-       is an arrowhead headed by the initial state;
-    4. read off the diagonal energies and the first-column couplings.
+    1. the head energy is ``eps_0 = sum_m w_m E_m``, formed as
+       ``eps0 + sum_m w_m (E_m - eps0)`` with ``w`` normalized;
+    2. the ``2M`` mode energies ``eps_k`` are the roots of
+       ``sum_m w_m / (z - E_m)``, one between each pair of neighbouring
+       levels. They are found on the centred ladder ``(m/M) d_width``,
+       scaled by a power of two so no intermediate overflows or
+       underflows, with the secular root finder of the star eigensolver;
+       ``eps0`` is added back at the end;
+    3. the couplings follow from Löwner's formula,
+       ``alpha_k^2 = -prod_m (E_m - eps_k) / prod_{i != k} (eps_i - eps_k)``,
+       evaluated on the rounded roots: they are the couplings for which
+       the mode energies actually returned have the ladder as eigenvalues,
+       so the round trip holds to working precision even where a root is
+       known only roughly (next to a weight near ``MIN_WEIGHT``).
 
-    All arithmetic is real, so the couplings come out real; their signs
-    are a per-mode gauge and are fixed to ``alpha_k >= 0``. Modes are
-    ordered by descending coupling, ties by ascending energy. Identical
-    profiles yield bitwise-identical output.
+    All arithmetic is real and O(n^2). The coupling signs are a per-mode
+    gauge and are fixed to ``alpha_k >= 0``. Modes are ordered by
+    descending coupling, ties by ascending energy. Identical profiles yield
+    bitwise-identical output.
 
     Raises
     ------
     DegenerateProfile
         If any overlap weight, at any position, is below ``MIN_WEIGHT``:
         such a level is numerically decoupled from the initial state.
+    NonConvergence
+        If the secular root finder does not converge.
     """
     weights = profile.overlaps
     j = profile.m_half
@@ -165,27 +171,13 @@ def construct_hamiltonian(profile: SpectralProfile) -> StarModel:
         raise DegenerateProfile(
             f"overlap weight {weights[idx]:.3g} at m = {idx - j} is below {MIN_WEIGHT:g}"
         )
-    perm = np.r_[j, :j, j + 1 : profile.dim]  # the m = 0 level first
-    energies = profile.eigenvalues()[perm]
-    head = np.sqrt(weights[perm])
-    head /= np.linalg.norm(head)
-
-    u = head.copy()
-    u[0] += 1.0
-    u /= np.linalg.norm(u)
-    # P diag(E) P = diag(E) - 2 (u z^T + z u^T) with z = Eu - (u.Eu) u
-    eu = energies * u
-    z = eu - (u @ eu) * u
-    transformed = np.diag(energies) - 2.0 * (np.outer(u, z) + np.outer(z, u))
-    head_energy = transformed[0, 0]
-    try:
-        mode_energies, rot = np.linalg.eigh(transformed[1:, 1:])
-    except np.linalg.LinAlgError as exc:
-        raise NonConvergence(f"reduced block diagonalization failed: {exc}") from exc
-    couplings = np.abs(rot.T @ transformed[1:, 0])  # gauge: alpha_k >= 0
+    w = weights / weights.sum()
+    offsets = equally_spaced_spectrum(j, 0.0, profile.d_width)
+    modes, couplings = _arrowhead_from_spectrum(offsets, w)
+    mode_energies = profile.eps0 + modes
     order = np.lexsort((mode_energies, -couplings))
     return StarModel(
-        eps=np.concatenate(([head_energy], mode_energies[order])),
+        eps=np.concatenate(([profile.eps0 + w @ offsets], mode_energies[order])),
         alpha=couplings[order],
     )
 
@@ -211,8 +203,10 @@ def verify_round_trip(
 ) -> RoundTripReport:
     """Re-diagonalize ``model`` and compare against ``profile``.
 
-    Eigenvalues are compared sorted, elementwise. Overlap weights are
-    summed per distinct level on both sides first, so basis choices
+    The model is solved as the real arrowhead with couplings ``|alpha|``
+    by the O(n^2) star solver, so the report is the same in every coupling
+    gauge. Eigenvalues are compared sorted, elementwise. Overlap weights
+    are summed per distinct level on both sides first, so basis choices
     inside degenerate subspaces cannot affect the verdict; weight sitting
     on a level matching no target level counts as error in full.
     """
@@ -221,7 +215,7 @@ def verify_round_trip(
         raise DimensionMismatch(
             f"model dimension {model.dim} != profile dimension {profile.dim}"
         )
-    d = eigh(build_hamiltonian(model))
+    d = _eigh_star(model.eps, model.alpha)
     eig_err = float(np.abs(d.eigenvalues - target_e).max())
 
     got_levels, got_weights = aggregate_degenerate(d.eigenvalues, d.zero_overlaps)

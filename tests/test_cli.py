@@ -132,13 +132,8 @@ def test_non_finite_result_exits_2_and_writes_nothing(argv, tmp_path, capsys):
     ids=["two-level", "identical-modes", "inverse"],
 )
 def test_eigensolver_failure_exits_3_and_writes_nothing(argv, tmp_path, capsys, monkeypatch):
-    if argv[0] == "inverse":  # LAPACK diagonalizes the reduced block
-        def fail(*args, **kwargs):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-        monkeypatch.setattr(np.linalg, "eigh", fail)
-    else:  # star Hamiltonians go to the secular root finder
-        monkeypatch.setattr("staremit.hermitian._MAX_ITER", 0)
+    # every subcommand solves its secular equation with one root finder
+    monkeypatch.setattr("staremit.hermitian._MAX_ITER", 0)
     out = tmp_path / "out.txt"
     assert main(argv + ["--out", str(out)]) == 3
     assert capsys.readouterr().err.startswith("error: ")
@@ -153,7 +148,7 @@ def test_memory_error_exits_2_and_writes_nothing(argv, message, tmp_path, capsys
     def fail(*args, **kwargs):
         raise MemoryError(message)
 
-    monkeypatch.setattr("staremit.cli.build_hamiltonian", fail)
+    monkeypatch.setattr("staremit.cli._eigh_star", fail)
     out, svg = tmp_path / "out.csv", tmp_path / "out.svg"
     assert main(argv + ["--out", str(out), "--svg", str(svg)]) == 2
     expected = f"error: out of memory: {message}\n" if message else "error: out of memory\n"

@@ -9,7 +9,9 @@ from staremit import (
     aggregate_degenerate,
     build_hamiltonian,
     check_hermitian,
+    construct_hamiltonian,
     eigh,
+    flat_profile,
     reconstruct,
 )
 
@@ -360,6 +362,25 @@ def test_eigh_star_weak_mode_between_close_strong_ones(weak):
         eps=np.array([0.5, -0.4, -1e-8, 0.0, 1e-8, 0.35]),
         alpha=np.array([0.3, 1.0j, weak, -1.0, 0.2]),
     )
+    _check_against_lapack(build_hamiltonian(model), DEGENERACY_TOL)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        StarModel(eps=np.array([0.0, -1.0, 1.0]), alpha=np.array([1.0, 1.0])),
+        StarModel(eps=np.array([0.3, -0.2, 0.8]), alpha=np.array([0.5, 0.5j])),
+        StarModel(eps=np.array([0.0, -3.0, -1.0, 1.0, 3.0]), alpha=np.array([1.0, 2.0, 2.0, 1.0])),
+        # mirror-symmetric up to rounding: the middle root is within an ulp
+        # of its interval's midpoint
+        construct_hamiltonian(flat_profile(3, 0.0, 1.0)),
+    ],
+    ids=["three-level", "shifted", "five-level", "constructed"],
+)
+def test_eigh_star_root_at_interval_midpoint(model, monkeypatch):
+    # a mirror-symmetric star has a root at the midpoint of its interval;
+    # it converges at the first sweep, not after ~28 bisections
+    monkeypatch.setattr("staremit.hermitian._MAX_ITER", 8)
     _check_against_lapack(build_hamiltonian(model), DEGENERACY_TOL)
 
 

@@ -163,6 +163,37 @@ def test_construct_rejects_numerically_zero_weight():
             construct_hamiltonian(p)
 
 
+def _dense_reference(model):
+    # eigenvalues and squared first components of the eigenvectors of the
+    # real arrowhead, by LAPACK on the matrix scaled by an exact power of two
+    dim = model.dim
+    h = np.zeros((dim, dim))
+    h[np.diag_indices(dim)] = model.eps
+    h[1:, 0] = h[0, 1:] = model.alpha.real
+    k = int(np.frexp(np.abs(h).max())[1])
+    e, v = np.linalg.eigh(np.ldexp(h, -k))
+    return np.ldexp(e, k), v[0] ** 2
+
+
+def _check_construction(p):
+    # tolerances relative to the energy scale |eps0| + d_width
+    model = construct_hamiltonian(p)
+    ladder = p.eigenvalues()
+    scale = abs(p.eps0) + p.d_width
+    tol = 1e-12 * scale
+    modes = np.sort(model.eps[1:])
+    assert np.all(ladder[:-1] - tol <= modes) and np.all(modes <= ladder[1:] + tol)
+    assert model.eps[0] == pytest.approx(p.overlaps @ ladder, abs=tol)
+    # an independent solver: LAPACK on the dense real arrowhead
+    e, w = _dense_reference(model)
+    assert np.abs(e - ladder).max() <= tol
+    assert np.abs(w - p.overlaps).max() <= tol / p.d_width
+    report = verify_round_trip(model, p, 1e-8)
+    assert report.max_eigenvalue_error <= 1e-8 * scale, report
+    assert report.max_overlap_error <= 1e-8, report
+    return report
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     m_half=st.integers(1, 12),
@@ -176,15 +207,65 @@ def test_construct_property_interlacing_mean_round_trip(m_half, eps0, d_width, d
         st.lists(st.floats(-12.0, 0.0), min_size=2 * m_half + 1, max_size=2 * m_half + 1)
     )
     w = 10.0 ** np.array(exponents)
-    p = SpectralProfile(m_half, eps0, d_width, w / w.sum())
-    model = construct_hamiltonian(p)
-    ladder = p.eigenvalues()
-    tol = 1e-12 * (abs(eps0) + d_width)
-    modes = np.sort(model.eps[1:])
-    assert np.all(ladder[:-1] - tol <= modes) and np.all(modes <= ladder[1:] + tol)
-    assert model.eps[0] == pytest.approx(p.overlaps @ ladder, abs=tol)
-    report = verify_round_trip(model, p, 1e-8)
+    report = _check_construction(SpectralProfile(m_half, eps0, d_width, w / w.sum()))
     assert report.passed, report
+
+
+@pytest.mark.parametrize(
+    "m_half, eps0, d_width", [(50, 0.0, 1e-300), (50, 0.0, 1e300), (20, 1e6, 1.0)]
+)
+def test_construct_extreme_scales(m_half, eps0, d_width):
+    # the roots are found on the centred ladder scaled by a power of two, so
+    # neither a tiny or huge width nor a large offset costs accuracy
+    w = 10.0 ** np.random.default_rng(m_half).uniform(-12.0, 0.0, 2 * m_half + 1)
+    _check_construction(SpectralProfile(m_half, eps0, d_width, w / w.sum()))
+
+
+@pytest.mark.parametrize("m_half", [1, 5, 50])
+@pytest.mark.parametrize("where", ["-M", "0", "+M"])
+def test_construct_weight_near_min_weight(m_half, where):
+    # the other weights are flat. At an outer level the root next to it
+    # lies within about 1e-24 of it, below the level's own rounding; at the
+    # centre two roots lie about 1e-12 either side of it, where the secular
+    # function cancels and they carry relative errors of order 1e-5. Couplings
+    # computed from those rounded roots by Löwner's formula still reproduce
+    # the ladder and the weights; 1 / sum_m w_m / (root - E_m)^2 misses the
+    # eigenvalues by 1e-7 (M = 50) to 3e-5 (M = 1) there.
+    idx = {"-M": 0, "0": m_half, "+M": 2 * m_half}[where]
+    w = np.full(2 * m_half + 1, 1.0 / (2 * m_half))
+    w[idx] = 2e-24
+    p = SpectralProfile(m_half, 0.0, 1.0, w)
+    model = construct_hamiltonian(p)
+    assert verify_round_trip(model, p, 1e-8).passed
+    e, weights = _dense_reference(model)
+    assert np.abs(e - p.eigenvalues()).max() <= 1e-12
+    assert np.abs(weights - w).max() <= 1e-12
+
+
+def test_inverse_never_calls_lapack(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("np.linalg.eigh called")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    for p in (flat_profile(1, 0.0, 1.0), random_profile(40, 0.5, 2.0, np.random.default_rng(4))):
+        assert verify_round_trip(construct_hamiltonian(p), p, 1e-8).passed
+
+
+def test_verify_round_trip_is_gauge_invariant():
+    # the report depends on the couplings only through |alpha|
+    rng = np.random.default_rng(29)
+    p = random_profile(20, 0.3, 1.5, rng)
+    model = construct_hamiltonian(p)
+    report = verify_round_trip(model, p, 1e-8)
+    assert report.passed
+    phase = np.exp(2j * np.pi * rng.uniform(size=model.n_modes))
+    gauged = StarModel(eps=model.eps, alpha=model.alpha * phase)
+    real = StarModel(eps=model.eps, alpha=np.abs(gauged.alpha))
+    assert verify_round_trip(gauged, p, 1e-8) == verify_round_trip(real, p, 1e-8)
+    # quarter turns leave |alpha| exact, so the report is the original's
+    turns = np.array([1.0, 1j, -1.0, -1j])[rng.integers(4, size=model.n_modes)]
+    quarter = StarModel(eps=model.eps, alpha=model.alpha * turns)
+    assert verify_round_trip(quarter, p, 1e-8) == report
 
 
 def test_verify_round_trip_self_consistency():
