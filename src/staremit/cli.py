@@ -31,7 +31,7 @@ from .analysis import (
 )
 from .errors import DegenerateProfile, NonConvergence
 from .evolution import SurvivalSeries, TimeGrid, survival_probability
-from .hermitian import _eigh_star
+from .hermitian import eigh
 from .inverse import (
     SpectralProfile,
     construct_hamiltonian,
@@ -100,7 +100,7 @@ def _run_series(args, model: StarModel, analytic, svg_title: str) -> int:
     # exact survival of `model` with the closed form `analytic(tau)` overlaid
     ts = np.linspace(0.0, args.t_max, args.samples)
     tau = ts / args.hbar
-    d = _eigh_star(model.eps, model.alpha)
+    d = eigh(model)
     columns = {"P": survival_probability(d, tau), "P_analytic": analytic(tau)}
     _require_finite(ts, *columns.values())
     text = (csv_table if args.format == "csv" else json_table)(ts, columns)

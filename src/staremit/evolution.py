@@ -81,8 +81,15 @@ def evolve_state(d: SpectralDecomposition, psi0, t: float) -> np.ndarray:
     if psi.shape != (d.dim,):
         raise DimensionMismatch(f"state has shape {psi.shape}, expected ({d.dim},)")
     phases = np.exp(-1j * d.eigenvalues * t)
+    v = d.eigenvectors
+    if np.isrealobj(v):
+        # a real V acts on real and imaginary parts apart, in real BLAS
+        # (a complex-by-real product would leave BLAS)
+        re, im = np.stack((psi.real, psi.imag)) @ v
+        c = phases * (re + 1j * im)
+        return v @ c.real + 1j * (v @ c.imag)
     # V^dag psi as conj(psi^dag V): no conjugate transpose of V is copied
-    return d.eigenvectors @ (phases * np.conj(psi.conj() @ d.eigenvectors))
+    return v @ (phases * np.conj(psi.conj() @ v))
 
 
 def survival_probability(d: SpectralDecomposition, t):

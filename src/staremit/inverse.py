@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateProfile, DimensionMismatch
-from .hermitian import _arrowhead_from_spectrum, _eigh_star, aggregate_degenerate
+from .hermitian import _arrowhead_from_spectrum, aggregate_degenerate, eigh
 from .model import StarModel
 
 # Overlap weights must sum to one within this tolerance.
@@ -203,9 +203,9 @@ def verify_round_trip(
 ) -> RoundTripReport:
     """Re-diagonalize ``model`` and compare against ``profile``.
 
-    The model is solved as the real arrowhead with couplings ``|alpha|``
-    by the O(n^2) star solver, so the report is the same in every coupling
-    gauge. Eigenvalues are compared sorted, elementwise. Overlap weights
+    The model is solved by ``eigh(model)``, as the real arrowhead with
+    couplings ``|alpha|``, by the O(n^2) star solver without a dense
+    matrix, so the report is the same in every coupling gauge. Eigenvalues are compared sorted, elementwise. Overlap weights
     are summed per distinct level on both sides first, so basis choices
     inside degenerate subspaces cannot affect the verdict; weight sitting
     on a level matching no target level counts as error in full.
@@ -215,7 +215,7 @@ def verify_round_trip(
         raise DimensionMismatch(
             f"model dimension {model.dim} != profile dimension {profile.dim}"
         )
-    d = _eigh_star(model.eps, model.alpha)
+    d = eigh(model)
     eig_err = float(np.abs(d.eigenvalues - target_e).max())
 
     got_levels, got_weights = aggregate_degenerate(d.eigenvalues, d.zero_overlaps)

@@ -148,7 +148,7 @@ def test_memory_error_exits_2_and_writes_nothing(argv, message, tmp_path, capsys
     def fail(*args, **kwargs):
         raise MemoryError(message)
 
-    monkeypatch.setattr("staremit.cli._eigh_star", fail)
+    monkeypatch.setattr("staremit.cli.eigh", fail)
     out, svg = tmp_path / "out.csv", tmp_path / "out.svg"
     assert main(argv + ["--out", str(out), "--svg", str(svg)]) == 2
     expected = f"error: out of memory: {message}\n" if message else "error: out of memory\n"

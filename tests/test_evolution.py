@@ -82,6 +82,21 @@ def test_evolve_state_unitary_and_composes():
         assert np.abs(once - twice).max() < 1e-10
 
 
+@pytest.mark.parametrize("dim", [2, 9, 200])
+def test_evolve_state_real_eigenvectors_match_complex(dim):
+    # a star with real non-negative couplings has real eigenvectors, which
+    # act on the real and imaginary parts of the state apart
+    rng = np.random.default_rng(dim)
+    d = eigh(StarModel(eps=rng.uniform(-1.0, 1.0, dim), alpha=rng.uniform(0.0, 1.0, dim - 1)))
+    assert np.isrealobj(d.eigenvectors)
+    as_complex = type(d)(d.eigenvalues, d.eigenvectors.astype(complex), d.zero_overlaps)
+    psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    for t in (0.0, 0.7, 13.0):
+        got = evolve_state(d, psi, t)
+        assert got.dtype == complex
+        assert np.abs(got - evolve_state(as_complex, psi, t)).max() < 1e-13 * np.linalg.norm(psi)
+
+
 def test_survival_probability_normalized_at_zero():
     d = eigh(random_hermitian(np.random.default_rng(3), 6))
     assert abs(survival_probability(d, 0.0) - 1.0) < 1e-12

@@ -317,6 +317,22 @@ def test_star_input_never_reaches_lapack(monkeypatch):
         eigh(random_hermitian(rng, 5))
 
 
+@pytest.mark.parametrize("couplings", ["complex", "real", "signed"])
+def test_eigh_star_model_matches_its_dense_matrix(couplings):
+    # a StarModel is solved from (eps, alpha) without its dense matrix, bit
+    # for bit as eigh(build_hamiltonian(model)); couplings that are already
+    # real and non-negative need no phases, and the eigenvectors stay real
+    model = random_star_model(np.random.default_rng(11), 40)
+    if couplings != "complex":
+        alpha = np.abs(model.alpha)
+        alpha[::3] *= -1.0 if couplings == "signed" else 1.0
+        model = StarModel(eps=model.eps, alpha=alpha)
+    d, dense = eigh(model), eigh(build_hamiltonian(model))
+    for field in ("eigenvalues", "eigenvectors", "zero_overlaps"):
+        assert np.array_equal(getattr(d, field), getattr(dense, field))
+    assert np.isrealobj(d.eigenvectors) == (couplings == "real")
+
+
 # Mode energies sit on a 0.1 grid, each repeated exactly or moved off its
 # grid point by one ulp, 1e-14 or 1e-10: all within DEGENERACY_TOL, so the
 # deflation tolerance decides which of them merge. Couplings range from
