@@ -8,16 +8,37 @@ of a per-value Python reference:
 - SVG points are ``"%.2f,%.2f" % (x, y)``, joined by spaces.
 
 The fixed-width writers scale each magnitude to an integer by powers of
-ten, round it with ``rint`` and write its digits from a table of four
-ASCII digits per entry. Scaling rounds at most three times, so the
-integer is the correctly rounded one unless the scaled value lies within
-a small margin of a rounding tie (1e-3 of a last digit for CSV, 1e-6 for
-SVG). Those elements, exact binary ties among them, are formatted by
-Python's ``%`` and their digits taken from that. A value whose rounding
-carries into the next decade (``9.99999999999995e5``) moves to the next
-exponent. A table with a non-finite value, or one that needs a
-three-digit exponent or more than six integer digits, does not fit the
-fixed width and is written by the per-value reference instead.
+ten, round it with ``rint`` and write its digits from tables of four
+ASCII bytes per entry, read as one ``uint32`` each. Scaling rounds at
+most three times (once when every power lies in [0, 22], where ``10**k``
+is exact), so the integer is the correctly rounded one unless the scaled
+value lies within a small margin of a rounding tie (1e-3 of a last digit
+for CSV, 1e-6 for SVG). Those elements, exact binary ties among them,
+are formatted by Python's ``%`` and their digits taken from that. A
+value whose rounding carries into the next decade (``9.99999999999995e5``)
+moves to the next exponent. A table with a non-finite value, or one that
+needs a three-digit exponent or more than six integer digits, does not
+fit the fixed width and is written by the per-value reference instead.
+
+Buffer layout. A CSV table is one preallocated ``uint8`` buffer: the
+header, then ``rows x row_width`` bytes, filled 4096 rows at a time so
+that a block's temporaries stay in cache. Each field owns a column slice
+of the rows: a sign slot (only in columns that hold a negative value),
+then the 12 mantissa digits and ``e±dd`` copied as one 16-byte block of
+four words (three 4-digit groups and an exponent word from a 199-entry
+table) one byte to the right, after which the first digit moves left and
+``.`` takes its place, then the separator. The buffer is decoded as it
+stands, unless a column mixes signs: its non-negative rows then hold NUL
+in the sign slot, and one pass over the rows drops those bytes.
+
+An SVG point is a row of words: for each coordinate an optional sign
+word (``"-"`` or NUL), its integer part right-aligned in one word (two
+past 9999) with NUL in place of leading zeros, and ``.dd`` plus the
+separator from a 100-entry table. When several curves share one x array,
+its words are formatted once and copied into each curve's rows. Each
+block of rows is one contiguous buffer; one pass drops its NUL bytes
+unless no integer part is narrower than its words and no sign word is
+present.
 """
 
 from __future__ import annotations
@@ -26,11 +47,30 @@ import json
 
 import numpy as np
 
-# ASCII digits of 0..9999, four bytes per entry, read as one uint32 each
-_DIGITS = np.empty((10000, 4), dtype=np.uint8)
+
+def _words(chunks) -> np.ndarray:
+    # byte strings of four bytes each, read as one native uint32 apiece
+    return np.frombuffer(b"".join(chunks), dtype=np.uint32)
+
+
+# ASCII digits of 0..9999, four bytes per entry
+_QUADS = np.empty((10000, 4), dtype=np.uint8)
+_K = np.arange(10000)
 for _j in range(4):
-    _DIGITS[:, _j] = 48 + np.arange(10000) // 10 ** (3 - _j) % 10
-_DIGITS = _DIGITS.view(np.uint32).ravel()
+    _QUADS[:, _j] = 48 + _K // 10 ** (3 - _j) % 10
+_DIGITS = _QUADS.view(np.uint32).ravel().copy()
+# the same right-aligned with NUL for each leading zero ("\0\0\0" + "0" for 0)
+_QUADS[:, :3][_K[:, None] < 10 ** np.arange(3, 0, -1)] = 0
+_BLANKED = _QUADS.view(np.uint32).ravel()
+del _QUADS, _K, _j
+
+# "e-99" .. "e+99", at index e + 99
+_EXPONENTS = _words(b"e%+03d" % e for e in range(-99, 100))
+
+# ".dd" and the separator that follows an SVG coordinate, at index dd
+_COMMA_FRACTIONS = _words(b".%02d," % f for f in range(100))
+_SPACE_FRACTIONS = _words(b".%02d " % f for f in range(100))
+_MINUS_WORD = _words([b"-\0\0\0"])[0]
 
 # 10**j, exact up to j = 22 and correctly rounded beyond
 _POW10 = np.array([float(10**j) for j in range(90)])
@@ -40,15 +80,19 @@ _POW10 = np.array([float(10**j) for j in range(90)])
 _CSV_TIE = 1e-3
 _SVG_TIE = 1e-6
 
-_MINUS, _PLUS, _DOT, _E = b"-+.e"
+_MINUS, _DOT = b"-."
+
+# rows formatted at a time: a block's temporaries stay in cache, and below
+# the sizes at which the allocator hands memory back to the system
+_BLOCK = 1 << 12
 
 CSV_TEMPLATE = "%.11e"
 SVG_FIELD = "%.2f"
 
-
-def _quads(values) -> np.ndarray:
-    # the four ASCII digits of each integer in [0, 9999], one row each
-    return _DIGITS[values].view(np.uint8).reshape(-1, 4)
+# The widest text a fitting value takes, separator included: a CSV field
+# "-d.ddddddddddde-dd," and an SVG point "-dddddd.dd,-dddddd.dd ".
+CSV_FIELD_BYTES = 19
+SVG_POINT_BYTES = 22
 
 
 def _scale(a: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -60,100 +104,50 @@ def _scale(a: np.ndarray, k: np.ndarray) -> np.ndarray:
     return np.where(k >= 0, a * p1 * p2, a / p1 / p2)
 
 
-def _signed(v: np.ndarray, width: int):
-    # an n x (width + 1) byte matrix whose first column is "-", or n x
-    # width when no value of v is negative; the sign slots to keep (None
-    # when all are); and the view that takes the unsigned text
-    sign = np.signbit(v)
-    lead = int(sign.any())
-    out = np.empty((v.size, lead + width), dtype=np.uint8)
-    keep = None
-    if lead:
-        out[:, 0] = _MINUS
-        if not sign.all():
-            keep = np.ones(out.shape, dtype=bool)
-            keep[:, 0] = sign
-    return out, keep, out[:, lead:]
+def _near_ties(x: np.ndarray, rounded: np.ndarray, tie: float) -> np.ndarray:
+    # indices whose scaled value lies within `tie` of a rounding tie; both
+    # differences are exact, so this is |frac(x) - 1/2| < tie
+    return np.flatnonzero(np.abs(x - rounded) > 0.5 - tie)
 
 
-def _e_field(v: np.ndarray):
-    # "%.11e" % v as (bytes, keep) for _join, or None if v does not fit
+def _e_words(v: np.ndarray, out: np.ndarray) -> bool:
+    # "%.11e" % |v| without its dot, as the words of the three 4-digit
+    # groups and "e±dd" in each row of `out` (n x 4 uint32); False if v
+    # does not fit
     a = np.abs(v)
-    safe = np.where(a > 0, a, 1.0)
-    if not (a.max() < 1e99 and safe.min() >= 1e-99):
-        return None  # inf, NaN or a three-digit exponent
+    zero = a == 0
+    safe = np.where(zero, 1.0, a)  # zeros are scaled as 1.0, mended below
+    if not (safe.max() < 1e99 and safe.min() >= 1e-99):
+        return False  # inf, NaN or a three-digit exponent
     e = np.floor(np.log10(safe)).astype(np.int64)
-    x = _scale(a, 11 - e)
+    k = 11 - e
+    x = safe * _POW10[k] if k.min() >= 0 and k.max() <= 22 else _scale(safe, k)
     # Next to a power of ten log10 may be one off, but such values round
     # to that power at 12 digits: x is then within rounding of 1e11, or of
     # 1e12, which carries into the next exponent like any other.
     m = np.rint(x)
-    carry = m == 1e12
-    m[carry] = 1e11
-    e[carry] += 1
-    for i in np.flatnonzero(np.abs(x - np.floor(x) - 0.5) < _CSV_TIE):
-        text = CSV_TEMPLATE % a[i]
-        m[i], e[i] = int(text[0] + text[2:13]), int(text[14:])
-    if np.abs(e).max() > 99 or not np.all((m >= 1e11) & (m < 1e12) | (a == 0)):
-        return None
+    ties = _near_ties(x, m, _CSV_TIE)
+    if m.max() >= 1e12:
+        carry = m == 1e12
+        m[carry] = 1e11
+        e += carry
+    if ties.size:
+        texts = [CSV_TEMPLATE % f for f in a[ties].tolist()]
+        m[ties] = [int(t[0] + t[2:13]) for t in texts]
+        e[ties] = [int(t[14:]) for t in texts]
+    if not (m.min() >= 1e11 and m.max() < 1e12 and e.min() >= -99 and e.max() <= 99):
+        return False
     mi = m.astype(np.int64)
-    out, keep, body = _signed(v, 17)
-    head = _quads(mi // 10**8)
-    body[:, 0] = head[:, 0]
-    body[:, 1] = _DOT
-    body[:, 2:5] = head[:, 1:]
-    body[:, 5:9] = _quads(mi // 10**4 % 10**4)
-    body[:, 9:13] = _quads(mi % 10**4)
-    body[:, 13] = _E
-    body[:, 14] = np.where(e < 0, _MINUS, _PLUS)
-    body[:, 15:] = _quads(np.abs(e))[:, 2:]
-    return out, keep
-
-
-def _f_field(v: np.ndarray):
-    # "%.2f" % v as (bytes, keep) for _join, or None if v does not fit
-    a = np.abs(v)
-    if not a.max() < 999999:
-        return None  # inf, NaN or more than six integer digits
-    y = a * 100
-    n = np.rint(y)
-    for i in np.flatnonzero(np.abs(y - np.floor(y) - 0.5) < _SVG_TIE):
-        n[i] = int((SVG_FIELD % a[i]).replace(".", ""))
-    ni = n.astype(np.int64)
-    digits = np.concatenate([_quads(ni // 10**4), _quads(ni % 10**4)], axis=1)
-    width = len(str(ni.max() // 100))  # integer digits of the largest value
-    out, keep, body = _signed(v, width + 3)
-    body[:, :width] = digits[:, 6 - width : 6]
-    body[:, width] = _DOT
-    body[:, width + 1 :] = digits[:, 6:]
-    if width > 1 and ni.min() < 10 ** (width + 1):  # some have fewer digits
-        if keep is None:
-            keep = np.ones(out.shape, dtype=bool)
-        lead = out.shape[1] - body.shape[1]
-        # slot j holds the 10**(width - 1 - j) digit of the integer part
-        for j in range(width - 1):
-            keep[:, lead + j] = ni >= 10 ** (width + 1 - j)
-    return out, keep
-
-
-def _join(fields, seps: bytes) -> str:
-    # the rows of (bytes, keep) fields, each followed by its separator
-    # byte, with the bytes that keep drops left out
-    n = fields[0][0].shape[0]
-    buf = np.concatenate(
-        [part for (field, _), sep in zip(fields, seps)
-         for part in (field, np.full((n, 1), sep, dtype=np.uint8))],
-        axis=1,
-    )
-    if all(keep is None for _, keep in fields):
-        return buf.tobytes().decode("ascii")
-    keep = np.concatenate(
-        [part for field, keep in fields
-         for part in (np.ones(field.shape, dtype=bool) if keep is None else keep,
-                      np.ones((n, 1), dtype=bool))],
-        axis=1,
-    )
-    return buf[keep].tobytes().decode("ascii")
+    q0 = mi // 10**8
+    rest = mi - q0 * 10**8
+    q1 = rest // 10**4
+    q2 = rest - q1 * 10**4
+    for j, q in enumerate((q0, q1, q2)):
+        np.take(_DIGITS, q, out=out[:, j], mode="wrap")
+    np.take(_EXPONENTS, e + 99, out=out[:, 3], mode="wrap")
+    if zero.any():
+        out[zero, 0] = _DIGITS[0]  # "0.000" in place of "1.000"
+    return True
 
 
 def csv_table(ts, columns: dict) -> str:
@@ -161,21 +155,52 @@ def csv_table(ts, columns: dict) -> str:
     row of ``"%.11e"`` fields per sample, LF line endings.
 
     The output is byte for byte that of :func:`csv_table_reference`. Each
-    column is formatted as a whole array: its magnitudes are scaled to
-    12-digit integers, and an element within 1e-3 of a last digit of a
-    rounding tie is formatted by ``%`` instead (see the module
-    docstring). A table with a value that does not fit
-    ``d.ddddddddddde±dd`` (inf, NaN or a three-digit exponent) is written
-    by the reference template.
+    column is formatted as a whole array into its slice of one byte
+    buffer: its magnitudes are scaled to 12-digit integers, and an element
+    within 1e-3 of a last digit of a rounding tie is formatted by ``%``
+    instead (see the module docstring). A table with a value that does not
+    fit ``d.ddddddddddde±dd`` (inf, NaN or a three-digit exponent) is
+    written by the reference template.
     """
     cols = [np.asarray(c, dtype=float).ravel() for c in (ts, *columns.values())]
+    n = min(c.size for c in cols)  # rows stop at the shortest column, as zip does
+    cols = [c[:n] for c in cols]
     header = "t," + ",".join(columns) + "\n"
-    if cols[0].size == 0:
+    if n == 0:
         return header
-    fields = [_e_field(c) for c in cols]
-    if any(f is None for f in fields):
-        return csv_table_reference(ts, columns)
-    return header + _join(fields, b"," * (len(cols) - 1) + b"\n")
+    head = np.frombuffer(header.encode(), dtype=np.uint8)
+    signs = [np.signbit(c) for c in cols]
+    leads = [bool(s.any()) for s in signs]
+    buf = np.empty(head.size + n * (sum(leads) + 18 * len(cols)), dtype=np.uint8)
+    buf[: head.size] = head
+    table = buf[head.size :].reshape(n, -1)
+    seps = b"," * (len(cols) - 1) + b"\n"
+    mixed = False
+    at = 0
+    for sign, lead, sep in zip(signs, leads, seps):
+        if lead:
+            # "-", or NUL in the rows whose sign slot is dropped at the end
+            np.multiply(sign, _MINUS, out=table[:, at], dtype=np.uint8, casting="unsafe")
+            mixed = mixed or not sign.all()
+        at += lead + 18
+        table[:, at - 1] = sep
+    words = np.empty((min(n, _BLOCK), 4), dtype=np.uint32)
+    for start in range(0, n, _BLOCK):
+        rows = table[start : start + _BLOCK]
+        block = words[: rows.shape[0]]
+        at = 0
+        for c, lead in zip(cols, leads):
+            at += lead
+            if not _e_words(c[start : start + _BLOCK], block):
+                return csv_table_reference(ts, columns)
+            # one 16-byte item per row copies faster than 16 byte columns
+            rows[:, at + 1 : at + 17].view("V16")[:, 0] = block.view("V16")[:, 0]
+            rows[:, at] = rows[:, at + 1]
+            rows[:, at + 1] = _DOT
+            at += 18
+    if mixed:  # drop the NUL sign slots in one pass
+        return header + table.tobytes().translate(None, b"\0").decode("ascii")
+    return str(buf, "utf-8")
 
 
 def csv_table_reference(ts, columns: dict) -> str:
@@ -186,25 +211,92 @@ def csv_table_reference(ts, columns: dict) -> str:
     return "\n".join(["t," + ",".join(columns)] + rows) + "\n"
 
 
+def _f_layout(v: np.ndarray):
+    # the words of "%.2f" % v as (signed, wide, padded): a sign word leads
+    # (1 or 0), the integer part takes two words (1) or one (0), and some
+    # word may hold NUL; None if v does not fit (inf, NaN or more than six
+    # integer digits)
+    vmin, vmax = v.min(), v.max()
+    if not max(-vmin, vmax) < 999999:
+        return None
+    signed = int(np.signbit(v).any())
+    wide = int(max(-vmin, vmax) >= 9999)
+    return signed, wide, bool(signed or wide or min(abs(vmin), abs(vmax)) < 1000)
+
+
+def _f_words(v: np.ndarray, layout, fractions: np.ndarray, out: np.ndarray) -> None:
+    # "%.2f" % v and its separator as the words of each row of `out`
+    signed, wide, _ = layout
+    a = np.abs(v)
+    y = a * 100
+    c = np.rint(y)
+    ties = _near_ties(y, c, _SVG_TIE)
+    if ties.size:
+        c[ties] = [int((SVG_FIELD % f).replace(".", "")) for f in a[ties].tolist()]
+    cents = c.astype(np.int64)
+    whole = cents // 100
+    frac = cents - whole * 100
+    if signed:
+        out[:, 0] = np.where(np.signbit(v), _MINUS_WORD, np.uint32(0))
+    if wide:  # up to six digits in two words
+        hi, lo = np.divmod(whole, 10**4)
+        out[:, signed] = np.where(hi > 0, _BLANKED[hi], np.uint32(0))
+        out[:, -2] = np.where(hi > 0, _DIGITS[lo], _BLANKED[lo])
+    else:
+        np.take(_BLANKED, whole, out=out[:, -2], mode="wrap")
+    np.take(fractions, frac, out=out[:, -1], mode="wrap")
+
+
+def svg_polylines(x, ys) -> list:
+    """``[svg_points(x, y) for y in ys]``, with ``x`` formatted once."""
+    x = np.asarray(x, dtype=float).ravel()
+    fx = _f_layout(x) if x.size else None
+    if fx is not None:
+        xwords = np.empty((x.size, 2 + fx[0] + fx[1]), dtype=np.uint32)
+        for start in range(0, x.size, _BLOCK):
+            _f_words(x[start : start + _BLOCK], fx, _COMMA_FRACTIONS,
+                     xwords[start : start + _BLOCK])
+    texts = []
+    for y in ys:
+        y = np.asarray(y, dtype=float).ravel()
+        n = min(x.size, y.size)  # points stop at the shorter array, as zip does
+        fy = _f_layout(y[:n]) if n else None
+        if n == 0:
+            texts.append("")
+            continue
+        if fx is None or fy is None:
+            texts.append(svg_points_reference(x[:n], y[:n]))
+            continue
+        kx = xwords.shape[1]
+        words = np.empty((min(n, _BLOCK), kx + 2 + fy[0] + fy[1]), dtype=np.uint32)
+        pieces = []
+        for start in range(0, n, _BLOCK):
+            block = words[: min(_BLOCK, n - start)]
+            # x words as one 4*kx-byte item per row: faster than kx columns
+            block[:, :kx].view(f"V{4 * kx}")[:, 0] = (
+                xwords[start : start + block.shape[0]].view(f"V{4 * kx}")[:, 0])
+            _f_words(y[start : start + _BLOCK], fy, _SPACE_FRACTIONS, block[:, kx:])
+            text = block.view(np.uint8).ravel()
+            if start + _BLOCK >= n:
+                text = text[:-1]  # no space after the last point
+            if fx[2] or fy[2]:  # drop every NUL byte in one pass
+                text = text.tobytes().translate(None, b"\0")
+            pieces.append(str(text, "ascii"))
+        texts.append("".join(pieces))
+    return texts
+
+
 def svg_points(x, y) -> str:
     """``" ".join("%.2f,%.2f" % p for p in zip(x, y))``, byte for byte.
 
-    Each coordinate is ``rint(100 |v|)`` written with the digit table,
-    with leading blank integer slots and unused sign slots dropped by a
-    mask; a value within 1e-6 of a rounding tie is formatted by ``%``
-    instead. Coordinates that are not finite or need more than six
-    integer digits send the whole curve to :func:`svg_points_reference`.
+    Each coordinate is ``rint(100 |v|)`` written from the word tables, and
+    the NUL bytes of blank integer slots and unused sign words are dropped
+    in one pass per block of rows; a value within 1e-6 of a rounding tie is
+    formatted by ``%`` instead. Coordinates that are not finite or need
+    more than six integer digits send the whole curve to
+    :func:`svg_points_reference`.
     """
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    n = min(x.size, y.size)  # points stop at the shorter array, as zip does
-    x, y = x[:n], y[:n]
-    if n == 0:
-        return ""
-    fields = [_f_field(x), _f_field(y)]
-    if any(f is None for f in fields):
-        return svg_points_reference(x, y)
-    return _join(fields, b", ")[:-1]
+    return svg_polylines(x, [y])[0]
 
 
 def svg_points_reference(x, y) -> str:

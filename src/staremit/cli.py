@@ -6,7 +6,8 @@ profile and verify the round trip), ``figure1`` (flat-profile revival
 sweep over several M values).
 
 Exit codes: 0 ok, 2 usage or input error (including inputs whose results
-overflow to non-finite values, and inputs too large for the memory), 3 construction or eigensolver failure,
+overflow to non-finite values, inputs too large for the memory, and output
+text above ``OUTPUT_BUDGET_BYTES``), 3 construction or eigensolver failure,
 4 round-trip verification failure. Output files are written atomically
 (temp file + rename), and identical flags produce byte-identical output.
 """
@@ -18,12 +19,12 @@ import json
 import os
 import sys
 import tempfile
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
 
-from ._numtext import csv_table, json_table
+from ._numtext import CSV_FIELD_BYTES, SVG_POINT_BYTES, csv_table, json_table
 from .analysis import (
     emission_metrics,
     profile_survival,
@@ -48,13 +49,34 @@ from .model import (
 from .svgplot import render_line_chart
 
 
+# Output text a command may write, counted as rows times the widest CSV
+# row plus the widest SVG points; larger --samples are refused up front.
+OUTPUT_BUDGET_BYTES = 1 << 30
+
+
+def _check_output_size(rows: int, csv_columns: int, svg_points: int) -> None:
+    # runs before the time grid or any per-sample array is allocated
+    size = rows * (csv_columns * CSV_FIELD_BYTES + svg_points * SVG_POINT_BYTES)
+    if size > OUTPUT_BUDGET_BYTES:
+        raise ValueError(
+            f"the output would take up to {size} bytes of text, above the budget of "
+            f"{OUTPUT_BUDGET_BYTES} bytes; lower --samples"
+        )
+
+
+# Text is written in slices of this many characters, so that encoding it
+# reuses a small buffer instead of copying the whole output at once.
+_WRITE_CHUNK = 1 << 15
+
+
 def _write_text(path, text: str) -> None:
     # temp file + rename so concurrent runs never interleave partial output
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=str(path.parent) or ".", prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(text)
+            for start in range(0, len(text), _WRITE_CHUNK):
+                fh.write(text[start : start + _WRITE_CHUNK])
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -98,6 +120,7 @@ def _require_finite(*columns) -> None:
 
 def _run_series(args, model: StarModel, analytic, svg_title: str) -> int:
     # exact survival of `model` with the closed form `analytic(tau)` overlaid
+    _check_output_size(args.samples, 3, 2 if args.svg else 0)
     ts = np.linspace(0.0, args.t_max, args.samples)
     tau = ts / args.hbar
     d = eigh(model)
@@ -187,6 +210,7 @@ def _cmd_inverse(args) -> int:
 def _cmd_figure1(args) -> int:
     # compute every trace and its metrics before writing anything, so a
     # bad input (say, a threshold outside (0, 1)) leaves no partial output
+    _check_output_size(args.samples * len(args.m_list), 2, 1 if args.svg else 0)
     runs = []
     for m_half in args.m_list:
         period = revival_period(m_half, args.d) * args.hbar
@@ -267,7 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=_positive_float, default=1.0, help="spectral half-width D")
     p.add_argument("--eps0", type=float, default=0.0, help="center energy")
     p.add_argument("--tol", type=_positive_float, default=1e-8,
-                   help="round-trip verification tolerance")
+                   help="round-trip verification tolerance: on eigenvalue errors "
+                        "relative to --d, and on overlap weight errors")
     p.add_argument("--out", help="write the star model JSON here (default: stdout)")
     p.set_defaults(func=_cmd_inverse)
 
@@ -289,8 +314,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    # parse_args keeps no state between calls, so one parser serves them all
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         # overflow to inf/NaN is reported by _require_finite, not as warnings
         with np.errstate(over="ignore", invalid="ignore"):

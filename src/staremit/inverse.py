@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateProfile, DimensionMismatch
-from .hermitian import _arrowhead_from_spectrum, aggregate_degenerate, eigh
+from .hermitian import DEGENERACY_TOL, _arrowhead_from_spectrum, aggregate_degenerate, eigh
 from .model import StarModel
 
 # Overlap weights must sum to one within this tolerance.
@@ -205,10 +205,17 @@ def verify_round_trip(
 
     The model is solved by ``eigh(model)``, as the real arrowhead with
     couplings ``|alpha|``, by the O(n^2) star solver without a dense
-    matrix, so the report is the same in every coupling gauge. Eigenvalues are compared sorted, elementwise. Overlap weights
-    are summed per distinct level on both sides first, so basis choices
-    inside degenerate subspaces cannot affect the verdict; weight sitting
-    on a level matching no target level counts as error in full.
+    matrix, so the report is the same in every coupling gauge.
+    Eigenvalues are compared sorted, elementwise. Overlap weights are
+    summed per distinct level on both sides first, so basis choices inside
+    degenerate subspaces cannot affect the verdict; weight sitting on a
+    level matching no target level counts as error in full.
+
+    The verdict does not depend on the energy unit: the round trip passes
+    when the largest eigenvalue error is at most ``tol * d_width`` and the
+    largest overlap error at most ``tol``, and levels closer than
+    ``DEGENERACY_TOL * d_width`` count as one. The report's error fields
+    are absolute.
     """
     target_e = profile.eigenvalues()
     if model.dim != profile.dim:
@@ -218,8 +225,9 @@ def verify_round_trip(
     d = eigh(model)
     eig_err = float(np.abs(d.eigenvalues - target_e).max())
 
-    got_levels, got_weights = aggregate_degenerate(d.eigenvalues, d.zero_overlaps)
-    want_levels, want_weights = aggregate_degenerate(target_e, profile.overlaps)
+    merge = DEGENERACY_TOL * profile.d_width
+    got_levels, got_weights = aggregate_degenerate(d.eigenvalues, d.zero_overlaps, merge)
+    want_levels, want_weights = aggregate_degenerate(target_e, profile.overlaps, merge)
     window = 0.5 * np.diff(want_levels).min() if want_levels.size > 1 else np.inf
     # nearest target level, the lower one on equal distances
     hi = np.minimum(np.searchsorted(want_levels, got_levels), want_levels.size - 1)
@@ -235,5 +243,5 @@ def verify_round_trip(
     return RoundTripReport(
         max_eigenvalue_error=eig_err,
         max_overlap_error=overlap_err,
-        passed=bool(eig_err <= tol and overlap_err <= tol),
+        passed=bool(eig_err / profile.d_width <= tol and overlap_err <= tol),
     )

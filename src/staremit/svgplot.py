@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._numtext import svg_points
+from ._numtext import svg_polylines
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
@@ -57,7 +57,8 @@ def render_line_chart(
     table); a coordinate within 1e-6 of a rounding tie is formatted by
     ``%`` itself, and a curve with a non-finite coordinate (which prints
     ``nan`` or ``inf``) goes through the per-point template, so the bytes
-    never depend on which path ran. The axes span the finite coordinates of
+    never depend on which path ran. Curves that share one x array (the same
+    object) format its points once. The axes span the finite coordinates of
     all curves, whatever their order; the y axis always covers [0, 1].
     """
     if not curves:
@@ -130,22 +131,28 @@ def render_line_chart(
         f'transform="rotate(-90 16 {_fmt(_MARGIN_TOP + plot_h / 2)})">{y_label}</text>'
     )
 
-    for k, (label, xs, ys) in enumerate(curves):
+    # curves that share one x array (by identity) format its points once
+    sharing = {}
+    for k, (_, xs, _) in enumerate(curves):
+        sharing.setdefault(id(xs), (xs, []))[1].append(k)
+    points = {}
+    for xs, ks in sharing.values():
+        ys = (sy(np.asarray(curves[k][2], dtype=float)) for k in ks)
+        points.update(zip(ks, svg_polylines(sx(np.asarray(xs, dtype=float)), ys)))
+
+    # the points go into the document as they are, not through an f-string
+    pieces = ["\n".join(parts), "\n"]
+    for k, (label, _, _) in enumerate(curves):
         color = PALETTE[k % len(PALETTE)]
-        pts = svg_points(sx(np.asarray(xs, dtype=float)), sy(np.asarray(ys, dtype=float)))
-        parts.append(
-            f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.3"/>'
-        )
         ly = _MARGIN_TOP + 16 + 16 * k
         lx = _MARGIN_LEFT + plot_w - 130
-        parts.append(
+        pieces += [
+            '<polyline points="', points.pop(k),
+            f'" fill="none" stroke="{color}" stroke-width="1.3"/>\n',
             f'<line x1="{_fmt(lx)}" y1="{_fmt(ly - 4)}" x2="{_fmt(lx + 24)}" '
-            f'y2="{_fmt(ly - 4)}" stroke="{color}" stroke-width="2"/>'
-        )
-        parts.append(
+            f'y2="{_fmt(ly - 4)}" stroke="{color}" stroke-width="2"/>\n',
             f'<text x="{_fmt(lx + 30)}" y="{_fmt(ly)}" font-family="sans-serif" '
-            f'font-size="12">{label}</text>'
-        )
-
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+            f'font-size="12">{label}</text>\n',
+        ]
+    pieces.append("</svg>\n")
+    return "".join(pieces)

@@ -5,7 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from staremit import dirichlet_survival, revival_period
+from staremit import cli, dirichlet_survival, revival_period
+from staremit._numtext import CSV_FIELD_BYTES, SVG_POINT_BYTES
 from staremit.cli import main
 
 INV_SQRT3 = 1.0 / np.sqrt(3.0)
@@ -230,6 +231,92 @@ def test_inverse_degenerate_profile(tmp_path, capsys):
 
 def test_inverse_unreachable_tolerance(capsys):
     assert main(["inverse", "--m", "8", "--seed", "5", "--tol", "1e-300"]) == 4
+
+
+@pytest.mark.parametrize("width", ["1e308", "1e-300"])
+def test_inverse_verdict_does_not_depend_on_the_energy_unit(width, capsys):
+    # eigenvalue errors of ~1e-16 of the width pass at either extreme
+    assert main(["inverse", "--flat", "--m", "3", "--d", width]) == 0
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert report["passed"] and report["max_eigenvalue_error"] <= 1e-15 * float(width)
+
+
+# (argv, files it writes); the flags of one call must not reach the next
+_SEQUENCE = [
+    (["two-level", "--eps1", "0.7", "--samples", "40", "--format", "json"], []),
+    (["two-level", "--samples", "40"], []),
+    (["identical-modes", "--n", "3", "--samples", "30", "--out", "im.csv", "--svg", "im.svg"],
+     ["im.csv", "im.svg"]),
+    (["two-level", "--samples", "30", "--hbar", "2", "--t-max", "5"], []),
+    (["inverse", "--flat", "--m", "2", "--eps0", "0.5", "--tol", "1e-300"], []),
+    (["inverse", "--flat", "--m", "2"], []),
+    (["figure1", "--m-list", "3", "--samples", "50", "--out", "figs"],
+     ["figs/figure1_M3.csv", "figs/figure1_M3_metrics.json"]),
+    (["figure1", "--samples", "20", "--out", "figs"], ["figs/figure1_M20.csv"]),
+    (["two-level", "--samples", "40"], []),
+]
+
+
+def _run_sequence(tmp_path, capsys):
+    tmp_path.mkdir()
+    outputs = []
+    for argv, files in _SEQUENCE:
+        argv = [str(tmp_path / a) if a in ("im.csv", "im.svg", "figs") else a for a in argv]
+        rc = main(argv)
+        outputs.append((rc, capsys.readouterr().out,
+                        [(tmp_path / f).read_bytes() for f in files]))
+    return outputs
+
+
+def test_main_reuses_one_parser_without_leaking_flags(tmp_path, capsys, monkeypatch):
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser()
+    cached = _run_sequence(tmp_path / "cached", capsys)
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)  # a fresh parser per call
+    fresh = _run_sequence(tmp_path / "fresh", capsys)
+    assert cached == fresh
+    assert [rc for rc, _, _ in cached] == [0, 0, 0, 0, 4, 0, 0, 0, 0]
+    assert cached[1] == cached[-1]
+    assert cached[0][1].startswith("{") and cached[1][1].startswith("t,P,P_analytic\n")
+    assert cached[0][1] != cached[1][1]
+
+
+@pytest.mark.parametrize(
+    "argv, rows, csv_columns, svg_points",
+    [
+        (["two-level", "--samples", "20"], 20, 3, 0),
+        (["identical-modes", "--n", "2", "--samples", "30", "--svg", "c.svg"], 30, 3, 2),
+        (["two-level", "--samples", "25", "--format", "json"], 25, 3, 0),
+        (["figure1", "--m-list", "1,2", "--samples", "10", "--svg", "c.svg"], 20, 2, 1),
+        (["figure1", "--samples", "11"], 44, 2, 0),
+    ],
+)
+def test_output_budget_refuses_before_any_work(argv, rows, csv_columns, svg_points,
+                                               tmp_path, capsys, monkeypatch):
+    size = rows * (csv_columns * CSV_FIELD_BYTES + svg_points * SVG_POINT_BYTES)
+    argv = [str(tmp_path / a) if a == "c.svg" else a for a in argv]
+    out = tmp_path / "out"
+    argv += ["--out", str(out)]
+    monkeypatch.setattr(cli, "OUTPUT_BUDGET_BYTES", size - 1)
+    # the refusal comes before the time grid exists
+    monkeypatch.setattr(np, "linspace", pytest.fail)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: the output would take up to {size} bytes of text, above the "
+                   f"budget of {size - 1} bytes; lower --samples\n")
+    assert list(tmp_path.iterdir()) == []
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "OUTPUT_BUDGET_BYTES", size)
+    assert main(argv) == 0
+    assert out.exists()
+
+
+def test_output_budget_default_refuses_huge_sample_counts(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(np, "linspace", pytest.fail)
+    samples = cli.OUTPUT_BUDGET_BYTES // (3 * CSV_FIELD_BYTES) + 1
+    assert main(["two-level", "--samples", str(samples), "--out", str(tmp_path / "s")]) == 2
+    assert capsys.readouterr().err.startswith("error: the output would take up to ")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_figure1_outputs(tmp_path, capsys):

@@ -295,3 +295,28 @@ def test_verify_round_trip_dimension_check():
         verify_round_trip(
             StarModel(eps=np.zeros(2), alpha=np.zeros(1)), flat_profile(1, 0.0, 1.0), 1e-8
         )
+
+
+@pytest.mark.parametrize("d_width", [1e-300, 1e-3, 1.0, 1e5, 1e308])
+def test_verify_round_trip_verdict_is_relative_to_the_width(d_width):
+    # the same profile in another energy unit gets the same verdicts: a
+    # faithful model passes, a decoupled one (right levels, all weight on one
+    # of them) and a collapsed one (all levels at the centre) fail
+    p = flat_profile(3, 0.0, d_width)
+    report = verify_round_trip(construct_hamiltonian(p), p, 1e-8)
+    assert report.passed, report
+    assert report.max_eigenvalue_error <= 1e-14 * d_width
+    ladder = p.eigenvalues()
+    decoupled = StarModel(eps=np.concatenate(([ladder[3]], np.delete(ladder, 3))),
+                          alpha=np.zeros(6))
+    report = verify_round_trip(decoupled, p, 1e-8)
+    assert not report.passed and report.max_overlap_error > 0.5
+    assert report.max_eigenvalue_error == 0.0
+    collapsed = StarModel(eps=np.zeros(7), alpha=np.zeros(6))
+    report = verify_round_trip(collapsed, p, 1e-8)
+    assert not report.passed and report.max_eigenvalue_error == d_width
+    # every level 2e-8 of the width too high: fails at tol 1e-8, passes at 3e-8
+    model = construct_hamiltonian(p)
+    shifted = StarModel(eps=model.eps + 2e-8 * d_width, alpha=model.alpha)
+    assert not verify_round_trip(shifted, p, 1e-8).passed
+    assert verify_round_trip(shifted, p, 3e-8).passed

@@ -103,6 +103,10 @@ def test_csv_table_fixed_cases():
         named = {"a": cols[1], "b": cols[2]}
         assert csv_table(cols[0], named) == csv_table_reference(cols[0], named)
     assert csv_table(np.array([]), {"P": np.array([])}) == "t,P\n"
+    # columns of different lengths stop at the shortest, as the template's zip does
+    ragged = (np.arange(5.0), {"P": -np.arange(3.0), "Q": np.arange(4.0)})
+    assert csv_table(*ragged) == csv_table_reference(*ragged)
+    assert csv_table(np.arange(3.0), {"P": []}) == "t,P\n"
     assert csv_table([9.99999999999995e5], {"P": [0.5]}) == "t,P\n1.00000000000e+06,5.00000000000e-01\n"
 
 
@@ -142,7 +146,8 @@ def test_svg_points_rounding_ties_and_empty():
 
 def _reference_chart(monkeypatch, curves, **kwargs):
     with monkeypatch.context() as m:
-        m.setattr(svgplot, "svg_points", svg_points_reference)
+        m.setattr(svgplot, "svg_polylines",
+                  lambda x, ys: [svg_points_reference(x, y) for y in ys])
         return svgplot.render_line_chart(curves, **kwargs)
 
 
@@ -197,3 +202,131 @@ def test_json_table_non_finite_matches_json_dumps():
     ts, p = np.array([0.0, 1.0]), np.array([np.nan, np.inf])
     assert json_table(ts, {"P": p}) == json.dumps({"t": [0.0, 1.0], "P": [np.nan, np.inf]},
                                                   indent=2) + "\n"
+
+
+# Seeded tables far longer than the hypothesis examples: many row blocks,
+# every _FITTING family in bulk, a column of mixed signs and one that is
+# all negative.
+_SCALE_ROWS = 200_003
+
+
+def _fitting_values(rng, n):
+    # n doubles drawn from the _FITTING families, shuffled
+    k = -(-n // 8)
+    sign = rng.choice([1.0, -1.0], 8 * k)
+    p = rng.integers(1, 18, k)
+    lo, hi = -(-10**12 // 5**p), 10**13 // 5**p
+    ties = ((lo + rng.integers(0, 2**62, k) % (hi - lo - 1)) | 1) / 2.0**p
+    near = [float(f"{d}5e{e}") for d, e in zip(rng.integers(10**11, 10**12, k),
+                                                 rng.integers(-85, 86, k))]
+    powers, step = 10.0 ** rng.integers(-98, 99, k), rng.integers(-1, 2, k)
+    powers = np.where(step == 0, powers, np.nextafter(powers, np.where(step > 0, np.inf, 0.0)))
+    carries = [float(f"9.9999999999{nudge}e{e}") for nudge, e in zip(
+        rng.choice(["95", "96", "949", "951", "99"], k), rng.integers(-97, 98, k))]
+    rounded = [round(float(x), int(d)) for x, d in zip(rng.uniform(-1e4, 1e4, k),
+                                                       rng.integers(10, 13, k))]
+    values = np.concatenate([
+        rng.uniform(1.0, 10.0, k) * 10.0 ** rng.integers(-90, 91, k),
+        rng.choice([0.0, -0.0], k),
+        ties,
+        rng.integers(-10**6, 10**6, k) / 8.0,
+        near,
+        powers,
+        carries,
+        rounded,
+    ]) * sign
+    return rng.permutation(values)[:n]
+
+
+@pytest.fixture(scope="module")
+def scale_table():
+    rng = np.random.default_rng(3)
+    ts = _fitting_values(rng, _SCALE_ROWS)
+    t = np.linspace(0.0, 40.0, _SCALE_ROWS)
+    columns = {
+        "P": _fitting_values(rng, _SCALE_ROWS),
+        # an overlay that dips just below zero near each minimum
+        "P_analytic": 1.0 - (1.0 + 1e-9) * np.sin(t) ** 2,
+        "negative": -np.abs(_fitting_values(rng, _SCALE_ROWS)),
+        "positive": np.abs(_fitting_values(rng, _SCALE_ROWS)),
+    }
+    return ts, columns
+
+
+def test_csv_table_matches_template_at_scale(scale_table):
+    # mixed signs in t, P and P_analytic, a sign slot that never drops in
+    # "negative", and none in "positive"
+    ts, columns = scale_table
+    assert (columns["P_analytic"] < 0).any() and (columns["P_analytic"] > 0).any()
+    expected = csv_table_reference(ts, columns)
+    with mock.patch.object(_numtext, "csv_table_reference", side_effect=AssertionError):
+        assert csv_table(ts, columns) == expected
+
+
+@pytest.mark.parametrize("column, misfit", [("P", np.nan), ("t", 1e100), ("negative", -1e-100)])
+def test_csv_table_misfit_in_the_last_row_of_a_long_table(scale_table, column, misfit):
+    ts, columns = scale_table
+    ts, columns = ts.copy(), {k: v.copy() for k, v in columns.items()}
+    (ts if column == "t" else columns[column])[-1] = misfit
+    with mock.patch.object(_numtext, "csv_table_reference", return_value="fallback") as reference:
+        assert csv_table(ts, columns) == "fallback"
+    reference.assert_called_once_with(ts, columns)
+
+
+def _coordinates(rng, n):
+    # pixel-like values of every _COORD family, with mixed signs and up to
+    # six integer digits
+    k = -(-n // 5)
+    decimals = [float(f"{j // 100}.{j % 100:02d}5") for j in rng.integers(0, 10**7, k)]
+    values = np.concatenate([
+        rng.integers(-8 * 10**5, 8 * 10**5, k) / 8.0,
+        decimals * rng.choice([1.0, -1.0], k),
+        rng.uniform(-1e5, 1e5, k),
+        rng.uniform(0.0, 999998.99, k),
+        rng.choice([0.0, -0.0, -0.001, 0.004999999, 999998.995, 0.5e-2, 9999.0, 9998.995], k),
+    ])
+    return rng.permutation(values)[:n]
+
+
+def test_svg_points_match_template_at_scale():
+    rng = np.random.default_rng(17)
+    x, y = _coordinates(rng, _SCALE_ROWS), _coordinates(rng, _SCALE_ROWS)
+    # chart-like: positive, with two and three integer digits
+    cx, cy = 64.0 + np.linspace(0.0, 780.0, _SCALE_ROWS), 34.0 + 440.0 * rng.random(_SCALE_ROWS)
+    # integer parts of exactly three digits, and of exactly four (no padding)
+    x3, x4 = 100.0 + 899.0 * rng.random(_SCALE_ROWS), 1000.0 + 8998.0 * rng.random(_SCALE_ROWS)
+    expected = [svg_points_reference(x, y), svg_points_reference(cx, cy),
+                svg_points_reference(-cx, y), svg_points_reference(-cx[:1000], cy[:1000]),
+                svg_points_reference(x3, x3[::-1]), svg_points_reference(x4, x4[::-1])]
+    with mock.patch.object(_numtext, "svg_points_reference", side_effect=AssertionError):
+        assert svg_points(x, y) == expected[0]
+        assert svg_points(cx, cy) == expected[1]
+        assert svg_points(x3, x3[::-1]) == expected[4]
+        assert svg_points(x4, x4[::-1]) == expected[5]
+        # an all-negative x array shared by a curve and a shorter one
+        assert _numtext.svg_polylines(-cx, [y, cy[:1000]]) == expected[2:4]
+    y[-1] = np.inf
+    with mock.patch.object(_numtext, "svg_points_reference", return_value="fallback") as reference:
+        assert svg_points(x, y) == "fallback"
+    reference.assert_called_once()
+
+
+def test_render_line_chart_formats_a_shared_x_array_once(monkeypatch):
+    t = np.linspace(0.0, 30.0, 20_001)
+    p, q = np.cos(t) ** 2, 1.0 - 0.5 * np.sin(t) ** 2
+    shared = svgplot.render_line_chart([("P", t, p), ("Q", t, q)])
+    distinct = svgplot.render_line_chart([("P", t, p), ("Q", t.copy(), q)])
+    assert shared == distinct
+    assert shared == _reference_chart(monkeypatch, [("P", t, p), ("Q", t, q)])
+    calls = []
+
+    def counting(x, ys):
+        ys = list(ys)
+        calls.append(len(ys))
+        return _numtext.svg_polylines(x, ys)
+
+    with monkeypatch.context() as m:
+        m.setattr(svgplot, "svg_polylines", counting)
+        three = svgplot.render_line_chart([("P", t, p), ("Q", t, q), ("R", t.copy(), q)])
+    assert sorted(calls) == [1, 2]  # one call per distinct x array
+    assert three == svgplot.render_line_chart([("P", t, p), ("Q", t.copy(), q), ("R", t, q)])
