@@ -36,9 +36,8 @@ word (``"-"`` or NUL), its integer part right-aligned in one word (two
 past 9999) with NUL in place of leading zeros, and ``.dd`` plus the
 separator from a 100-entry table. When several curves share one x array,
 its words are formatted once and copied into each curve's rows. Each
-block of rows is one contiguous buffer; one pass drops its NUL bytes
-unless no integer part is narrower than its words and no sign word is
-present.
+block of rows is one contiguous buffer, and one ``bytes.translate`` pass
+drops its NUL bytes.
 """
 
 from __future__ import annotations
@@ -90,8 +89,10 @@ CSV_TEMPLATE = "%.11e"
 SVG_FIELD = "%.2f"
 
 # The widest text a fitting value takes, separator included: a CSV field
-# "-d.ddddddddddde-dd," and an SVG point "-dddddd.dd,-dddddd.dd ".
+# "-d.ddddddddddde-dd,", a JSON field of four spaces, a float repr of up
+# to 24 characters and ",\n", and an SVG point "-dddddd.dd,-dddddd.dd ".
 CSV_FIELD_BYTES = 19
+JSON_FIELD_BYTES = 30
 SVG_POINT_BYTES = 22
 
 
@@ -212,21 +213,18 @@ def csv_table_reference(ts, columns: dict) -> str:
 
 
 def _f_layout(v: np.ndarray):
-    # the words of "%.2f" % v as (signed, wide, padded): a sign word leads
-    # (1 or 0), the integer part takes two words (1) or one (0), and some
-    # word may hold NUL; None if v does not fit (inf, NaN or more than six
-    # integer digits)
+    # the words of "%.2f" % v as (signed, wide): a sign word leads (1 or 0)
+    # and the integer part takes two words (1) or one (0); None if v does
+    # not fit (inf, NaN or more than six integer digits)
     vmin, vmax = v.min(), v.max()
     if not max(-vmin, vmax) < 999999:
         return None
-    signed = int(np.signbit(v).any())
-    wide = int(max(-vmin, vmax) >= 9999)
-    return signed, wide, bool(signed or wide or min(abs(vmin), abs(vmax)) < 1000)
+    return int(np.signbit(v).any()), int(max(-vmin, vmax) >= 9999)
 
 
 def _f_words(v: np.ndarray, layout, fractions: np.ndarray, out: np.ndarray) -> None:
     # "%.2f" % v and its separator as the words of each row of `out`
-    signed, wide, _ = layout
+    signed, wide = layout
     a = np.abs(v)
     y = a * 100
     c = np.rint(y)
@@ -252,7 +250,7 @@ def svg_polylines(x, ys) -> list:
     x = np.asarray(x, dtype=float).ravel()
     fx = _f_layout(x) if x.size else None
     if fx is not None:
-        xwords = np.empty((x.size, 2 + fx[0] + fx[1]), dtype=np.uint32)
+        xwords = np.empty((x.size, 2 + sum(fx)), dtype=np.uint32)
         for start in range(0, x.size, _BLOCK):
             _f_words(x[start : start + _BLOCK], fx, _COMMA_FRACTIONS,
                      xwords[start : start + _BLOCK])
@@ -268,7 +266,7 @@ def svg_polylines(x, ys) -> list:
             texts.append(svg_points_reference(x[:n], y[:n]))
             continue
         kx = xwords.shape[1]
-        words = np.empty((min(n, _BLOCK), kx + 2 + fy[0] + fy[1]), dtype=np.uint32)
+        words = np.empty((min(n, _BLOCK), kx + 2 + sum(fy)), dtype=np.uint32)
         pieces = []
         for start in range(0, n, _BLOCK):
             block = words[: min(_BLOCK, n - start)]
@@ -279,9 +277,8 @@ def svg_polylines(x, ys) -> list:
             text = block.view(np.uint8).ravel()
             if start + _BLOCK >= n:
                 text = text[:-1]  # no space after the last point
-            if fx[2] or fy[2]:  # drop every NUL byte in one pass
-                text = text.tobytes().translate(None, b"\0")
-            pieces.append(str(text, "ascii"))
+            # drop every NUL byte in one pass
+            pieces.append(text.tobytes().translate(None, b"\0").decode("ascii"))
         texts.append("".join(pieces))
     return texts
 

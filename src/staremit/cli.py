@@ -24,7 +24,13 @@ from pathlib import Path
 
 import numpy as np
 
-from ._numtext import CSV_FIELD_BYTES, SVG_POINT_BYTES, csv_table, json_table
+from ._numtext import (
+    CSV_FIELD_BYTES,
+    JSON_FIELD_BYTES,
+    SVG_POINT_BYTES,
+    csv_table,
+    json_table,
+)
 from .analysis import (
     emission_metrics,
     profile_survival,
@@ -49,14 +55,14 @@ from .model import (
 from .svgplot import render_line_chart
 
 
-# Output text a command may write, counted as rows times the widest CSV
-# row plus the widest SVG points; larger --samples are refused up front.
+# Output text a command may write, counted as rows times the widest CSV or
+# JSON row plus the widest SVG points; larger --samples are refused up front.
 OUTPUT_BUDGET_BYTES = 1 << 30
 
 
-def _check_output_size(rows: int, csv_columns: int, svg_points: int) -> None:
+def _check_output_size(rows: int, row_bytes: int) -> None:
     # runs before the time grid or any per-sample array is allocated
-    size = rows * (csv_columns * CSV_FIELD_BYTES + svg_points * SVG_POINT_BYTES)
+    size = rows * row_bytes
     if size > OUTPUT_BUDGET_BYTES:
         raise ValueError(
             f"the output would take up to {size} bytes of text, above the budget of "
@@ -120,7 +126,8 @@ def _require_finite(*columns) -> None:
 
 def _run_series(args, model: StarModel, analytic, svg_title: str) -> int:
     # exact survival of `model` with the closed form `analytic(tau)` overlaid
-    _check_output_size(args.samples, 3, 2 if args.svg else 0)
+    field_bytes = CSV_FIELD_BYTES if args.format == "csv" else JSON_FIELD_BYTES
+    _check_output_size(args.samples, 3 * field_bytes + (2 * SVG_POINT_BYTES if args.svg else 0))
     ts = np.linspace(0.0, args.t_max, args.samples)
     tau = ts / args.hbar
     d = eigh(model)
@@ -210,7 +217,8 @@ def _cmd_inverse(args) -> int:
 def _cmd_figure1(args) -> int:
     # compute every trace and its metrics before writing anything, so a
     # bad input (say, a threshold outside (0, 1)) leaves no partial output
-    _check_output_size(args.samples * len(args.m_list), 2, 1 if args.svg else 0)
+    _check_output_size(args.samples * len(args.m_list),
+                       2 * CSV_FIELD_BYTES + (SVG_POINT_BYTES if args.svg else 0))
     runs = []
     for m_half in args.m_list:
         period = revival_period(m_half, args.d) * args.hbar
@@ -292,7 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps0", type=float, default=0.0, help="center energy")
     p.add_argument("--tol", type=_positive_float, default=1e-8,
                    help="round-trip verification tolerance: on eigenvalue errors "
-                        "relative to --d, and on overlap weight errors")
+                        "relative to --d (beyond the rounding of the level ladder), "
+                        "and on overlap weight errors")
     p.add_argument("--out", help="write the star model JSON here (default: stdout)")
     p.set_defaults(func=_cmd_inverse)
 

@@ -29,6 +29,11 @@ PROFILE_SUM_TOL = 1e-12
 # amplitude on the initial state, sqrt(weight) < 1e-12, is numerically zero.
 MIN_WEIGHT = 1e-24
 
+# The ladder eps0 + (m/M) d_width is itself rounded at the float spacing
+# near its largest level: eigenvalue differences up to this many machine
+# epsilons of max|E_m| are that rounding, whatever d_width is.
+ROUNDING_EPS = 4
+
 
 def equally_spaced_spectrum(m_half: int, eps0: float, d_width: float) -> np.ndarray:
     """Level ladder ``eps0 + (m/M) d_width`` for ``m = -M..M``, ascending."""
@@ -212,10 +217,12 @@ def verify_round_trip(
     level matching no target level counts as error in full.
 
     The verdict does not depend on the energy unit: the round trip passes
-    when the largest eigenvalue error is at most ``tol * d_width`` and the
-    largest overlap error at most ``tol``, and levels closer than
-    ``DEGENERACY_TOL * d_width`` count as one. The report's error fields
-    are absolute.
+    when the largest eigenvalue error is at most ``tol * d_width + r`` and
+    the largest overlap error at most ``tol``, and levels closer than
+    ``DEGENERACY_TOL * d_width + r`` count as one. Here
+    ``r = ROUNDING_EPS * eps * max|E_m|`` is the rounding of the target
+    ladder itself, which dominates when ``|eps0|`` is far above
+    ``d_width``. The report's error fields are absolute.
     """
     target_e = profile.eigenvalues()
     if model.dim != profile.dim:
@@ -225,7 +232,8 @@ def verify_round_trip(
     d = eigh(model)
     eig_err = float(np.abs(d.eigenvalues - target_e).max())
 
-    merge = DEGENERACY_TOL * profile.d_width
+    rounding = ROUNDING_EPS * np.finfo(float).eps * float(np.abs(target_e).max())
+    merge = DEGENERACY_TOL * profile.d_width + rounding
     got_levels, got_weights = aggregate_degenerate(d.eigenvalues, d.zero_overlaps, merge)
     want_levels, want_weights = aggregate_degenerate(target_e, profile.overlaps, merge)
     window = 0.5 * np.diff(want_levels).min() if want_levels.size > 1 else np.inf
@@ -243,5 +251,5 @@ def verify_round_trip(
     return RoundTripReport(
         max_eigenvalue_error=eig_err,
         max_overlap_error=overlap_err,
-        passed=bool(eig_err / profile.d_width <= tol and overlap_err <= tol),
+        passed=bool(eig_err <= tol * profile.d_width + rounding and overlap_err <= tol),
     )

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from staremit import cli, dirichlet_survival, revival_period
-from staremit._numtext import CSV_FIELD_BYTES, SVG_POINT_BYTES
+from staremit._numtext import CSV_FIELD_BYTES, JSON_FIELD_BYTES, SVG_POINT_BYTES
 from staremit.cli import main
 
 INV_SQRT3 = 1.0 / np.sqrt(3.0)
@@ -241,6 +241,14 @@ def test_inverse_verdict_does_not_depend_on_the_energy_unit(width, capsys):
     assert report["passed"] and report["max_eigenvalue_error"] <= 1e-15 * float(width)
 
 
+def test_inverse_verdict_allows_the_rounding_of_a_far_centre(capsys):
+    # the eigenvalue error is one float spacing at 1e6, above --tol * --d
+    argv = ["inverse", "--flat", "--m", "2", "--eps0", "1e6", "--d", "1e-3", "--tol", "1e-7"]
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert report["passed"] and report["max_eigenvalue_error"] > 1e-10
+
+
 # (argv, files it writes); the flags of one call must not reach the next
 _SEQUENCE = [
     (["two-level", "--eps1", "0.7", "--samples", "40", "--format", "json"], []),
@@ -282,18 +290,21 @@ def test_main_reuses_one_parser_without_leaking_flags(tmp_path, capsys, monkeypa
 
 
 @pytest.mark.parametrize(
-    "argv, rows, csv_columns, svg_points",
+    "argv, rows, columns, svg_points",
     [
         (["two-level", "--samples", "20"], 20, 3, 0),
         (["identical-modes", "--n", "2", "--samples", "30", "--svg", "c.svg"], 30, 3, 2),
         (["two-level", "--samples", "25", "--format", "json"], 25, 3, 0),
+        (["identical-modes", "--n", "4", "--samples", "15", "--format", "json", "--svg", "c.svg"],
+         15, 3, 2),
         (["figure1", "--m-list", "1,2", "--samples", "10", "--svg", "c.svg"], 20, 2, 1),
         (["figure1", "--samples", "11"], 44, 2, 0),
     ],
 )
-def test_output_budget_refuses_before_any_work(argv, rows, csv_columns, svg_points,
+def test_output_budget_refuses_before_any_work(argv, rows, columns, svg_points,
                                                tmp_path, capsys, monkeypatch):
-    size = rows * (csv_columns * CSV_FIELD_BYTES + svg_points * SVG_POINT_BYTES)
+    field_bytes = JSON_FIELD_BYTES if "json" in argv else CSV_FIELD_BYTES
+    size = rows * (columns * field_bytes + svg_points * SVG_POINT_BYTES)
     argv = [str(tmp_path / a) if a == "c.svg" else a for a in argv]
     out = tmp_path / "out"
     argv += ["--out", str(out)]
@@ -316,6 +327,13 @@ def test_output_budget_default_refuses_huge_sample_counts(tmp_path, capsys, monk
     samples = cli.OUTPUT_BUDGET_BYTES // (3 * CSV_FIELD_BYTES) + 1
     assert main(["two-level", "--samples", str(samples), "--out", str(tmp_path / "s")]) == 2
     assert capsys.readouterr().err.startswith("error: the output would take up to ")
+    # JSON fields are wider: fewer samples fit the budget
+    samples = cli.OUTPUT_BUDGET_BYTES // (3 * JSON_FIELD_BYTES) + 1
+    argv = ["two-level", "--samples", str(samples), "--format", "json"]
+    assert main(argv + ["--out", str(tmp_path / "s")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: the output would take up to {samples * 3 * JSON_FIELD_BYTES} bytes of text, "
+        f"above the budget of {cli.OUTPUT_BUDGET_BYTES} bytes; lower --samples\n")
     assert list(tmp_path.iterdir()) == []
 
 

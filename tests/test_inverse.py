@@ -320,3 +320,16 @@ def test_verify_round_trip_verdict_is_relative_to_the_width(d_width):
     shifted = StarModel(eps=model.eps + 2e-8 * d_width, alpha=model.alpha)
     assert not verify_round_trip(shifted, p, 1e-8).passed
     assert verify_round_trip(shifted, p, 3e-8).passed
+
+
+def test_verify_round_trip_allows_the_rounding_of_a_far_centre():
+    # at eps0 = 1e6 the ladder is rounded at 1.2e-10, above 1e-7 of d = 1e-3:
+    # a faithful model passes on the rounding floor (8.9e-10 here), which
+    # does not let a model whose levels are 2e-9 too high pass
+    p = flat_profile(2, 1e6, 1e-3)
+    model = construct_hamiltonian(p)
+    report = verify_round_trip(model, p, 1e-7)
+    assert report.passed, report
+    assert report.max_eigenvalue_error > 1e-7 * p.d_width
+    shifted = StarModel(eps=model.eps + 2e-6 * p.d_width, alpha=model.alpha)
+    assert not verify_round_trip(shifted, p, 1e-7).passed

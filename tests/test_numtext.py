@@ -204,6 +204,17 @@ def test_json_table_non_finite_matches_json_dumps():
                                                   indent=2) + "\n"
 
 
+def test_field_widths_are_the_widest_fields():
+    # the output budget counts rows at these widths, separators included
+    wide = np.array([-1.2345678901234567e-308, -9.87654321098765e-99])
+    assert len(csv_table(wide, {}).splitlines()[-1]) + 1 == _numtext.CSV_FIELD_BYTES
+    field = json_table(wide, {}).splitlines()[2] + "\n"
+    assert field == "    -1.2345678901234567e-308,\n"
+    assert len(field) == _numtext.JSON_FIELD_BYTES
+    point = svg_points([-999998.99, 0.0], [-999998.99, 0.0]).split(" ")[0] + " "
+    assert len(point) == _numtext.SVG_POINT_BYTES
+
+
 # Seeded tables far longer than the hypothesis examples: many row blocks,
 # every _FITTING family in bulk, a column of mixed signs and one that is
 # all negative.
