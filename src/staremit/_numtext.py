@@ -16,9 +16,10 @@ value lies within a small margin of a rounding tie (1e-3 of a last digit
 for CSV, 1e-6 for SVG). Those elements, exact binary ties among them,
 are formatted by Python's ``%`` and their digits taken from that. A
 value whose rounding carries into the next decade (``9.99999999999995e5``)
-moves to the next exponent. A table with a non-finite value, or one that
-needs a three-digit exponent or more than six integer digits, does not
-fit the fixed width and is written by the per-value reference instead.
+moves to the next exponent. A CSV table with a non-finite value or a
+three-digit exponent, and an SVG curve with a coordinate outside the one
+point layout below, do not fit the fixed width and are written by the
+per-value reference instead.
 
 Buffer layout. A CSV table is one preallocated ``uint8`` buffer: the
 header, then ``rows x row_width`` bytes, filled 4096 rows at a time so
@@ -31,13 +32,17 @@ table) one byte to the right, after which the first digit moves left and
 stands, unless a column mixes signs: its non-negative rows then hold NUL
 in the sign slot, and one pass over the rows drops those bytes.
 
-An SVG point is a row of words: for each coordinate an optional sign
-word (``"-"`` or NUL), its integer part right-aligned in one word (two
-past 9999) with NUL in place of leading zeros, and ``.dd`` plus the
-separator from a 100-entry table. When several curves share one x array,
-its words are formatted once and copied into each curve's rows. Each
-block of rows is one contiguous buffer, and one ``bytes.translate`` pass
-drops its NUL bytes.
+An SVG point is a row of four words, two per coordinate: the integer
+part right-aligned in one word with NUL in place of leading zeros, then
+``.dd`` and the separator from a 100-entry table. That is the only layout
+a chart produces: ``render_line_chart`` maps every finite point into its
+plot box, so a coordinate is unsigned with at most four integer digits
+while the chart is under 10000 px. A curve with any other coordinate (a
+set sign bit, which ``-0.0`` prints as ``-0.00``, NaN, inf, or 9999.995
+and up) goes whole to the per-point reference. When several curves share
+one x array, its words are formatted once and copied into each curve's
+rows. Each block of rows is one contiguous buffer, and one
+``bytes.translate`` pass drops its NUL bytes.
 """
 
 from __future__ import annotations
@@ -69,7 +74,6 @@ _EXPONENTS = _words(b"e%+03d" % e for e in range(-99, 100))
 # ".dd" and the separator that follows an SVG coordinate, at index dd
 _COMMA_FRACTIONS = _words(b".%02d," % f for f in range(100))
 _SPACE_FRACTIONS = _words(b".%02d " % f for f in range(100))
-_MINUS_WORD = _words([b"-\0\0\0"])[0]
 
 # 10**j, exact up to j = 22 and correctly rounded beyond
 _POW10 = np.array([float(10**j) for j in range(90)])
@@ -88,9 +92,10 @@ _BLOCK = 1 << 12
 CSV_TEMPLATE = "%.11e"
 SVG_FIELD = "%.2f"
 
-# The widest text a fitting value takes, separator included: a CSV field
-# "-d.ddddddddddde-dd,", a JSON field of four spaces, a float repr of up
-# to 24 characters and ",\n", and an SVG point "-dddddd.dd,-dddddd.dd ".
+# The widest text a field takes as the output budget counts it, separator
+# included: a CSV field "-d.ddddddddddde-dd,", a JSON field of four spaces,
+# a float repr of up to 24 characters and ",\n", and an SVG point
+# "-dddddd.dd,-dddddd.dd " (a chart's own points take at most 16 bytes).
 CSV_FIELD_BYTES = 19
 JSON_FIELD_BYTES = 30
 SVG_POINT_BYTES = 22
@@ -212,68 +217,51 @@ def csv_table_reference(ts, columns: dict) -> str:
     return "\n".join(["t," + ",".join(columns)] + rows) + "\n"
 
 
-def _f_layout(v: np.ndarray):
-    # the words of "%.2f" % v as (signed, wide): a sign word leads (1 or 0)
-    # and the integer part takes two words (1) or one (0); None if v does
-    # not fit (inf, NaN or more than six integer digits)
-    vmin, vmax = v.min(), v.max()
-    if not max(-vmin, vmax) < 999999:
-        return None
-    return int(np.signbit(v).any()), int(max(-vmin, vmax) >= 9999)
+def _f_fits(v: np.ndarray) -> bool:
+    # whether every "%.2f" % v is one word of integer part and ".dd": not
+    # for a set sign bit ("-0.00" included), NaN, inf or 9999.995 and up
+    return not np.signbit(v).any() and v.max() < 9999.995
 
 
-def _f_words(v: np.ndarray, layout, fractions: np.ndarray, out: np.ndarray) -> None:
-    # "%.2f" % v and its separator as the words of each row of `out`
-    signed, wide = layout
-    a = np.abs(v)
-    y = a * 100
+def _f_words(v: np.ndarray, fractions: np.ndarray, out: np.ndarray) -> None:
+    # "%.2f" % v and its separator as the two words of each row of `out`
+    y = v * 100
     c = np.rint(y)
     ties = _near_ties(y, c, _SVG_TIE)
     if ties.size:
-        c[ties] = [int((SVG_FIELD % f).replace(".", "")) for f in a[ties].tolist()]
+        c[ties] = [int((SVG_FIELD % f).replace(".", "")) for f in v[ties].tolist()]
     cents = c.astype(np.int64)
     whole = cents // 100
-    frac = cents - whole * 100
-    if signed:
-        out[:, 0] = np.where(np.signbit(v), _MINUS_WORD, np.uint32(0))
-    if wide:  # up to six digits in two words
-        hi, lo = np.divmod(whole, 10**4)
-        out[:, signed] = np.where(hi > 0, _BLANKED[hi], np.uint32(0))
-        out[:, -2] = np.where(hi > 0, _DIGITS[lo], _BLANKED[lo])
-    else:
-        np.take(_BLANKED, whole, out=out[:, -2], mode="wrap")
-    np.take(fractions, frac, out=out[:, -1], mode="wrap")
+    np.take(_BLANKED, whole, out=out[:, 0], mode="wrap")
+    np.take(fractions, cents - whole * 100, out=out[:, 1], mode="wrap")
 
 
 def svg_polylines(x, ys) -> list:
     """``[svg_points(x, y) for y in ys]``, with ``x`` formatted once."""
     x = np.asarray(x, dtype=float).ravel()
-    fx = _f_layout(x) if x.size else None
-    if fx is not None:
-        xwords = np.empty((x.size, 2 + sum(fx)), dtype=np.uint32)
+    x_fits = x.size > 0 and _f_fits(x)
+    if x_fits:
+        xwords = np.empty((x.size, 2), dtype=np.uint32)
         for start in range(0, x.size, _BLOCK):
-            _f_words(x[start : start + _BLOCK], fx, _COMMA_FRACTIONS,
-                     xwords[start : start + _BLOCK])
+            _f_words(x[start : start + _BLOCK], _COMMA_FRACTIONS, xwords[start : start + _BLOCK])
     texts = []
     for y in ys:
         y = np.asarray(y, dtype=float).ravel()
         n = min(x.size, y.size)  # points stop at the shorter array, as zip does
-        fy = _f_layout(y[:n]) if n else None
+        y = y[:n]
         if n == 0:
             texts.append("")
             continue
-        if fx is None or fy is None:
-            texts.append(svg_points_reference(x[:n], y[:n]))
+        if not (x_fits and _f_fits(y)):
+            texts.append(svg_points_reference(x[:n], y))
             continue
-        kx = xwords.shape[1]
-        words = np.empty((min(n, _BLOCK), kx + 2 + sum(fy)), dtype=np.uint32)
+        words = np.empty((min(n, _BLOCK), 4), dtype=np.uint32)
         pieces = []
         for start in range(0, n, _BLOCK):
             block = words[: min(_BLOCK, n - start)]
-            # x words as one 4*kx-byte item per row: faster than kx columns
-            block[:, :kx].view(f"V{4 * kx}")[:, 0] = (
-                xwords[start : start + block.shape[0]].view(f"V{4 * kx}")[:, 0])
-            _f_words(y[start : start + _BLOCK], fy, _SPACE_FRACTIONS, block[:, kx:])
+            # x words as one 8-byte item per row: faster than two columns
+            block[:, :2].view("V8")[:, 0] = xwords[start : start + block.shape[0]].view("V8")[:, 0]
+            _f_words(y[start : start + _BLOCK], _SPACE_FRACTIONS, block[:, 2:])
             text = block.view(np.uint8).ravel()
             if start + _BLOCK >= n:
                 text = text[:-1]  # no space after the last point
@@ -286,12 +274,11 @@ def svg_polylines(x, ys) -> list:
 def svg_points(x, y) -> str:
     """``" ".join("%.2f,%.2f" % p for p in zip(x, y))``, byte for byte.
 
-    Each coordinate is ``rint(100 |v|)`` written from the word tables, and
-    the NUL bytes of blank integer slots and unused sign words are dropped
-    in one pass per block of rows; a value within 1e-6 of a rounding tie is
-    formatted by ``%`` instead. Coordinates that are not finite or need
-    more than six integer digits send the whole curve to
-    :func:`svg_points_reference`.
+    Each coordinate is ``rint(100 v)`` written from the word tables, and
+    the NUL bytes of blank integer digits are dropped in one pass per block
+    of rows; a value within 1e-6 of a rounding tie is formatted by ``%``
+    instead. A coordinate with its sign bit set, not finite, or from
+    9999.995 up sends the whole curve to :func:`svg_points_reference`.
     """
     return svg_polylines(x, [y])[0]
 

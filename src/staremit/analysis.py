@@ -165,7 +165,7 @@ def emission_metrics(series: SurvivalSeries, threshold: float) -> EmissionMetric
         raise ThresholdOutOfRange(f"threshold must be in (0, 1), got {threshold}")
     if series.grid.t_start != 0.0:
         raise ValueError("series must start at t = 0")
-    ts = series.grid.times()
+    ts = series.times
     vs = np.asarray(series.values, dtype=float)
     level = 1.0 - threshold
     decay_time = revival_time = post_decay_max = window_fraction = None

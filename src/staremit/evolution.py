@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -66,13 +67,16 @@ class SurvivalSeries:
     grid: TimeGrid
     values: np.ndarray
 
-    @property
+    @cached_property
     def times(self) -> np.ndarray:
-        return self.grid.times()
+        """The grid's sample times, built once and read-only."""
+        ts = self.grid.times()
+        ts.flags.writeable = False
+        return ts
 
     def to_csv(self) -> str:
         """Render as ``t,P`` CSV: 12 significant digits, LF line endings."""
-        return csv_table(self.grid.times(), {"P": self.values})
+        return csv_table(self.times, {"P": self.values})
 
 
 def evolve_state(d: SpectralDecomposition, psi0, t: float) -> np.ndarray:

@@ -2,7 +2,9 @@
 
 import json
 import re
+import xml.etree.ElementTree as ET
 from unittest import mock
+from xml.sax.saxutils import escape
 
 import numpy as np
 import pytest
@@ -110,26 +112,46 @@ def test_csv_table_fixed_cases():
     assert csv_table([9.99999999999995e5], {"P": [0.5]}) == "t,P\n1.00000000000e+06,5.00000000000e-01\n"
 
 
-# pixel-like coordinates: exact binary ties (k/8), n.xx5 decimals whose
-# double sits on either side of the tie, and random values of either sign
+# the largest double the point layout takes; 9999.995 itself does not fit
+_LAYOUT_EDGE = float(np.nextafter(9999.995, 0.0))
+
+# coordinates a chart produces, unsigned with at most four integer digits:
+# exact binary ties (k/8), n.xx5 decimals whose double sits on either side
+# of the tie, and random values
+_CHART_COORD = st.one_of(
+    st.builds(lambda k: k / 8.0, st.integers(0, 8 * 9999)),
+    st.builds(lambda k: float(f"{k // 100}.{k % 100:02d}5"), st.integers(0, 999998)),
+    st.floats(0.0, 9999.99, allow_subnormal=False),
+    st.sampled_from([0.0, 0.004999999, 0.5e-2, 9999.0, 9998.995, _LAYOUT_EDGE]),
+)
+
+# pixel-like coordinates of either sign and up to seven integer digits
 _COORD = st.one_of(
     st.builds(lambda k: k / 8.0, st.integers(-8 * 10**5, 8 * 10**5)),
     st.builds(lambda k, s: s * float(f"{k // 100}.{k % 100:02d}5"), st.integers(0, 10**7), _SIGN),
     st.floats(-1e5, 1e5, allow_nan=False, allow_subnormal=False),
-    st.sampled_from([0.0, -0.0, -0.001, 0.004999999, 999998.995, 0.5e-2]),
+    st.sampled_from([0.0, -0.0, -0.001, 0.004999999, 999998.995, 0.5e-2, 9999.995, 1e4]),
 )
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(st.lists(st.tuples(_COORD, _COORD), min_size=1, max_size=60))
+@given(st.lists(st.tuples(_CHART_COORD, _CHART_COORD), min_size=1, max_size=60))
 def test_svg_points_match_template(points):
+    # inside the point layout the whole-array writer runs
     x, y = np.array(points).T
     expected = svg_points_reference(x, y)
     with mock.patch.object(_numtext, "svg_points_reference", side_effect=AssertionError):
         assert svg_points(x, y) == expected
 
 
-@pytest.mark.parametrize("misfit", [np.nan, np.inf, -np.inf, 1e6, -2.5e7])
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(_COORD, _COORD), min_size=1, max_size=60))
+def test_svg_points_outside_the_layout_match_template(points):
+    x, y = np.array(points).T
+    assert svg_points(x, y) == svg_points_reference(x, y)
+
+
+@pytest.mark.parametrize("misfit", [np.nan, np.inf, -np.inf, 1e6, -2.5e7, -0.0, 9999.995])
 def test_svg_points_fall_back_on_values_that_do_not_fit(misfit):
     x = np.array([1.125, 2.005, misfit, 64.0])
     y = np.array([0.0, -0.0, 3.0, 474.375])
@@ -142,6 +164,9 @@ def test_svg_points_rounding_ties_and_empty():
         "0.01,1.00 0.12,2.67 0.38,64.00 -0.00,10.00"
     )
     assert svg_points([], []) == ""
+    # points stop at the shorter array, either way round
+    assert svg_points(np.arange(3.0), np.arange(5.0)) == "0.00,0.00 1.00,1.00 2.00,2.00"
+    assert svg_points(np.arange(5.0), np.arange(3.0)) == "0.00,0.00 1.00,1.00 2.00,2.00"
 
 
 def _reference_chart(monkeypatch, curves, **kwargs):
@@ -183,6 +208,32 @@ def test_render_line_chart_axes_do_not_depend_on_curve_order_with_nan():
     first, second = (ticks(svgplot.render_line_chart(c)) for c in ([neg, nan], [nan, neg]))
     assert first == second
     assert "-2" in first and "1" in first and "4" in first
+
+
+@pytest.mark.parametrize("curves", [
+    # negative values
+    [("neg", np.linspace(-5.0, -1.0, 101), -np.cos(np.linspace(0.0, 9.0, 101)) ** 2)],
+    # tiny and huge data whose span is still finite
+    [("tiny", np.linspace(1e-300, 3e-300, 50), np.geomspace(1e-310, 1e-300, 50))],
+    [("huge", np.linspace(-1e307, 1e307, 50), np.linspace(-8e307, 8e307, 50))],
+    # constant curves, and two-sample curves sharing one x
+    [("flat", np.full(7, 2.5), np.full(7, 0.5)), ("zero", np.arange(7.0), np.zeros(7))],
+    [("two", np.array([0.0, 1.0]), np.array([1.0, 0.0])),
+     ("pair", np.array([-3.0, 3.0]), np.array([-0.0, 0.0]))],
+])
+def test_render_line_chart_finite_data_never_reaches_the_reference(curves, monkeypatch):
+    expected = _reference_chart(monkeypatch, curves)
+    with mock.patch.object(_numtext, "svg_points_reference", side_effect=AssertionError):
+        assert svgplot.render_line_chart(curves) == expected
+
+
+def test_render_line_chart_escapes_text():
+    x = np.linspace(0.0, 1.0, 5)
+    text = svgplot.render_line_chart([("a<b & c", x, x), ("d>e", x, 1 - x)], title="<P> & <Q>")
+    texts = [e.text for e in ET.fromstring(text).iter("{http://www.w3.org/2000/svg}text")]
+    assert {"a<b & c", "d>e", "<P> & <Q>", "t", "P"} <= set(texts)
+    for s in ("a<b & c", "&amp; <<>>", "plain"):
+        assert svgplot._escape(s) == escape(s)
 
 
 @pytest.mark.parametrize("samples", [0, 2, 10_000])
@@ -299,27 +350,55 @@ def _coordinates(rng, n):
     return rng.permutation(values)[:n]
 
 
+def _chart_coordinates(rng, n):
+    # values of every _CHART_COORD family: unsigned, at most four integer digits
+    k = -(-n // 4)
+    decimals = [float(f"{j // 100}.{j % 100:02d}5") for j in rng.integers(0, 999999, k)]
+    values = np.concatenate([
+        rng.integers(0, 8 * 9999, k) / 8.0,
+        decimals,
+        rng.uniform(0.0, 9999.99, k),
+        rng.choice([0.0, 0.004999999, 0.5e-2, 9999.0, 9998.995, _LAYOUT_EDGE], k),
+    ])
+    return rng.permutation(values)[:n]
+
+
 def test_svg_points_match_template_at_scale():
+    # inside the point layout, across many row blocks, the whole-array
+    # writer runs and the reference is never reached
     rng = np.random.default_rng(17)
-    x, y = _coordinates(rng, _SCALE_ROWS), _coordinates(rng, _SCALE_ROWS)
-    # chart-like: positive, with two and three integer digits
+    x, y = _chart_coordinates(rng, _SCALE_ROWS), _chart_coordinates(rng, _SCALE_ROWS)
+    # chart-like, with two and three integer digits
     cx, cy = 64.0 + np.linspace(0.0, 780.0, _SCALE_ROWS), 34.0 + 440.0 * rng.random(_SCALE_ROWS)
     # integer parts of exactly three digits, and of exactly four (no padding)
     x3, x4 = 100.0 + 899.0 * rng.random(_SCALE_ROWS), 1000.0 + 8998.0 * rng.random(_SCALE_ROWS)
     expected = [svg_points_reference(x, y), svg_points_reference(cx, cy),
-                svg_points_reference(-cx, y), svg_points_reference(-cx[:1000], cy[:1000]),
-                svg_points_reference(x3, x3[::-1]), svg_points_reference(x4, x4[::-1])]
+                svg_points_reference(x3, x3[::-1]), svg_points_reference(x4, x4[::-1]),
+                svg_points_reference(cx[:1000], x4[:1000])]
     with mock.patch.object(_numtext, "svg_points_reference", side_effect=AssertionError):
         assert svg_points(x, y) == expected[0]
-        assert svg_points(cx, cy) == expected[1]
-        assert svg_points(x3, x3[::-1]) == expected[4]
-        assert svg_points(x4, x4[::-1]) == expected[5]
-        # an all-negative x array shared by a curve and a shorter one
-        assert _numtext.svg_polylines(-cx, [y, cy[:1000]]) == expected[2:4]
+        assert svg_points(x3, x3[::-1]) == expected[2]
+        assert svg_points(x4, x4[::-1]) == expected[3]
+        # one x array shared by a curve and a shorter one
+        assert _numtext.svg_polylines(cx, [cy, x4[:1000]]) == [expected[1], expected[4]]
     y[-1] = np.inf
     with mock.patch.object(_numtext, "svg_points_reference", return_value="fallback") as reference:
         assert svg_points(x, y) == "fallback"
     reference.assert_called_once()
+
+
+def test_svg_points_outside_the_layout_match_template_at_scale():
+    # signed values and five- or six-digit integer parts take the reference
+    rng = np.random.default_rng(17)
+    x, y = _coordinates(rng, _SCALE_ROWS), _coordinates(rng, _SCALE_ROWS)
+    cx, cy = 64.0 + np.linspace(0.0, 780.0, _SCALE_ROWS), 34.0 + 440.0 * rng.random(_SCALE_ROWS)
+    wide = 1e4 + 989998.99 * rng.random(_SCALE_ROWS)
+    assert svg_points(x, y) == svg_points_reference(x, y)
+    assert svg_points(wide, cy) == svg_points_reference(wide, cy)
+    assert svg_points(cy, wide) == svg_points_reference(cy, wide)
+    # an all-negative x array shared by a curve and a shorter one
+    assert _numtext.svg_polylines(-cx, [y, cy[:1000]]) == [
+        svg_points_reference(-cx, y), svg_points_reference(-cx[:1000], cy[:1000])]
 
 
 def test_render_line_chart_formats_a_shared_x_array_once(monkeypatch):
