@@ -71,21 +71,25 @@ _MAX_ITER = 50
 _BLOCK_CELLS = 1 << 15
 
 
-def _as_square_matrix(mat):
-    # the converted matrix, a power-of-two factor f and max|f m|: f is 1, or
-    # 1/4 when the modulus of a finite entry overflows, so that neither
-    # max|f m| nor the difference of two scaled entries can. The modulus
-    # doubles as the finiteness test: it is finite unless an entry is inf
-    # or NaN or a finite modulus overflows, which the exact test then tells.
+def _as_square_matrix(mat) -> np.ndarray:
     m = np.asarray(mat, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    scale = np.abs(m).max()
+    return m
+
+
+def _entry_scale(entries: np.ndarray):
+    # a power-of-two factor f and max|f x| over the entries: f is 1, or 1/4
+    # when the modulus of a finite entry overflows, so that neither max|f x|
+    # nor the difference of two scaled entries can. The modulus doubles as
+    # the finiteness test: it is finite unless an entry is inf or NaN or a
+    # finite modulus overflows, which the exact test then tells.
+    scale = np.abs(entries).max()
     if np.isfinite(scale):
-        return m, 1.0, scale
-    if not np.all(np.isfinite(m)):
+        return 1.0, scale
+    if not np.all(np.isfinite(entries)):
         raise ValueError("matrix entries must be finite")
-    return m, 0.25, np.abs(m * 0.25).max()
+    return 0.25, np.abs(entries * 0.25).max()
 
 
 def _hermiticity_defect(m: np.ndarray, f: float = 1.0) -> float:
@@ -102,7 +106,8 @@ def check_hermitian(mat, tol: float) -> bool:
     whose modulus overflows are compared at a quarter of their size, with
     ``tol`` scaled alike, so the comparison itself cannot overflow.
     """
-    m, f, _ = _as_square_matrix(mat)
+    m = _as_square_matrix(mat)
+    f, _ = _entry_scale(m)
     return bool(_hermiticity_defect(m, f) <= tol * f)
 
 
@@ -414,7 +419,8 @@ def _arrowhead_eigh(a: float, p: np.ndarray, z: np.ndarray):
         w = u.copy()
         w[0] += 1.0
         h = np.outer(w, u[1:] / -w[0])
-        h[1:] += np.eye(members.size - 1)
+        k = np.arange(members.size - 1)
+        h[k + 1, k] += 1.0
         v[np.ix_(1 + members, col[c : c + members.size - 1])] = h
         c += members.size - 1
     v[1 + lone, col[c:]] = 1.0
@@ -465,7 +471,10 @@ def eigh(mat) -> SpectralDecomposition:
         Square matrix, Hermitian within ``HERMITICITY_RTOL`` relative to
         its largest entry modulus. When that modulus overflows, the
         comparison is made on the matrix scaled by 1/4 (exactly), so such
-        a matrix is held to the same relative tolerance.
+        a matrix is held to the same relative tolerance. A star matrix is
+        checked from its first row, first column and diagonal, since its
+        other entries are exact zeros; the verdicts are those of the
+        dense check.
 
     Returns
     -------
@@ -485,15 +494,20 @@ def eigh(mat) -> SpectralDecomposition:
     """
     if isinstance(mat, StarModel):
         return _eigh_star(mat.eps, mat.alpha)
-    m, f, scale = _as_square_matrix(mat)
-    # a star: away from row and column 0, only the diagonal is nonzero, so
-    # only the first row, first column and diagonal can break Hermiticity
+    m = _as_square_matrix(mat)
+    # a star: away from row and column 0, only the diagonal is nonzero (NaN
+    # and inf count as nonzero), so every other entry is an exact zero and
+    # the first row, first column and diagonal alone decide finiteness,
+    # scale and Hermiticity
     star = np.count_nonzero(m[1:, 1:]) == np.count_nonzero(m.diagonal()[1:])
     if star:
-        arrow = f * np.concatenate((m[0], m.diagonal()))
-        mirror = f * np.concatenate((m[:, 0], m.diagonal()))
+        row, col, diag = m[0], m[:, 0], m.diagonal()
+        f, scale = _entry_scale(np.concatenate((row, col, diag)))
+        arrow = f * np.concatenate((row, diag))
+        mirror = f * np.concatenate((col, diag))
         defect = np.abs(arrow - mirror.conj()).max()
     else:
+        f, scale = _entry_scale(m)
         defect = _hermiticity_defect(m, f)
     if not defect <= HERMITICITY_RTOL * scale:
         raise ValueError("matrix is not Hermitian within tolerance")

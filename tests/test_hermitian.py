@@ -15,7 +15,7 @@ from staremit import (
     reconstruct,
 )
 
-from staremit.hermitian import DEGENERACY_TOL
+from staremit.hermitian import DEGENERACY_TOL, HERMITICITY_RTOL
 
 from helpers import random_hermitian, random_star_model
 
@@ -83,6 +83,110 @@ def test_eigh_rejects_star_with_one_defect_anywhere(dim):
             eigh(m)
         m[i, j] -= bump * (1 - 1e-9)  # a defect within tolerance passes
         eigh(m)
+
+
+def _dense_verdict(m):
+    # what the dense path says of any matrix: entries must be finite, then
+    # Hermitian within HERMITICITY_RTOL of the largest modulus, compared at
+    # a quarter of the size when that modulus overflows; None if it passes
+    if not np.all(np.isfinite(m)):
+        return "matrix entries must be finite"
+    f = 1.0 if np.isfinite(np.abs(m).max()) else 0.25
+    if check_hermitian(m, HERMITICITY_RTOL * np.abs(f * m).max() / f):
+        return None
+    return "matrix is not Hermitian within tolerance"
+
+
+_BIG = 1.5e308 + 1.5e308j  # finite, but its modulus overflows
+
+
+@st.composite
+def _stars_with_an_arrow_fault(draw):
+    # a star matrix with one fault on its arrow (first row, first column or
+    # diagonal): NaN, inf, an overflowing-modulus coupling pair (Hermitian,
+    # within tolerance or not; on the diagonal never Hermitian), or a bump
+    # near the Hermiticity tolerance. Off the arrow every entry stays 0.
+    dim = draw(st.integers(2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = build_hamiltonian(random_star_model(rng, dim))
+    where = draw(st.sampled_from(["row", "column", "diagonal"]))
+    k = draw(st.integers(0 if where == "diagonal" else 1, dim - 1))
+    i, j = {"row": (0, k), "column": (k, 0), "diagonal": (k, k)}[where]
+    fault = draw(st.sampled_from(["nan", "inf", "overflow", "bump"]))
+    if fault == "nan":
+        m[i, j] = draw(st.sampled_from([complex(np.nan, 0.0), complex(0.0, np.nan), np.nan * (1 + 1j)]))
+    elif fault == "inf":
+        m[i, j] = draw(st.sampled_from([np.inf, -np.inf, complex(0.0, np.inf)]))
+    elif fault == "overflow" and i == j:
+        m[i, j] = _BIG
+    elif fault == "overflow":
+        m[k, 0], m[0, k] = _BIG, np.conj(_BIG) * (1.0 + draw(st.sampled_from([0.0, 1e-14, 1e-10])))
+    else:
+        size = draw(st.floats(1e-14, 1e-10)) * np.abs(m).max()
+        m[i, j] += size * np.exp(1j * draw(st.floats(0.0, 2 * np.pi)))
+    return m
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_stars_with_an_arrow_fault())
+def test_eigh_checks_a_dense_star_from_its_arrow(m):
+    # a star is checked from its arrow alone, with the verdict, exception
+    # and message of the dense path
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _dense_verdict(m)
+        try:
+            eigh(m)
+            got = None
+        except ValueError as exc:
+            assert type(exc) is ValueError
+            got = str(exc)
+    assert got == want
+
+
+def test_eigh_off_arrow_entry_takes_the_dense_path(monkeypatch):
+    # one nonzero entry off the arrow makes a matrix no star: it gets the
+    # dense checks and, if it passes them, LAPACK
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("LAPACK called")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    h = build_hamiltonian(random_star_model(np.random.default_rng(5), 6))
+    eigh(h)
+    for value, want in (
+        (1e-300, "eigensolver did not converge: LAPACK called"),
+        (1e-6, "matrix is not Hermitian within tolerance"),
+        (np.nan, "matrix entries must be finite"),
+    ):
+        m = h.copy()
+        m[4, 2] = value
+        with pytest.raises((NonConvergence, ValueError)) as exc:
+            eigh(m)
+        assert str(exc.value) == want
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 60),
+    st.sampled_from(["complex", "real", "zeros", "identical", "groups"]),
+)
+def test_eigh_dense_star_equals_its_model(seed, dim, kind):
+    # eigh(build_hamiltonian(model)) is eigh(model), bit for bit
+    rng = np.random.default_rng(seed)
+    model = random_star_model(rng, dim)
+    eps, alpha = model.eps, model.alpha
+    if kind == "real":
+        alpha = alpha.real
+    elif kind == "zeros":
+        alpha[rng.uniform(size=dim - 1) < 0.5] = 0.0
+    elif kind == "identical":
+        eps, alpha = np.full(dim, eps[0]), np.full(dim - 1, alpha[0])
+    elif kind == "groups":
+        eps = np.round(3.0 * eps) / 3.0
+    model = StarModel(eps=eps, alpha=alpha)
+    d, dense = eigh(model), eigh(build_hamiltonian(model))
+    for field in ("eigenvalues", "eigenvectors", "zero_overlaps"):
+        assert np.array_equal(getattr(d, field), getattr(dense, field))
 
 
 def test_check_hermitian_requires_square():
