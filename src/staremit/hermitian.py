@@ -21,13 +21,20 @@ Jakovčević Stor, Slapničar & Barlow, Linear Algebra Appl. 464, 2015):
    dark modes.
 2. Find each root of ``g`` in its interval between poles, kept as its
    nearer pole plus an offset, so every distance ``E - p_k`` has full
-   relative accuracy. A bracketed rational step with one pole at each end
-   of the interval (the middle way) updates only the roots that have not
-   converged, in row blocks that keep temporaries at O(block n).
+   relative accuracy. Each root starts at its interval's midpoint, where
+   the sign of ``g`` tells which half, and so which pole, is its own. A
+   bracketed rational step with one pole at each end of the interval (the
+   middle way) updates only the roots that have not converged, in row
+   blocks that keep temporaries at O(block n). Round-trip verification
+   knows where the roots should be, and starts each root at its target
+   level instead where exactly one lies strictly inside its interval. The
+   same convergence test accepts a start, and a root whose ``g`` there
+   leaves its half open is evaluated at its midpoint too.
 3. Recompute the couplings from the roots by Löwner's formula, so the
    computed roots are exact eigenvalues of a nearby arrowhead, and take the
    eigenvectors ``[1, zhat_k / (E - p_k)]``, normalized: they come out
-   orthogonal to working precision.
+   orthogonal to working precision. Verification reads only their first
+   components, the weights, and keeps just the column norms.
 4. Merge the dark and bright eigenpairs in ascending order.
 
 A :class:`~staremit.model.StarModel` goes to the same solver from its
@@ -164,6 +171,9 @@ class _Secular:
         self.gap[1:r] = np.diff(d)
         self.rows = max(1, _BLOCK_CELLS // r)
         self.buf = np.empty((2, min(self.rows, r + 1), r))
+        # the band of columns each row block masks, laid out as np.where
+        # would return it
+        self.masked = np.empty(self.buf.size)
 
     def _block(self, i, origin, tau):
         # g at d[origin] + tau, its slope from the poles left and right of
@@ -181,7 +191,10 @@ class _Secular:
         # need a mask
         c0, c1 = i[0], i[-1]
         band, zb = both[..., c0:c1], zeta2[c0:c1]
-        mixed = np.where(np.arange(c0, c1) < i[:, None], band, 0.0) @ zb
+        masked = self.masked[: band.size].reshape(band.shape)
+        masked.fill(0.0)
+        np.copyto(masked, band, where=np.arange(c0, c1) < i[:, None])
+        mixed = masked @ zb
         slope_l, psi = both[..., :c0] @ zeta2[:c0] + mixed
         slope_r, phi = both[..., c1:] @ zeta2[c1:] + (band @ zb - mixed)
         lin = (d[origin] - self.a) + tau if self.linear else 0.0
@@ -221,8 +234,41 @@ class _Secular:
             qc = np.where(outer, -t * t * slope, qc)
         return _pick_root(qa, qb, qc, lo[act], hi[act])
 
-    def solve(self):
-        """Nearer poles and offsets of the roots ``self.index``, in order."""
+    def _starts(self, start, origin, tau, lo, hi):
+        # Roots that start at a point of the ascending ``start`` instead of
+        # their interval's midpoint: those whose interval holds exactly one
+        # point, strictly inside, with the outer roots' points inside
+        # Weyl's bracket. The origin becomes the pole on the point's side
+        # of the midpoint. A point within rounding of that pole is not used:
+        # both callers scale the entries below 1, so that is 4 eps of 1 or
+        # of the largest point.
+        d, r = self.d, self.d.size
+        first = np.append(0, np.searchsorted(start, d, side="right"))
+        end = np.append(np.searchsorted(start, d, side="left"), start.size)
+        k = np.flatnonzero(end - first == 1)
+        point = start[first[k]]
+        o = origin[k]
+        t = point - d[o]
+        use = (t > lo[k]) & ((k < r) | (t < hi[k]))
+        flip = (k > 0) & (k < r) & (t > hi[k])
+        o[flip] = k[flip]
+        t[flip] = point[flip] - d[k[flip]]
+        use &= np.abs(t) > 4.0 * _EPS * max(1.0, -start[0], start[-1])
+        k, o, t, flip = k[use], o[use], t[use], flip[use]
+        right = k[flip]
+        lo[right], hi[right] = -hi[right], 0.0
+        origin[k], tau[k] = o, t
+        return k
+
+    def solve(self, start=None):
+        """Nearer poles and offsets of the roots ``self.index``, in order.
+
+        Each root starts at its interval's midpoint, or at a point of the
+        ascending ``start`` where ``_starts`` finds one usable. A started
+        root whose ``g`` leaves it possibly across the midpoint is
+        evaluated at the midpoint too, which decides its half, so every
+        root is kept as an offset from its nearer pole.
+        """
         a, d, zeta2 = self.a, self.d, self.zeta2
         r = d.size
         i = self.index
@@ -235,21 +281,51 @@ class _Secular:
             hi[r] = (max(a - d[-1], 0.0) + znorm) * (1.0 + 4.0 * _EPS)
         tau = 0.5 * (lo + hi)
         tau[1:r] = hi[1:r]
+        warm = np.zeros(i.size, dtype=bool)
+        if start is not None:
+            warm[self._starts(start, origin, tau, lo, hi) - i[0]] = True
         # g at each interval's midpoint tells which half holds the root,
-        # and so its nearer pole
-        g, slope_l, slope_r, err = self.evaluate(i, origin, tau)
+        # and so its nearer pole; the started roots are evaluated at their
+        # starts in the same sweep
+        out = self.evaluate(i, origin, tau)
+        g, slope_l, slope_r, err = out
         inner = (i > 0) & (i < r)
-        right = i[inner & (g < 0)]
+        if warm.any():
+            # g at a start tells which side of it holds the root. For an
+            # inner root whose g is not within rounding, that side may reach
+            # across the midpoint, and g there decides: a root on its
+            # start's side steps from the start; any other goes on from the
+            # midpoint, as without a start.
+            at_left = origin[i] == i - 1
+            across = warm & inner & np.where(at_left, g < 0, g > 0) & ~(np.abs(g) <= _EPS * err)
+            if across.any():
+                back = i[across]
+                o_mid, t_mid = origin.copy(), tau.copy()
+                o_mid[back], t_mid[back] = back - 1, 0.5 * self.gap[back]
+                at_mid = self.evaluate(back, o_mid, t_mid)
+                other = np.where(at_left[across], at_mid[0] <= 0, at_mid[0] >= 0)
+                moved = back[other]
+                origin[moved], tau[moved] = moved - 1, t_mid[moved]
+                lo[moved], hi[moved] = 0.0, t_mid[moved]
+                pos = np.flatnonzero(across)[other]
+                out[:, pos] = at_mid[:, other]
+                warm[pos] = False
+        # a started root keeps its half (or Weyl's bracket) as its bracket:
+        # one within an ulp of its start would have the start for an end,
+        # and a step that rounds past it would bisect
+        mid = inner & ~warm
+        right = i[mid & (g < 0)]
         origin[right] = right
         lo[right], hi[right] = -hi[right], 0.0
         tau[right] = lo[right]
-        above, below = i[~inner & (g > 0)], i[~inner & (g < 0)]
+        outer = ~inner & ~warm
+        above, below = i[outer & (g > 0)], i[outer & (g < 0)]
         hi[above] = tau[above]
         lo[below] = tau[below]
         new = self.step(i, origin, tau, lo, hi, g, slope_l, slope_r)
-        # a root within rounding of its interval's midpoint (as the middle
-        # level of a symmetric spectrum is) has converged: model steps from
-        # inside its half land just beyond the midpoint, and bisection
+        # a root within rounding of its start (as the middle level of a
+        # symmetric spectrum is of its midpoint) has converged: model steps
+        # from inside its half land just beyond the midpoint, and bisection
         # took ~28 sweeps to close the bracket
         done = np.abs(g) <= _EPS * err
         new = np.where(np.isnan(new), np.where(done, tau[i], 0.5 * (lo[i] + hi[i])), new)
@@ -258,6 +334,8 @@ class _Secular:
         tau[i] = new
         act = i[~done]
         for _ in range(_MAX_ITER):
+            if act.size == 0:
+                break
             g, slope_l, slope_r, err = self.evaluate(act, origin, tau)
             t = tau[act]
             above = g > 0
@@ -269,20 +347,23 @@ class _Secular:
             # where the step leaves it
             done = np.abs(g) <= _EPS * err
             done |= hi[act] - lo[act] <= 2.0 * _EPS * np.maximum(-lo[act], hi[act])
-            new = np.where(np.isnan(new), np.where(done, t, 0.5 * (lo[act] + hi[act])), new)
+            stepped = ~np.isnan(new)
+            new = np.where(stepped, new, np.where(done, t, 0.5 * (lo[act] + hi[act])))
             tau[act] = new
             # the step converges quadratically: after steps of relative size
             # last and rho, the error left is near rho^3 / last^2, and a
-            # root whose error that puts below eps / 8 needs no further sweep
+            # root whose error that puts below eps / 8 needs no further
+            # sweep. A bisection tells nothing of the error left.
             rho = np.abs(new - t) / np.abs(new)
-            done |= (rho <= 1e-6) & (rho**3 <= 0.125 * _EPS * last[act] ** 2)
+            done |= stepped & (rho <= 1e-6) & (rho**3 <= 0.125 * _EPS * last[act] ** 2)
             last[act] = rho
             act = act[~done]
-            if act.size == 0:
-                return origin[i], tau[i]
-        raise NonConvergence(
-            f"eigensolver did not converge: {act.size} secular roots after {_MAX_ITER} iterations"
-        )
+        if act.size:
+            raise NonConvergence(
+                f"eigensolver did not converge: {act.size} secular roots "
+                f"after {_MAX_ITER} iterations"
+            )
+        return origin[i], tau[i]
 
 
 def _lowner(diff, d, k, ratio):
@@ -299,18 +380,21 @@ def _lowner(diff, d, k, ratio):
     return np.sqrt(np.prod(ratio, axis=1))
 
 
-def _lowner_vectors(d, origin, tau, rank, out):
+def _lowner_vectors(d, origin, tau, rank, out=None):
     # Row k of ``out`` gets zhat_k / (lambda_i - d[rank_k]), where
     # lambda = d[origin] + tau and zhat comes from Löwner's formula, so the
     # vectors come out orthogonal. Returns the column norms of [1; out].
+    # Without ``out`` each row block goes to one scratch block of the same
+    # layout, so the norms are the same to the bit and no rows are kept.
     r = d.size
     d_origin = d[origin]
     norm2 = np.ones(r + 1)
     rows = max(1, _BLOCK_CELLS // r)
     ratio = np.empty((min(rows, r), r))
+    scratch = np.empty((min(rows, r), r + 1)) if out is None else None
     for s in range(0, r, rows):
         k = rank[s : s + rows]
-        diff = out[s : s + k.size]
+        diff = scratch[: k.size] if out is None else out[s : s + k.size]
         np.subtract(d_origin, d[k][:, None], out=diff)
         diff += tau  # lambda_i - d_k, exactly tau_i where origin[i] == k
         zhat = _lowner(diff, d, k, ratio[: k.size])
@@ -360,14 +444,19 @@ def _pole_groups(sorted_poles: np.ndarray, tol: float) -> np.ndarray:
     return np.array(starts)
 
 
-def _arrowhead_eigh(a: float, p: np.ndarray, z: np.ndarray):
-    # ascending eigenvalues and real orthonormal eigenvectors of the
-    # arrowhead [[a, z^T], [z, diag(p)]] with z >= 0
+def _arrowhead_eigh(a: float, p: np.ndarray, z: np.ndarray, start=None, vectors: bool = True):
+    # ascending eigenvalues, their weights (the squared first components of
+    # the eigenvectors) and, with ``vectors``, the real orthonormal
+    # eigenvectors of the arrowhead [[a, z^T], [z, diag(p)]] with z >= 0,
+    # else None: then no n x n array is formed. The secular roots start at
+    # the ascending ``start`` where _Secular can use it.
     m = p.size
     n = m + 1
     top = max(abs(a), np.abs(p).max(initial=0.0), z.max(initial=0.0))
     if top == 0.0:
-        return np.zeros(n), np.eye(n)
+        weights = np.zeros(n)
+        weights[0] = 1.0
+        return np.zeros(n), weights, np.eye(n) if vectors else None
     # an exact power-of-two scale puts the largest entry in [1/2, 1): no
     # z_k^2 overflows, and none above the deflation threshold underflows
     e = int(np.frexp(top)[1])
@@ -390,17 +479,25 @@ def _arrowhead_eigh(a: float, p: np.ndarray, z: np.ndarray):
         big = z[members].max()
         zeta[j] = big * np.sqrt(np.sum((z[members] / big) ** 2))
         groups.append((members, z[members] / zeta[j]))
-    vals, block = np.full(1, a), np.ones((1, 1))
+    vals, head, block = np.full(1, a), np.ones(1), np.ones((1, 1))
     if r:
-        origin, tau = _Secular(a, d, zeta * zeta).solve()
+        scaled_start = None
+        if start is not None:
+            # a start beyond the float range becomes inf, which no root uses
+            with np.errstate(over="ignore"):
+                scaled_start = np.ldexp(start, -e)
+        origin, tau = _Secular(a, d, zeta * zeta).solve(scaled_start)
         vals = d[origin] + tau
-        block = np.empty((r + 1, r + 1))
-        block[0] = 1.0
         # rows in mode order, so that with nothing deflated they are final
         by_mode = np.argsort(reps)
-        block /= _lowner_vectors(d, origin, tau, by_mode, block[1:])
+        block = np.empty((r + 1, r + 1)) if vectors else None
+        norms = _lowner_vectors(d, origin, tau, by_mode, None if block is None else block[1:])
+        head = 1.0 / norms
+        if vectors:
+            block[0] = 1.0
+            block /= norms
         if r == m:
-            return np.ldexp(vals, e), block
+            return np.ldexp(vals, e), head**2, block
         reps = reps[by_mode]
     lone = np.flatnonzero(z <= tol)
     dark_vals = [np.full(members.size - 1, p[members[0]]) for members, _ in groups]
@@ -408,8 +505,12 @@ def _arrowhead_eigh(a: float, p: np.ndarray, z: np.ndarray):
     order = np.argsort(all_vals, kind="stable")
     col = np.empty(n, dtype=int)
     col[order] = np.arange(n)
-    v = np.zeros((n, n))
     bright_cols = col[: r + 1]
+    weights = np.zeros(n)
+    weights[bright_cols] = head**2
+    if not vectors:
+        return np.ldexp(all_vals[order], e), weights, None
+    v = np.zeros((n, n))
     v[np.ix_(np.append(0, 1 + reps), bright_cols)] = block
     c = r + 1
     for members, u in groups:
@@ -424,7 +525,7 @@ def _arrowhead_eigh(a: float, p: np.ndarray, z: np.ndarray):
         v[np.ix_(1 + members, col[c : c + members.size - 1])] = h
         c += members.size - 1
     v[1 + lone, col[c:]] = 1.0
-    return np.ldexp(all_vals[order], e), v
+    return np.ldexp(all_vals[order], e), weights, v
 
 
 def _eigh_star(diagonal: np.ndarray, c: np.ndarray) -> SpectralDecomposition:
@@ -432,8 +533,9 @@ def _eigh_star(diagonal: np.ndarray, c: np.ndarray) -> SpectralDecomposition:
     # D^H H D with D = diag(1, c/|c|) is the real arrowhead with couplings
     # |c|. When every c is already real and non-negative, D = I and the
     # real eigenvectors are returned as they are, with no complex copy.
+    # D leaves row 0 alone, so the weights are the arrowhead's.
     mod = np.abs(c)
-    eigenvalues, eigenvectors = _arrowhead_eigh(diagonal[0], diagonal[1:], mod)
+    eigenvalues, weights, eigenvectors = _arrowhead_eigh(diagonal[0], diagonal[1:], mod)
     if not np.array_equal(c, mod):
         coupled = mod > 0
         phase = np.ones(diagonal.size, dtype=complex)
@@ -442,8 +544,19 @@ def _eigh_star(diagonal: np.ndarray, c: np.ndarray) -> SpectralDecomposition:
     return SpectralDecomposition(
         eigenvalues=eigenvalues,
         eigenvectors=eigenvectors,
-        zero_overlaps=np.abs(eigenvectors[0]) ** 2,
+        zero_overlaps=weights,
     )
+
+
+def _star_levels(model: StarModel, start=None):
+    # eigh(model).eigenvalues and .zero_overlaps without the eigenvectors:
+    # O(n) memory beyond the row blocks. The secular roots start at the
+    # ascending ``start`` where they can (see _Secular.solve); without it
+    # both arrays are eigh's to the bit.
+    eigenvalues, weights, _ = _arrowhead_eigh(
+        model.eps[0], model.eps[1:], np.abs(model.alpha), start, vectors=False
+    )
+    return eigenvalues, weights
 
 
 def eigh(mat) -> SpectralDecomposition:

@@ -8,8 +8,8 @@ the forward one: the mode energies are the zeros of
 and the couplings follow from them in closed form (Löwner's formula). It
 is solved in O(n^2) by the star eigensolver's root finder
 (:mod:`staremit.hermitian`), and the round trip is verified by the same
-solver, so no dense matrix is formed. Weights below ``MIN_WEIGHT`` are
-refused, wherever they sit on the ladder.
+solver, started at the target levels, so no dense matrix is formed.
+Weights below ``MIN_WEIGHT`` are refused, wherever they sit on the ladder.
 """
 
 from __future__ import annotations
@@ -19,7 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateProfile, DimensionMismatch
-from .hermitian import DEGENERACY_TOL, _arrowhead_from_spectrum, aggregate_degenerate, eigh
+from .hermitian import (  # noqa: F401 (eigh stays importable from here)
+    DEGENERACY_TOL,
+    _arrowhead_from_spectrum,
+    _star_levels,
+    aggregate_degenerate,
+    eigh,
+)
 from .model import StarModel
 
 # Overlap weights must sum to one within this tolerance.
@@ -208,9 +214,25 @@ def verify_round_trip(
 ) -> RoundTripReport:
     """Re-diagonalize ``model`` and compare against ``profile``.
 
-    The model is solved by ``eigh(model)``, as the real arrowhead with
-    couplings ``|alpha|``, by the O(n^2) star solver without a dense
-    matrix, so the report is the same in every coupling gauge.
+    The model is solved as the real arrowhead with couplings ``|alpha|`` by
+    the O(n^2) star solver of ``eigh``, so the report is the same in every
+    coupling gauge. Only its eigenvalues and weights are formed: the
+    weights are ``eigh(model).zero_overlaps`` for the same roots, to the
+    bit, and no eigenvector matrix is built, so memory stays O(n).
+
+    Each secular root starts at its target level where exactly one target
+    lies strictly inside its interval between poles and not within
+    rounding of a pole (for the two outer roots: beyond the outer pole,
+    inside Weyl's bracket); any other root starts at its interval's
+    midpoint, as in ``eigh``. A start is accepted only by the solver's own
+    convergence test, ``|g| <= eps * err`` there. Otherwise the root is
+    iterated from its start, or from its midpoint where the sign of ``g``
+    at the start leaves its half open, so a model whose levels miss their
+    targets is solved as precisely as by ``eigh``. An accepted root takes
+    the solver's last step from its target, so its eigenvalue error reads
+    that step plus the rounding of pole plus offset: often exactly 0, and
+    within a few ulps of the level.
+
     Eigenvalues are compared sorted, elementwise. Overlap weights are
     summed per distinct level on both sides first, so basis choices inside
     degenerate subspaces cannot affect the verdict; weight sitting on a
@@ -229,12 +251,12 @@ def verify_round_trip(
         raise DimensionMismatch(
             f"model dimension {model.dim} != profile dimension {profile.dim}"
         )
-    d = eigh(model)
-    eig_err = float(np.abs(d.eigenvalues - target_e).max())
+    eigenvalues, weights = _star_levels(model, start=target_e)
+    eig_err = float(np.abs(eigenvalues - target_e).max())
 
     rounding = ROUNDING_EPS * np.finfo(float).eps * float(np.abs(target_e).max())
     merge = DEGENERACY_TOL * profile.d_width + rounding
-    got_levels, got_weights = aggregate_degenerate(d.eigenvalues, d.zero_overlaps, merge)
+    got_levels, got_weights = aggregate_degenerate(eigenvalues, weights, merge)
     want_levels, want_weights = aggregate_degenerate(target_e, profile.overlaps, merge)
     window = 0.5 * np.diff(want_levels).min() if want_levels.size > 1 else np.inf
     # nearest target level, the lower one on equal distances

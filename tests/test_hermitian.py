@@ -15,6 +15,7 @@ from staremit import (
     reconstruct,
 )
 
+from staremit import hermitian
 from staremit.hermitian import DEGENERACY_TOL, HERMITICITY_RTOL
 
 from helpers import random_hermitian, random_star_model
@@ -421,6 +422,59 @@ def test_eigh_star_model_matches_its_dense_matrix(couplings):
     for field in ("eigenvalues", "eigenvectors", "zero_overlaps"):
         assert np.array_equal(getattr(d, field), getattr(dense, field))
     assert np.isrealobj(d.eigenvectors) == (couplings == "real")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_star_matrices().filter(lambda h: h.shape[0] > 1))
+def test_star_levels_without_start_are_eighs_to_the_bit(h):
+    # the spectrum part alone, with no eigenvector block: the same
+    # eigenvalues and weights as eigh, to the bit
+    model = StarModel(eps=h.diagonal().real, alpha=h[1:, 0])
+    d = eigh(model)
+    eigenvalues, weights = hermitian._star_levels(model)
+    assert np.array_equal(eigenvalues, d.eigenvalues)
+    assert np.array_equal(weights, d.zero_overlaps)
+
+
+def _block_reference(sec, i, origin, tau):
+    # _Secular._block with the masked band formed by np.where; the row
+    # block sits in a buffer of the solver's layout, as BLAS may sum a row
+    # in another order when the rows are laid out otherwise
+    d, zeta2 = sec.d, sec.zeta2
+    both = np.empty_like(sec.buf)[:, : tau.size]
+    square, rec = both
+    np.subtract(d, d[origin][:, None], out=rec)
+    rec -= tau[:, None]
+    np.divide(1.0, rec, out=rec)
+    np.square(rec, out=square)
+    c0, c1 = i[0], i[-1]
+    band, zb = both[..., c0:c1], zeta2[c0:c1]
+    mixed = np.where(np.arange(c0, c1) < i[:, None], band, 0.0) @ zb
+    slope_l, psi = both[..., :c0] @ zeta2[:c0] + mixed
+    slope_r, phi = both[..., c1:] @ zeta2[c1:] + (band @ zb - mixed)
+    lin = (d[origin] - sec.a) + tau
+    slope_l += 1.0
+    err = 8.0 * (phi - psi + np.abs(lin)) + np.abs(tau) * (slope_l + slope_r)
+    return lin + psi + phi, slope_l, slope_r, err
+
+
+@pytest.mark.parametrize("r", [1, 2, 7, 100, 200, 333])
+def test_secular_block_masks_like_where(r):
+    # the band mask is written into a kept buffer; the products are those of
+    # the np.where form to the bit, for whole sweeps and for scattered rows
+    rng = np.random.default_rng(r)
+    d = np.sort(rng.uniform(-0.9, 0.9, r))
+    sec = hermitian._Secular(0.1, d, rng.uniform(0.01, 0.5, r) ** 2)
+    origin = np.maximum(np.arange(r + 1) - 1, 0)
+    tau = np.where(np.arange(r + 1) % 2, 0.3, 0.45) * sec.gap
+    tau[0], tau[r] = -0.05, 0.05
+    for act in (np.arange(r + 1), np.flatnonzero(rng.uniform(size=r + 1) < 0.4)):
+        for s in range(0, act.size, sec.rows):
+            blk = act[s : s + sec.rows]
+            got = sec._block(blk, origin[blk], tau[blk])
+            want = _block_reference(sec, blk, origin[blk], tau[blk])
+            for x, y in zip(got, want):
+                assert np.array_equal(x, y)
 
 
 # Mode energies sit on a 0.1 grid, each repeated exactly or moved off its

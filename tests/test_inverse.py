@@ -1,6 +1,10 @@
+import json
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from staremit import (
@@ -16,6 +20,8 @@ from staremit import (
     random_profile,
     verify_round_trip,
 )
+from staremit import hermitian, inverse
+from staremit.cli import main
 
 INV_SQRT3 = 1.0 / np.sqrt(3.0)
 
@@ -333,3 +339,181 @@ def test_verify_round_trip_allows_the_rounding_of_a_far_centre():
     assert report.max_eigenvalue_error > 1e-7 * p.d_width
     shifted = StarModel(eps=model.eps + 2e-6 * p.d_width, alpha=model.alpha)
     assert not verify_round_trip(shifted, p, 1e-7).passed
+
+
+def _cold_report(model, p, tol):
+    # the report of a cold re-check: eigh(model), every root from its
+    # interval's midpoint and the eigenvector matrix built, put through the
+    # same comparison
+    cold = eigh(model)
+    levels = cold.eigenvalues, cold.zero_overlaps
+    with mock.patch.object(inverse, "_star_levels", lambda m, start: levels):
+        return verify_round_trip(model, p, tol), cold
+
+
+_FAMILIES = ("constructed", "shift-1/4", "shift-1/2", "shift-1", "mode-on-level",
+             "decoupled", "partly-decoupled", "collapsed", "gauged")
+_POLE_HIT = (1e6, 1.0)
+_SCALES = ((0.0, 1.0), (-0.7, 2.5), _POLE_HIT, (1e6, 1e-3), (0.0, 1e-300), (0.0, 1e300))
+
+
+def _family_model(kind, p, model, rng):
+    ladder, m = p.eigenvalues(), p.m_half
+    if kind.startswith("shift"):
+        s = {"shift-1/4": 0.25, "shift-1/2": 0.5, "shift-1": 1.0}[kind]
+        return StarModel(eps=model.eps + s * (p.d_width / m), alpha=model.alpha)
+    if kind == "mode-on-level":
+        # a pole exactly on a target: that target must not start a root
+        eps = model.eps.copy()
+        k = int(rng.integers(1, model.dim))
+        eps[k] = ladder[np.argmin(np.abs(ladder - eps[k]))]
+        return StarModel(eps=eps, alpha=model.alpha)
+    if kind == "decoupled":
+        return StarModel(eps=np.concatenate(([ladder[m]], np.delete(ladder, m))),
+                         alpha=np.zeros(2 * m))
+    if kind == "partly-decoupled":
+        alpha = model.alpha.copy()
+        alpha[rng.uniform(size=alpha.size) < 0.3] = 0.0
+        return StarModel(eps=model.eps, alpha=alpha)
+    if kind == "collapsed":
+        return StarModel(eps=np.full(model.dim, p.eps0), alpha=np.zeros(model.n_modes))
+    if kind == "gauged":
+        return StarModel(eps=model.eps,
+                         alpha=model.alpha * np.exp(2j * np.pi * rng.uniform(size=model.n_modes)))
+    return model
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(_FAMILIES),
+    scale=st.sampled_from(_SCALES),
+    m_half=st.integers(1, 30),
+    seed=st.integers(0, 2**32 - 1),
+)
+# test_construct_extreme_scales[20-1000000.0-1.0]: nine mode energies round
+# exactly onto ladder levels, so nine targets sit on poles
+@example(kind="constructed", scale=_POLE_HIT, m_half=20, seed=20)
+def test_verify_round_trip_warm_start_matches_cold_solve(kind, scale, m_half, seed):
+    # Verification starts each root at its target; a cold eigh(model) starts
+    # it at its interval's midpoint. Both stop by the same convergence test
+    # and keep each root as an offset from the same pole, so the roots agree
+    # to a few ulps of the matrix scale |eps|max + |alpha| (at most 1.4 ulps
+    # were seen over 3000 draws of these families; the bound is 8), and the
+    # weights, from the same Löwner arithmetic on those roots, agree to a
+    # few ulps of 1 (1.7e-15 seen; the bound is 64 eps). The verdicts are
+    # the same.
+    rng = np.random.default_rng(seed)
+    eps0, d_width = scale
+    w = 10.0 ** rng.uniform(-12.0, 0.0, 2 * m_half + 1)
+    w /= w.sum()
+    p = SpectralProfile(m_half, eps0, d_width, w)
+    built = construct_hamiltonian(p)
+    model = _family_model(kind, p, built, rng)
+    ladder = p.eigenvalues()
+    pole_hit = (kind, scale, m_half, seed) == ("constructed", _POLE_HIT, 20, 20)
+    if kind == "mode-on-level" or pole_hit:
+        assert np.intersect1d(model.eps[1:], ladder).size > 0
+    for tol in (1e-8, 1e-7):
+        report = verify_round_trip(model, p, tol)
+        cold_report, cold = _cold_report(model, p, tol)
+        assert report.passed == cold_report.passed
+    if kind in ("constructed", "gauged") and scale != (1e6, 1e-3):
+        # (at eps0 = 1e6 the ladder's rounding is 1e-6 of a spacing of 1e-4,
+        # and weights can miss by more than 1e-7 on either path)
+        assert report.passed
+    # (a decoupled model puts all weight on the centre level)
+    wrong = kind.startswith("shift") or kind == "collapsed" or kind == "decoupled" and w[m_half] < 0.5
+    if wrong:
+        assert not report.passed
+    eigenvalues, weights = hermitian._star_levels(model, start=ladder)
+    top = max(np.abs(model.eps).max(), np.abs(model.alpha).max()) or 1.0
+    norm = np.abs(model.eps).max() + top * np.sqrt(np.sum((np.abs(model.alpha) / top) ** 2))
+    eps = np.finfo(float).eps
+    assert np.abs(eigenvalues - cold.eigenvalues).max() <= 8 * eps * norm
+    assert np.abs(weights - cold.zero_overlaps).max() <= 64 * eps
+
+
+@pytest.mark.parametrize("model_scale, d_width", [(1e-300, 1e10), (1e300, 1e-300)])
+def test_verify_round_trip_of_a_model_at_another_scale(model_scale, d_width):
+    # the targets, scaled with the model's entries, overflow or underflow:
+    # no root starts from them, and the verdict is the cold re-check's
+    p = flat_profile(2, 0.0, d_width)
+    model = StarModel(eps=np.linspace(-1.0, 1.0, 5) * model_scale, alpha=np.full(4, model_scale))
+    report = verify_round_trip(model, p, 1e-8)
+    assert not report.passed
+    assert report == _cold_report(model, p, 1e-8)[0]
+
+
+def _sweeps(model, p):
+    # rows of each solver sweep in verify_round_trip
+    rows = []
+    evaluate = hermitian._Secular.evaluate
+
+    def counted(self, act, origin, tau):
+        rows.append(act.size)
+        return evaluate(self, act, origin, tau)
+
+    with mock.patch.object(hermitian._Secular, "evaluate", counted):
+        assert verify_round_trip(model, p, 1e-8).passed
+    return rows
+
+
+def test_verify_round_trip_of_a_faithful_model_takes_one_sweep():
+    # at eps0 = 0 the ladder is the constructed model's own, and the targets
+    # pass the solver's convergence test as they stand
+    for m_half in (1, 2, 5, 20, 40):
+        for p in (flat_profile(m_half, 0.0, 1.0),
+                  random_profile(m_half, 0.0, 1.0, np.random.default_rng(m_half)),
+                  random_profile(m_half, 0.0, 2.0, np.random.default_rng(m_half), symmetric=True)):
+            assert _sweeps(construct_hamiltonian(p), p) == [p.dim]
+    # at the largest size the benchmark constructs, a few roots whose g at
+    # the target sits near the test's bound take another sweep or two; a
+    # cold solve takes seven sweeps of up to all 501 roots
+    p = random_profile(250, 0.0, 1.0, np.random.default_rng(7))
+    rows = _sweeps(construct_hamiltonian(p), p)
+    assert rows[0] == p.dim and sum(rows[1:]) <= 0.01 * p.dim
+    # off the centre the targets are rounded at the spacing of |E|, so a
+    # root one ulp from its target takes one more sweep from where the
+    # first one stepped it; one whose g points across the midpoint is
+    # evaluated there too
+    p = random_profile(100, 1.85, 2.0, np.random.default_rng(3))
+    rows = _sweeps(construct_hamiltonian(p), p)
+    assert rows[0] == p.dim and len(rows) <= 3
+
+
+def test_verify_round_trip_stores_no_eigenvector_rows(capsys):
+    # the row-storing Löwner pass builds the eigenvector block; verification
+    # needs only its column norms
+    lowner_vectors = hermitian._lowner_vectors
+
+    def norms_only(d, origin, tau, rank, out=None):
+        if out is not None:
+            raise AssertionError("eigenvector rows stored")
+        return lowner_vectors(d, origin, tau, rank)
+
+    with mock.patch.object(hermitian, "_lowner_vectors", norms_only):
+        for p in (flat_profile(1, 0.0, 1.0),
+                  random_profile(40, 0.5, 2.0, np.random.default_rng(4))):
+            assert verify_round_trip(construct_hamiltonian(p), p, 1e-8).passed
+        for argv in (["inverse", "--flat", "--m", "3"], ["inverse", "--m", "60", "--seed", "5"],
+                     ["inverse", "--m", "40", "--seed", "2", "--symmetric", "--eps0", "1.5"]):
+            assert main(argv) == 0
+            assert json.loads(capsys.readouterr().out)["report"]["passed"] is True
+
+
+def test_verify_round_trip_memory_is_linear():
+    # At dim 4001 the eigenvector matrix alone is 122 MiB, and eigh(model)
+    # peaks at 123 MiB. Verification keeps arrays of length dim (32 KiB
+    # each) and four row blocks of 2^15 entries (256 KiB each) beside the
+    # solver's two 512 KiB work arrays: it measured 2.4 MiB. The budget is
+    # 8 MiB.
+    p = random_profile(2000, 0.3, 1.5, np.random.default_rng(4))
+    model = construct_hamiltonian(p)
+    tracemalloc.start()
+    try:
+        report = verify_round_trip(model, p, 1e-8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak <= 8 * 2**20, peak / 2**20
