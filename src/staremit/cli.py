@@ -37,8 +37,8 @@ from .analysis import (
     revival_period,
 )
 from .errors import DegenerateProfile, NonConvergence
-from .evolution import SurvivalSeries, TimeGrid, survival_probability
-from .hermitian import eigh
+from .evolution import SurvivalSeries, TimeGrid, _survival
+from .hermitian import _star_levels
 from .inverse import (
     SpectralProfile,
     construct_hamiltonian,
@@ -130,8 +130,10 @@ def _run_series(args, model: StarModel, analytic, svg_title: str) -> int:
     _check_output_size(args.samples, 3 * field_bytes + (2 * SVG_POINT_BYTES if args.svg else 0))
     ts = np.linspace(0.0, args.t_max, args.samples)
     tau = ts / args.hbar
-    d = eigh(model)
-    columns = {"P": survival_probability(d, tau), "P_analytic": analytic(tau)}
+    # eigh(model)'s eigenvalues and weights, bit for bit, without its
+    # eigenvector matrix: O(n) memory beyond the survival kernel's
+    levels, weights = _star_levels(model)
+    columns = {"P": _survival(levels, weights, tau), "P_analytic": analytic(tau)}
     _require_finite(ts, *columns.values())
     text = (csv_table if args.format == "csv" else json_table)(ts, columns)
     if args.out:

@@ -27,9 +27,12 @@ Jakovčević Stor, Slapničar & Barlow, Linear Algebra Appl. 464, 2015):
    middle way) updates only the roots that have not converged, in row
    blocks that keep temporaries at O(block n). Round-trip verification
    knows where the roots should be, and starts each root at its target
-   level instead where exactly one lies strictly inside its interval. The
-   same convergence test accepts a start, and a root whose ``g`` there
-   leaves its half open is evaluated at its midpoint too.
+   level instead where exactly one lies strictly inside its interval. A
+   started root is done after its one evaluation when the convergence
+   test accepts the start, or when the step from it is below 1e-10 of its
+   offset and stays in its half: the step converges quadratically, so the
+   error left is of order 1e-20 of the offset. Another started root whose
+   ``g`` leaves its half open is evaluated at its midpoint too.
 3. Recompute the couplings from the roots by Löwner's formula, so the
    computed roots are exact eigenvalues of a nearby arrowhead, and take the
    eigenvectors ``[1, zhat_k / (E - p_k)]``, normalized: they come out
@@ -73,6 +76,14 @@ _DEFLATION = 8.0
 
 # Iteration cap of the secular root finder; reaching it raises NonConvergence.
 _MAX_ITER = 50
+
+# A secular root started near where it should be (round-trip verification
+# starts each at its target level) is done after its one evaluation when the
+# step from its start is at most this fraction of its offset and stays in
+# the start's half. The step converges quadratically: from a start whose
+# error is a fraction rho of the offset, it leaves an error of order rho^2
+# of the offset, here 1e-20, far below the offset's own rounding (eps / 2).
+_START_STEP = 1e-10
 
 # Matrix entries per row block of the star solver's temporaries.
 _BLOCK_CELLS = 1 << 15
@@ -142,15 +153,22 @@ class SpectralDecomposition:
         return self.eigenvalues.size
 
 
-def _pick_root(qa, qb, qc, lo, hi):
-    # the root of qa x^2 - qb x + qc = 0 that lies inside (lo, hi), NaN
-    # where neither does
-    disc = np.sqrt(np.abs(qb * qb - 4.0 * qa * qc))
-    q = 0.5 * (qb + np.copysign(disc, qb))
+def _pick_root(coef, lo, hi):
+    # the root of qa x^2 - qb x + qc = 0, for the rows qc, qb, qa of coef,
+    # that lies inside (lo, hi), NaN where neither does; coef is overwritten
+    qc, qb, qa = coef
+    disc = qb * qb
+    disc -= 4.0 * qa * qc
+    np.sqrt(np.abs(disc, out=disc), out=disc)
+    qb += np.copysign(disc, qb, out=disc)
+    qb *= 0.5  # q, in place of qb
     with np.errstate(divide="ignore", invalid="ignore"):
-        small, large = qc / q, q / qa
-    x = np.where((large > lo) & (large < hi), large, np.nan)
-    return np.where((small > lo) & (small < hi), small, x)
+        x = coef[:2] / coef[1:]  # qc / q and q / qa: the small and the large root
+    inside = (x > lo) & (x < hi)
+    small, root = x
+    np.copyto(root, np.nan, where=~inside[1])
+    np.copyto(root, small, where=inside[0])
+    return root
 
 
 class _Secular:
@@ -174,15 +192,17 @@ class _Secular:
         # the band of columns each row block masks, laid out as np.where
         # would return it
         self.masked = np.empty(self.buf.size)
+        self.columns = np.arange(r)
 
-    def _block(self, i, origin, tau):
-        # g at d[origin] + tau, its slope from the poles left and right of
-        # each root (the linear term acts as a pole at -inf, on the left),
-        # and a bound on the rounding error of g
+    def _block(self, i, origin, tau, out):
+        # writes into the rows of ``out``: g at d[origin] + tau, its slopes
+        # from the poles left and right of each root (the linear term acts as
+        # a pole at -inf, on the left), and a bound on the rounding error of g
         d, zeta2 = self.d, self.zeta2
         both = self.buf[:, : tau.size]
         square, rec = both
-        np.subtract(d, d[origin][:, None], out=rec)
+        d_origin = d[origin]
+        np.subtract(d, d_origin[:, None], out=rec)
         rec -= tau[:, None]  # d_k - lambda, exactly -tau at k == origin
         np.divide(1.0, rec, out=rec)
         np.square(rec, out=square)
@@ -193,46 +213,84 @@ class _Secular:
         band, zb = both[..., c0:c1], zeta2[c0:c1]
         masked = self.masked[: band.size].reshape(band.shape)
         masked.fill(0.0)
-        np.copyto(masked, band, where=np.arange(c0, c1) < i[:, None])
+        np.copyto(masked, band, where=self.columns[c0:c1] < i[:, None])
         mixed = masked @ zb
-        slope_l, psi = both[..., :c0] @ zeta2[:c0] + mixed
-        slope_r, phi = both[..., c1:] @ zeta2[c1:] + (band @ zb - mixed)
-        lin = (d[origin] - self.a) + tau if self.linear else 0.0
-        g = lin + psi + phi
+        g, slope_l, slope_r, err = out
+        # psi and phi, the sums over the left and right poles, go to the
+        # rows of g and err until those are formed
+        np.add(both[..., :c0] @ zeta2[:c0], mixed, out=out[1::-1])
+        np.subtract(band @ zb, mixed, out=mixed)
+        np.add(both[..., c1:] @ zeta2[c1:], mixed, out=out[2:])
+        psi, phi = g, err
+        lin = d_origin - self.a if self.linear else 0.0
         if self.linear:
+            lin += tau
             slope_l += 1.0
-        err = 8.0 * (phi - psi + np.abs(lin)) + np.abs(tau) * (slope_l + slope_r)
-        return g, slope_l, slope_r, err
-
-    def evaluate(self, act, origin, tau):
-        out = np.empty((4, act.size))
-        for s in range(0, act.size, self.rows):
-            blk = act[s : s + self.rows]
-            out[:, s : s + blk.size] = self._block(blk, origin[blk], tau[blk])
+        bound = phi - psi
+        bound += np.abs(lin)
+        bound *= 8.0
+        np.add(lin, psi, out=g)
+        g += phi
+        slopes = slope_l + slope_r
+        slopes *= np.abs(tau)
+        np.add(bound, slopes, out=err)
         return out
 
-    def step(self, act, origin, tau, lo, hi, g, slope_l, slope_r):
+    def evaluate(self, i, origin, tau):
+        # _block over the rows of roots i at d[origin] + tau, in row blocks
+        out = np.empty((4, i.size))
+        for s in range(0, i.size, self.rows):
+            e = s + self.rows
+            self._block(i[s:e], origin[s:e], tau[s:e], out[:, s:e])
+        return out
+
+    def _frame(self, i, origin, frame):
+        # What the first sweep fixes for each root, with its origin: whether
+        # that is the interval's left pole, returned, and the rows of
+        # ``frame``: the interval's width signed toward the far pole, and
+        # the offsets of its left and right poles from the origin. An outer
+        # root's rows are not used.
+        at_left = origin == i - 1
+        gap = self.gap[i]
+        frame[0] = np.where(at_left, gap, -gap)
+        frame[1] = np.where(at_left, 0.0, frame[0])
+        frame[2] = np.where(at_left, gap, 0.0)
+        return at_left
+
+    def step(self, i, at_left, frame, t, lo, hi, out):
         # Interior roots take the middle way: a model with one pole at each
         # end of the interval, weighted to match g and g' at the current
         # point. The outer roots keep the linear term exact and lump all
         # poles into the one next to them. The new offset is solved for in
         # the origin's frame, so a root close to its pole keeps its digits.
-        i, t = act, tau[act]
-        gap = self.gap[i]
-        at_left = origin[act] == i - 1
-        dl = np.where(at_left, -t, -gap - t)
-        dr = np.where(at_left, gap - t, -t)
-        s_l, s_r = dl * dl * slope_l, dr * dr * slope_r
-        c = g - dl * slope_l - dr * slope_r
-        span = np.where(at_left, gap, -gap)
-        qa, qb, qc = c, c * span + s_l + s_r, np.where(at_left, s_l, s_r) * span
-        outer = (i == 0) | (i == self.d.size)
-        if outer.any():
-            slope = np.where(i == 0, slope_r, slope_l - 1.0)
-            qa = np.where(outer, 1.0, qa)
-            qb = np.where(outer, t - g - t * slope, qb)
-            qc = np.where(outer, -t * t * slope, qc)
-        return _pick_root(qa, qb, qc, lo[act], hi[act])
+        # ``out`` holds evaluate's rows at the offsets t.
+        g, slopes = out[0], out[1:3]
+        span = frame[0]
+        dist = frame[1:] - t  # dl and dr, from the root to its interval's poles
+        coef = np.empty((3, t.size))
+        qc, qb, qa = coef
+        prod = dist * slopes
+        np.subtract(g, prod[0], out=qa)
+        qa -= prod[1]  # c = g - dl slope_l - dr slope_r
+        dist *= dist
+        dist *= slopes  # s_l and s_r
+        np.multiply(qa, span, out=qb)
+        qb += dist[0]
+        qb += dist[1]
+        np.multiply(np.where(at_left, dist[0], dist[1]), span, out=qc)
+        # the outer roots, first and last among the rows when present
+        if i[0] == 0:
+            self._outer(coef, 0, t, g, slopes[1, 0])
+        if i[-1] == self.d.size:
+            self._outer(coef, -1, t, g, slopes[0, -1] - 1.0)
+        return _pick_root(coef, lo, hi)
+
+    @staticmethod
+    def _outer(coef, j, t, g, slope):
+        # qc, qb, qa of the outer root in row j, whose poles act as one at
+        # its origin with the weight ``slope t^2``
+        tj = t[j]
+        coef[:, j] = -tj * tj * slope, tj - g[j] - tj * slope, 1.0
 
     def _starts(self, start, origin, tau, lo, hi):
         # Roots that start at a point of the ascending ``start`` instead of
@@ -260,14 +318,27 @@ class _Secular:
         origin[k], tau[k] = o, t
         return k
 
+    @staticmethod
+    def _right_half(right, i, origin, tau, lo, hi):
+        # the roots ``right`` lie right of their interval's midpoint: the
+        # right pole becomes their origin, and the midpoint their offset
+        origin[right] = i[right]
+        lo[right], hi[right] = -hi[right], 0.0
+        tau[right] = lo[right]
+
     def solve(self, start=None):
         """Nearer poles and offsets of the roots ``self.index``, in order.
 
         Each root starts at its interval's midpoint, or at a point of the
-        ascending ``start`` where ``_starts`` finds one usable. A started
-        root whose ``g`` leaves it possibly across the midpoint is
-        evaluated at the midpoint too, which decides its half, so every
-        root is kept as an offset from its nearer pole.
+        ascending ``start`` where ``_starts`` finds one usable, and all are
+        evaluated in one first sweep. A started root is done after that one
+        evaluation when the convergence test accepts its start, or when its
+        first step is below ``_START_STEP`` of its offset and stays in its
+        start's half; it takes that step. Any other started root whose
+        ``g`` leaves it possibly across the midpoint is evaluated at the
+        midpoint too, which decides its half, so every root is kept as an
+        offset from its nearer pole. The roots not done go on in sweeps over
+        compacted columns of those still active.
         """
         a, d, zeta2 = self.a, self.d, self.zeta2
         r = d.size
@@ -281,89 +352,113 @@ class _Secular:
             hi[r] = (max(a - d[-1], 0.0) + znorm) * (1.0 + 4.0 * _EPS)
         tau = 0.5 * (lo + hi)
         tau[1:r] = hi[1:r]
-        warm = np.zeros(i.size, dtype=bool)
+        warm = np.zeros(r + 1, dtype=bool)
         if start is not None:
-            warm[self._starts(start, origin, tau, lo, hi) - i[0]] = True
+            warm[self._starts(start, origin, tau, lo, hi)] = True
+        # From here on each root is a column: of ``ints``, its index, origin
+        # and position; of ``state``, its offset, bracket, the relative size
+        # of its last step and, once the first sweep has fixed its origin,
+        # its _frame rows.
+        ints = np.stack((i, origin[i], np.arange(i.size)))
+        state = np.empty((7, i.size))
+        state[0], state[1], state[2] = tau[i], lo[i], hi[i]
+        origin, (tau, lo, hi, last), frame, warm = ints[1], state[:4], state[4:], warm[i]
         # g at each interval's midpoint tells which half holds the root,
         # and so its nearer pole; the started roots are evaluated at their
-        # starts in the same sweep
+        # starts in the same sweep. A started root keeps its half (or
+        # Weyl's bracket) as its bracket: one within an ulp of its start
+        # would have the start for an end, and a step that rounds past it
+        # would bisect.
         out = self.evaluate(i, origin, tau)
-        g, slope_l, slope_r, err = out
+        g, err = out[0], out[3]
         inner = (i > 0) & (i < r)
-        if warm.any():
-            # g at a start tells which side of it holds the root. For an
-            # inner root whose g is not within rounding, that side may reach
-            # across the midpoint, and g there decides: a root on its
-            # start's side steps from the start; any other goes on from the
-            # midpoint, as without a start.
-            at_left = origin[i] == i - 1
-            across = warm & inner & np.where(at_left, g < 0, g > 0) & ~(np.abs(g) <= _EPS * err)
-            if across.any():
-                back = i[across]
-                o_mid, t_mid = origin.copy(), tau.copy()
-                o_mid[back], t_mid[back] = back - 1, 0.5 * self.gap[back]
-                at_mid = self.evaluate(back, o_mid, t_mid)
-                other = np.where(at_left[across], at_mid[0] <= 0, at_mid[0] >= 0)
-                moved = back[other]
-                origin[moved], tau[moved] = moved - 1, t_mid[moved]
-                lo[moved], hi[moved] = 0.0, t_mid[moved]
-                pos = np.flatnonzero(across)[other]
-                out[:, pos] = at_mid[:, other]
-                warm[pos] = False
-        # a started root keeps its half (or Weyl's bracket) as its bracket:
-        # one within an ulp of its start would have the start for an end,
-        # and a step that rounds past it would bisect
-        mid = inner & ~warm
-        right = i[mid & (g < 0)]
-        origin[right] = right
-        lo[right], hi[right] = -hi[right], 0.0
-        tau[right] = lo[right]
+        self._right_half(inner & ~warm & (g < 0), i, origin, tau, lo, hi)
         outer = ~inner & ~warm
-        above, below = i[outer & (g > 0)], i[outer & (g < 0)]
+        above, below = outer & (g > 0), outer & (g < 0)
         hi[above] = tau[above]
         lo[below] = tau[below]
-        new = self.step(i, origin, tau, lo, hi, g, slope_l, slope_r)
+        at_left = self._frame(i, origin, frame)
+        new = self.step(i, at_left, frame, tau, lo, hi, out)
         # a root within rounding of its start (as the middle level of a
         # symmetric spectrum is of its midpoint) has converged: model steps
         # from inside its half land just beyond the midpoint, and bisection
         # took ~28 sweeps to close the bracket
         done = np.abs(g) <= _EPS * err
-        new = np.where(np.isnan(new), np.where(done, tau[i], 0.5 * (lo[i] + hi[i])), new)
-        last = np.zeros(r + 1)
-        last[i] = np.abs(new - tau[i]) / np.abs(new)  # relative size of each root's last step
-        tau[i] = new
-        act = i[~done]
+        if np.count_nonzero(warm):
+            # so has a started root whose step is below _START_STEP of its
+            # offset and stays in its half (a step that leaves it is NaN)
+            done |= warm & (np.abs(new - tau) <= _START_STEP * np.abs(new))
+            # g at a start tells which side of it holds the root. For an
+            # inner root not done, that side may reach across the midpoint,
+            # and g there decides: a root on its start's side steps from the
+            # start; any other goes on from the midpoint, as without a start.
+            across = np.flatnonzero(warm & ~done & inner & np.where(at_left, g < 0, g > 0))
+            if across.size:
+                k = i[across]
+                t_mid = 0.5 * self.gap[k]
+                at_mid = self.evaluate(k, k - 1, t_mid)
+                other = np.where(at_left[across], at_mid[0] <= 0, at_mid[0] >= 0)
+                moved = across[other]
+                if moved.size:
+                    out[:, moved] = at_mid[:, other]
+                    origin[moved], tau[moved] = k[other] - 1, t_mid[other]
+                    lo[moved], hi[moved] = 0.0, t_mid[other]
+                    self._right_half(moved[g[moved] < 0], i, origin, tau, lo, hi)
+                    moved_frame = np.empty((3, moved.size))
+                    at_left[moved] = self._frame(i[moved], origin[moved], moved_frame)
+                    frame[:, moved] = moved_frame
+                    new[moved] = self.step(i[moved], at_left[moved], moved_frame,
+                                           tau[moved], lo[moved], hi[moved], out[:, moved])
+                    done[moved] = np.abs(g[moved]) <= _EPS * err[moved]
+        new = np.where(np.isnan(new), np.where(done, tau, 0.5 * (lo + hi)), new)
+        np.divide(np.abs(new - tau), np.abs(new), out=last)  # relative size of each root's last step
+        tau[...] = new
+        offsets = new
+        # only the roots not done stay in the columns
+        keep = ~done
+        ints, state, at_left = ints.compress(keep, 1), state.compress(keep, 1), at_left[keep]
         for _ in range(_MAX_ITER):
-            if act.size == 0:
+            if not ints.shape[1]:
                 break
-            g, slope_l, slope_r, err = self.evaluate(act, origin, tau)
-            t = tau[act]
+            i, o, pos = ints
+            t, lo, hi, last = state[:4]
+            frame = state[4:]
+            out = self.evaluate(i, o, t)
+            g, err = out[0], out[3]
             above = g > 0
-            hi[act] = np.where(above, t, hi[act])
-            lo[act] = np.where(above, lo[act], t)
-            new = self.step(act, origin, tau, lo, hi, g, slope_l, slope_r)
+            np.copyto(hi, t, where=above)
+            np.copyto(lo, t, where=~above)
+            new = self.step(i, at_left, frame, t, lo, hi, out)
             # a converged root still takes the step its last evaluation
             # offers, if that stays in the bracket; the others bisect
             # where the step leaves it
             done = np.abs(g) <= _EPS * err
-            done |= hi[act] - lo[act] <= 2.0 * _EPS * np.maximum(-lo[act], hi[act])
-            stepped = ~np.isnan(new)
-            new = np.where(stepped, new, np.where(done, t, 0.5 * (lo[act] + hi[act])))
-            tau[act] = new
+            done |= hi - lo <= 2.0 * _EPS * np.maximum(-lo, hi)
+            bisect = np.isnan(new)
+            bisected = np.count_nonzero(bisect)
+            if bisected:
+                new = np.where(bisect, np.where(done, t, 0.5 * (lo + hi)), new)
             # the step converges quadratically: after steps of relative size
             # last and rho, the error left is near rho^3 / last^2, and a
             # root whose error that puts below eps / 8 needs no further
             # sweep. A bisection tells nothing of the error left.
             rho = np.abs(new - t) / np.abs(new)
-            done |= stepped & (rho <= 1e-6) & (rho**3 <= 0.125 * _EPS * last[act] ** 2)
-            last[act] = rho
-            act = act[~done]
-        if act.size:
+            small = (rho <= 1e-6) & (rho**3 <= 0.125 * _EPS * last**2)
+            if bisected:
+                small &= ~bisect
+            done |= small
+            np.copyto(t, new)
+            np.copyto(last, rho)
+            offsets[pos] = new
+            if np.count_nonzero(done):
+                keep = ~done
+                ints, state, at_left = ints.compress(keep, 1), state.compress(keep, 1), at_left[keep]
+        if ints.shape[1]:
             raise NonConvergence(
-                f"eigensolver did not converge: {act.size} secular roots "
+                f"eigensolver did not converge: {ints.shape[1]} secular roots "
                 f"after {_MAX_ITER} iterations"
             )
-        return origin[i], tau[i]
+        return origin, offsets
 
 
 def _lowner(diff, d, k, ratio):
@@ -559,6 +654,23 @@ def _star_levels(model: StarModel, start=None):
     return eigenvalues, weights
 
 
+def _is_star(m: np.ndarray) -> bool:
+    # np.count_nonzero(m[1:, 1:]) == np.count_nonzero(m.diagonal()[1:]) for
+    # a square complex m. When the nonzero 64-bit words of all of m are those
+    # of its arrow and diagonal, every other entry is +0.0 and m is a star.
+    # Integer words are counted faster than complex entries, and only the
+    # complex count tells -0.0 from a nonzero entry, so that count decides
+    # whenever the words leave it open, and when m is not C-contiguous.
+    if m.flags.c_contiguous:
+        n = m.shape[0]
+        words = m.view(np.uint64).reshape(n, n, 2)
+        arrow = (np.count_nonzero(words[0]) + np.count_nonzero(words[1:, 0])
+                 + np.count_nonzero(words[1:, 1:].diagonal()))
+        if np.count_nonzero(words) == arrow:
+            return True
+    return np.count_nonzero(m[1:, 1:]) == np.count_nonzero(m.diagonal()[1:])
+
+
 def eigh(mat) -> SpectralDecomposition:
     """Diagonalize a Hermitian matrix, or the Hamiltonian of a star model.
 
@@ -612,7 +724,7 @@ def eigh(mat) -> SpectralDecomposition:
     # and inf count as nonzero), so every other entry is an exact zero and
     # the first row, first column and diagonal alone decide finiteness,
     # scale and Hermiticity
-    star = np.count_nonzero(m[1:, 1:]) == np.count_nonzero(m.diagonal()[1:])
+    star = _is_star(m)
     if star:
         row, col, diag = m[0], m[:, 0], m.diagonal()
         f, scale = _entry_scale(np.concatenate((row, col, diag)))

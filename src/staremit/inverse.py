@@ -68,6 +68,8 @@ class SpectralProfile:
     def __post_init__(self):
         if self.m_half < 1:
             raise ValueError("m_half must be >= 1")
+        if not np.isfinite(self.eps0):
+            raise ValueError("eps0 must be finite")
         if not (np.isfinite(self.d_width) and self.d_width > 0):
             raise ValueError("d_width must be positive and finite")
         w = np.asarray(self.overlaps, dtype=float)
@@ -224,14 +226,20 @@ def verify_round_trip(
     lies strictly inside its interval between poles and not within
     rounding of a pole (for the two outer roots: beyond the outer pole,
     inside Weyl's bracket); any other root starts at its interval's
-    midpoint, as in ``eigh``. A start is accepted only by the solver's own
-    convergence test, ``|g| <= eps * err`` there. Otherwise the root is
-    iterated from its start, or from its midpoint where the sign of ``g``
-    at the start leaves its half open, so a model whose levels miss their
-    targets is solved as precisely as by ``eigh``. An accepted root takes
-    the solver's last step from its target, so its eigenvalue error reads
-    that step plus the rounding of pole plus offset: often exactly 0, and
-    within a few ulps of the level.
+    midpoint, as in ``eigh``. A started root is done after its one
+    evaluation when the solver's convergence test, ``|g| <= eps * err``,
+    accepts the start, or when the solver's step from the start is below
+    1e-10 of the root's offset from its pole and stays in the start's
+    half. The step converges quadratically, so it leaves an error of order
+    1e-20 of the offset; the ladder's own rounding, at the spacing of the
+    largest level, is far below 1e-10 of the offsets of a faithful model,
+    which is therefore verified in one evaluation per root, centred or
+    not. Otherwise the root is iterated from its start, or from its
+    midpoint where the sign of ``g`` at the start leaves its half open, so
+    a model whose levels miss their targets is solved as precisely as by
+    ``eigh``. A root done at its start takes that step, so its eigenvalue
+    error reads the step plus the rounding of pole plus offset: often
+    exactly 0, and within a few ulps of the level.
 
     Eigenvalues are compared sorted, elementwise. Overlap weights are
     summed per distinct level on both sides first, so basis choices inside

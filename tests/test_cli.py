@@ -1,11 +1,14 @@
 import json
+import math
 import re
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from staremit import cli, dirichlet_survival, revival_period
+from staremit import cli, dirichlet_survival, hermitian, revival_period
 from staremit._numtext import CSV_FIELD_BYTES, JSON_FIELD_BYTES, SVG_POINT_BYTES
 from staremit.cli import main
 
@@ -149,12 +152,80 @@ def test_memory_error_exits_2_and_writes_nothing(argv, message, tmp_path, capsys
     def fail(*args, **kwargs):
         raise MemoryError(message)
 
-    monkeypatch.setattr("staremit.cli.eigh", fail)
+    monkeypatch.setattr("staremit.cli._star_levels", fail)
     out, svg = tmp_path / "out.csv", tmp_path / "out.svg"
     assert main(argv + ["--out", str(out), "--svg", str(svg)]) == 2
     expected = f"error: out of memory: {message}\n" if message else "error: out of memory\n"
     assert capsys.readouterr().err == expected
     assert list(tmp_path.iterdir()) == []
+
+
+def test_series_commands_store_no_eigenvector_rows(tmp_path):
+    # the series read only the eigenvalues and the weights: the row-storing
+    # Löwner pass, which builds eigh's eigenvector block, is never reached
+    lowner_vectors = hermitian._lowner_vectors
+
+    def norms_only(d, origin, tau, rank, out=None):
+        if out is not None:
+            raise AssertionError("eigenvector rows stored")
+        return lowner_vectors(d, origin, tau, rank)
+
+    out = tmp_path / "series.txt"
+    with mock.patch.object(hermitian, "_lowner_vectors", norms_only):
+        for argv in (["two-level"], ["two-level", "--eps1", "0.4", "--format", "json"],
+                     ["identical-modes", "--n", "1"], ["identical-modes", "--n", "300", "--svg",
+                                                       str(tmp_path / "chart.svg")]):
+            assert main(argv + ["--out", str(out)]) == 0
+
+
+def test_identical_modes_memory_is_linear_in_n(tmp_path):
+    # At n = 100000 eigh's eigenvector matrix alone would take 74.5 GiB.
+    # The series solve keeps arrays of length n, and the survival kernel on
+    # a uniform grid of S samples holds about seven complex arrays of
+    # n x ceil(sqrt(S)) (106 MiB measured here, at S = 101). The budget is
+    # eight such arrays: O(n sqrt(S)), 134 MiB.
+    n, samples = 100_000, 101
+    out = tmp_path / "x.csv"
+    budget = 8 * 16 * (n + 1) * (math.isqrt(samples - 1) + 1)
+    tracemalloc.start()
+    try:
+        rc = main(["identical-modes", "--n", str(n), "--samples", str(samples), "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    header, body = _read_csv(out)
+    assert body.shape == (samples, 3)
+    assert np.abs(body[:, 1] - body[:, 2]).max() < 1e-10
+    assert peak <= budget, peak / 2**20
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["figure1", "--m-list", "2", "--eps0", "nan"],
+        ["figure1", "--eps0=-inf"],
+        ["inverse", "--flat", "--m", "3", "--eps0", "nan"],
+        ["inverse", "--m", "3", "--seed", "2", "--eps0", "inf"],
+    ],
+)
+def test_non_finite_eps0_exits_2_and_says_so(argv, tmp_path, capsys):
+    # a NaN or inf centre is refused as input, not reported as an overflow
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: eps0 must be finite\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+def test_inverse_profile_file_with_non_finite_eps0(value, tmp_path, capsys):
+    # Python's json reads these as floats
+    path = tmp_path / "profile.json"
+    path.write_text(f'{{"m_half": 1, "eps0": {value}, "d_width": 1.0, "overlaps": [0.25, 0.5, 0.25]}}')
+    assert main(["inverse", "--profile", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: eps0 must be finite\n"
+    assert captured.out == ""
 
 
 def test_inverse_flat_m1(tmp_path, capsys):

@@ -18,7 +18,7 @@ from staremit import (
 from staremit import hermitian
 from staremit.hermitian import DEGENERACY_TOL, HERMITICITY_RTOL
 
-from helpers import random_hermitian, random_star_model
+from helpers import random_hermitian, random_star_model, solver_rows
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -163,6 +163,55 @@ def test_eigh_off_arrow_entry_takes_the_dense_path(monkeypatch):
         with pytest.raises((NonConvergence, ValueError)) as exc:
             eigh(m)
         assert str(exc.value) == want
+
+
+# Real and imaginary parts, with their bit patterns: +0.0 is the only one
+# whose word is zero, -0.0 counts as zero in the complex count, and the
+# others (subnormals, NaN, inf) are nonzero.
+_PART = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, 1.0, -2.5, np.nan, np.inf, -np.inf])
+
+
+@st.composite
+def _matrices_near_a_star(draw):
+    # a square complex matrix whose arrow (first row, first column and
+    # diagonal) and a few entries off it take any of those parts, laid out
+    # in C order, Fortran order or as a strided view
+    dim = draw(st.integers(1, 12))
+    m = np.zeros((dim, dim), dtype=complex)
+    arrow = [(0, j) for j in range(dim)] + [(j, 0) for j in range(1, dim)] + [(j, j) for j in range(1, dim)]
+    off = [(i, j) for i in range(1, dim) for j in range(1, dim) if i != j]
+    cells = draw(st.lists(st.sampled_from(arrow), max_size=6))
+    if off:
+        cells += draw(st.lists(st.sampled_from(off), max_size=3))
+    for i, j in cells:
+        m[i, j] = complex(draw(_PART), draw(_PART))
+    layout = draw(st.sampled_from(["C", "F", "strided"]))
+    if layout == "F":
+        return np.asfortranarray(m)
+    if layout == "strided":
+        wide = np.zeros((dim, 2 * dim), dtype=complex)
+        wide[:, ::2] = m
+        return wide[:, ::2]
+    return m
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_matrices_near_a_star())
+def test_star_test_from_words_agrees_with_the_complex_count(m):
+    # the integer count of nonzero words takes the path the complex count
+    # takes: -0.0 off the arrow still leaves a star, NaN and inf do not
+    want = np.count_nonzero(m[1:, 1:]) == np.count_nonzero(m.diagonal()[1:])
+    assert hermitian._is_star(m) == want
+
+
+def test_star_test_reads_a_signed_zero_off_the_arrow_as_zero():
+    m = build_hamiltonian(random_star_model(np.random.default_rng(2), 5))
+    for value in (complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)):
+        z = m.copy()
+        z[3, 1] = value
+        assert hermitian._is_star(z)
+    z[3, 1] = 5e-324
+    assert not hermitian._is_star(z)
 
 
 def test_check_hermitian_requires_square():
@@ -436,6 +485,21 @@ def test_star_levels_without_start_are_eighs_to_the_bit(h):
     assert np.array_equal(weights, d.zero_overlaps)
 
 
+@pytest.mark.parametrize(
+    "seed, dim, rows",
+    [
+        (4, 9, [9, 9, 9, 6, 1]),
+        (3, 200, [200, 200, 195, 122, 35, 3]),
+        (1024, 1024, [1024, 1024, 1011, 636, 168, 17, 4]),
+    ],
+)
+def test_eigh_row_counts_are_pinned(seed, dim, rows):
+    # eigh starts every root at its interval's midpoint; the roots evaluated
+    # in each of its sweeps are pinned, so a change to the step or the
+    # convergence tests that costs sweeps shows here
+    assert solver_rows(eigh, random_star_model(np.random.default_rng(seed), dim))[0] == rows
+
+
 def _block_reference(sec, i, origin, tau):
     # _Secular._block with the masked band formed by np.where; the row
     # block sits in a buffer of the solver's layout, as BLAS may sum a row
@@ -471,7 +535,7 @@ def test_secular_block_masks_like_where(r):
     for act in (np.arange(r + 1), np.flatnonzero(rng.uniform(size=r + 1) < 0.4)):
         for s in range(0, act.size, sec.rows):
             blk = act[s : s + sec.rows]
-            got = sec._block(blk, origin[blk], tau[blk])
+            got = sec._block(blk, origin[blk], tau[blk], np.empty((4, blk.size)))
             want = _block_reference(sec, blk, origin[blk], tau[blk])
             for x, y in zip(got, want):
                 assert np.array_equal(x, y)
