@@ -141,7 +141,6 @@ def _grid_amplitude(levels, weights, tt):
     r = (tt - np.repeat(anchor, nb)[:s]) - np.tile(offset, na)[:s]
     if not np.abs(r).max() * np.abs(levels).max() <= _RESIDUAL_TOL:
         return None
-    coarse = np.exp(-1j * np.multiply.outer(anchor, levels))
     # offset[h - j] = -(step j) exactly, so the fine phasor there is the
     # conjugate of the one at step j: only offsets 0..h are exponentiated
     h = nb // 2
@@ -149,7 +148,15 @@ def _grid_amplitude(levels, weights, tt):
     fine = np.empty((levels.size, nb), dtype=complex)
     fine[:, h:] = half[:, : nb - h]
     np.conjugate(half[:, h:0:-1], out=fine[:, :h])
-    g = np.concatenate([weights * coarse, (weights * levels) * coarse]) @ fine
+    del half
+    # both weighted coarse factors go into one buffer, so that at most four
+    # n x ceil(sqrt(S)) complex arrays are alive at once
+    coarse = np.exp(-1j * np.multiply.outer(anchor, levels))
+    both = np.empty((2 * na, levels.size), dtype=complex)
+    np.multiply(weights, coarse, out=both[:na])
+    np.multiply(weights * levels, coarse, out=both[na:])
+    del coarse
+    g = both @ fine
     return g[:na].ravel()[:s] - 1j * r * g[na:].ravel()[:s]
 
 

@@ -26,13 +26,13 @@ Jakovčević Stor, Slapničar & Barlow, Linear Algebra Appl. 464, 2015):
    bracketed rational step with one pole at each end of the interval (the
    middle way) updates only the roots that have not converged, in row
    blocks that keep temporaries at O(block n). Round-trip verification
-   knows where the roots should be, and starts each root at its target
-   level instead where exactly one lies strictly inside its interval. A
-   started root is done after its one evaluation when the convergence
-   test accepts the start, or when the step from it is below 1e-10 of its
-   offset and stays in its half: the step converges quadratically, so the
-   error left is of order 1e-20 of the offset. Another started root whose
-   ``g`` leaves its half open is evaluated at its midpoint too.
+   knows where the roots should be: a pre-pass evaluates each root at its
+   target level, where exactly one lies strictly inside its interval, and
+   the root is done there when the convergence test accepts the start, or
+   when the step from it is below 1e-10 of its offset and stays in its
+   half: the step converges quadratically, so the error left is of order
+   1e-20 of the offset. A root not accepted at its start restarts from its
+   midpoint, exactly as :func:`eigh` solves it.
 3. Recompute the couplings from the roots by Löwner's formula, so the
    computed roots are exact eigenvalues of a nearby arrowhead, and take the
    eigenvectors ``[1, zhat_k / (E - p_k)]``, normalized: they come out
@@ -292,14 +292,17 @@ class _Secular:
         tj = t[j]
         coef[:, j] = -tj * tj * slope, tj - g[j] - tj * slope, 1.0
 
-    def _starts(self, start, origin, tau, lo, hi):
-        # Roots that start at a point of the ascending ``start`` instead of
-        # their interval's midpoint: those whose interval holds exactly one
-        # point, strictly inside, with the outer roots' points inside
-        # Weyl's bracket. The origin becomes the pole on the point's side
-        # of the midpoint. A point within rounding of that pole is not used:
-        # both callers scale the entries below 1, so that is 4 eps of 1 or
-        # of the largest point.
+    def _warm(self, start, origin, offsets, lo, hi):
+        # The pre-pass from the ascending ``start``. A root starts at a point
+        # of it where its interval holds exactly one, strictly inside (the
+        # outer roots' inside Weyl's bracket) and not within rounding of its
+        # origin, the pole on the point's side of the midpoint: both callers
+        # scale the entries below 1, so that is 4 eps of 1 or of the largest
+        # point. Its bracket is that half, or Weyl's bracket. The started
+        # roots are evaluated in one sweep; those the convergence test
+        # accepts, or whose step is at most _START_STEP of the offset and
+        # stays in the half (else it is NaN), take that step and are done.
+        # Their origins and offsets are written, and their indices returned.
         d, r = self.d, self.d.size
         first = np.append(0, np.searchsorted(start, d, side="right"))
         end = np.append(np.searchsorted(start, d, side="left"), start.size)
@@ -313,114 +316,65 @@ class _Secular:
         t[flip] = point[flip] - d[k[flip]]
         use &= np.abs(t) > 4.0 * _EPS * max(1.0, -start[0], start[-1])
         k, o, t, flip = k[use], o[use], t[use], flip[use]
-        right = k[flip]
-        lo[right], hi[right] = -hi[right], 0.0
-        origin[k], tau[k] = o, t
+        if not k.size:
+            return k
+        lo, hi = lo[k], hi[k]
+        lo[flip], hi[flip] = -hi[flip], 0.0
+        out = self.evaluate(k, o, t)
+        frame = np.empty((3, k.size))
+        new = self.step(k, self._frame(k, o, frame), frame, t, lo, hi, out)
+        done = np.abs(out[0]) <= _EPS * out[3]
+        done |= np.abs(new - t) <= _START_STEP * np.abs(new)
+        k = k[done]
+        origin[k] = o[done]
+        offsets[k] = np.where(np.isnan(new), t, new)[done]
         return k
 
-    @staticmethod
-    def _right_half(right, i, origin, tau, lo, hi):
-        # the roots ``right`` lie right of their interval's midpoint: the
-        # right pole becomes their origin, and the midpoint their offset
-        origin[right] = i[right]
-        lo[right], hi[right] = -hi[right], 0.0
-        tau[right] = lo[right]
-
-    def solve(self, start=None):
-        """Nearer poles and offsets of the roots ``self.index``, in order.
-
-        Each root starts at its interval's midpoint, or at a point of the
-        ascending ``start`` where ``_starts`` finds one usable, and all are
-        evaluated in one first sweep. A started root is done after that one
-        evaluation when the convergence test accepts its start, or when its
-        first step is below ``_START_STEP`` of its offset and stays in its
-        start's half; it takes that step. Any other started root whose
-        ``g`` leaves it possibly across the midpoint is evaluated at the
-        midpoint too, which decides its half, so every root is kept as an
-        offset from its nearer pole. The roots not done go on in sweeps over
-        compacted columns of those still active.
-        """
-        a, d, zeta2 = self.a, self.d, self.zeta2
-        r = d.size
-        i = self.index
-        origin = np.maximum(np.arange(r + 1) - 1, 0)
-        lo, hi = np.zeros(r + 1), 0.5 * self.gap
-        if self.linear:
-            # Weyl's bounds place the outer roots within |zeta| of the diagonal
-            znorm = np.sqrt(zeta2.sum())
-            lo[0] = (min(a - d[0], 0.0) - znorm) * (1.0 + 4.0 * _EPS)
-            hi[r] = (max(a - d[-1], 0.0) + znorm) * (1.0 + 4.0 * _EPS)
+    def _cold(self, i, origin, offsets, lo, hi):
+        # The roots ``i`` from their intervals' midpoints: g there tells
+        # which half holds each root, and so its nearer pole. Their origins
+        # and offsets are written.
+        r = self.d.size
         tau = 0.5 * (lo + hi)
         tau[1:r] = hi[1:r]
-        warm = np.zeros(r + 1, dtype=bool)
-        if start is not None:
-            warm[self._starts(start, origin, tau, lo, hi)] = True
-        # From here on each root is a column: of ``ints``, its index, origin
-        # and position; of ``state``, its offset, bracket, the relative size
-        # of its last step and, once the first sweep has fixed its origin,
-        # its _frame rows.
-        ints = np.stack((i, origin[i], np.arange(i.size)))
+        # From here on each root is a column: of ``ints``, its index and
+        # origin; of ``state``, its offset, bracket, the relative size of
+        # its last step and, once the first sweep has fixed its origin, its
+        # _frame rows.
+        ints = np.stack((i, origin[i]))
         state = np.empty((7, i.size))
         state[0], state[1], state[2] = tau[i], lo[i], hi[i]
-        origin, (tau, lo, hi, last), frame, warm = ints[1], state[:4], state[4:], warm[i]
-        # g at each interval's midpoint tells which half holds the root,
-        # and so its nearer pole; the started roots are evaluated at their
-        # starts in the same sweep. A started root keeps its half (or
-        # Weyl's bracket) as its bracket: one within an ulp of its start
-        # would have the start for an end, and a step that rounds past it
-        # would bisect.
-        out = self.evaluate(i, origin, tau)
+        o, (tau, lo, hi, last), frame = ints[1], state[:4], state[4:]
+        out = self.evaluate(i, o, tau)
         g, err = out[0], out[3]
         inner = (i > 0) & (i < r)
-        self._right_half(inner & ~warm & (g < 0), i, origin, tau, lo, hi)
-        outer = ~inner & ~warm
-        above, below = outer & (g > 0), outer & (g < 0)
+        # an inner root right of its midpoint takes the right pole for its
+        # origin, and the midpoint for its offset
+        right = inner & (g < 0)
+        o[right] = i[right]
+        lo[right], hi[right] = -hi[right], 0.0
+        tau[right] = lo[right]
+        above, below = ~inner & (g > 0), ~inner & (g < 0)
         hi[above] = tau[above]
         lo[below] = tau[below]
-        at_left = self._frame(i, origin, frame)
+        at_left = self._frame(i, o, frame)
         new = self.step(i, at_left, frame, tau, lo, hi, out)
-        # a root within rounding of its start (as the middle level of a
-        # symmetric spectrum is of its midpoint) has converged: model steps
-        # from inside its half land just beyond the midpoint, and bisection
-        # took ~28 sweeps to close the bracket
+        # a root within rounding of its midpoint (as the middle level of a
+        # symmetric spectrum is) has converged: model steps from inside its
+        # half land just beyond the midpoint, and bisection took ~28 sweeps
+        # to close the bracket
         done = np.abs(g) <= _EPS * err
-        if np.count_nonzero(warm):
-            # so has a started root whose step is below _START_STEP of its
-            # offset and stays in its half (a step that leaves it is NaN)
-            done |= warm & (np.abs(new - tau) <= _START_STEP * np.abs(new))
-            # g at a start tells which side of it holds the root. For an
-            # inner root not done, that side may reach across the midpoint,
-            # and g there decides: a root on its start's side steps from the
-            # start; any other goes on from the midpoint, as without a start.
-            across = np.flatnonzero(warm & ~done & inner & np.where(at_left, g < 0, g > 0))
-            if across.size:
-                k = i[across]
-                t_mid = 0.5 * self.gap[k]
-                at_mid = self.evaluate(k, k - 1, t_mid)
-                other = np.where(at_left[across], at_mid[0] <= 0, at_mid[0] >= 0)
-                moved = across[other]
-                if moved.size:
-                    out[:, moved] = at_mid[:, other]
-                    origin[moved], tau[moved] = k[other] - 1, t_mid[other]
-                    lo[moved], hi[moved] = 0.0, t_mid[other]
-                    self._right_half(moved[g[moved] < 0], i, origin, tau, lo, hi)
-                    moved_frame = np.empty((3, moved.size))
-                    at_left[moved] = self._frame(i[moved], origin[moved], moved_frame)
-                    frame[:, moved] = moved_frame
-                    new[moved] = self.step(i[moved], at_left[moved], moved_frame,
-                                           tau[moved], lo[moved], hi[moved], out[:, moved])
-                    done[moved] = np.abs(g[moved]) <= _EPS * err[moved]
         new = np.where(np.isnan(new), np.where(done, tau, 0.5 * (lo + hi)), new)
         np.divide(np.abs(new - tau), np.abs(new), out=last)  # relative size of each root's last step
         tau[...] = new
-        offsets = new
+        origin[i], offsets[i] = o, new
         # only the roots not done stay in the columns
         keep = ~done
         ints, state, at_left = ints.compress(keep, 1), state.compress(keep, 1), at_left[keep]
         for _ in range(_MAX_ITER):
             if not ints.shape[1]:
                 break
-            i, o, pos = ints
+            i, o = ints
             t, lo, hi, last = state[:4]
             frame = state[4:]
             out = self.evaluate(i, o, t)
@@ -449,7 +403,7 @@ class _Secular:
             done |= small
             np.copyto(t, new)
             np.copyto(last, rho)
-            offsets[pos] = new
+            offsets[i] = new
             if np.count_nonzero(done):
                 keep = ~done
                 ints, state, at_left = ints.compress(keep, 1), state.compress(keep, 1), at_left[keep]
@@ -458,7 +412,32 @@ class _Secular:
                 f"eigensolver did not converge: {ints.shape[1]} secular roots "
                 f"after {_MAX_ITER} iterations"
             )
-        return origin, offsets
+
+    def solve(self, start=None):
+        """Nearer poles and offsets of the roots ``self.index``, in order.
+
+        With ``start``, a pre-pass (``_warm``) evaluates the roots at their
+        usable points of the ascending ``start``, in one sweep, and ends
+        those whose start it accepts. Every other root starts at its
+        interval's midpoint, exactly as without ``start``, and goes on in
+        sweeps over compacted columns of the roots still active (``_cold``).
+        """
+        a, d, zeta2 = self.a, self.d, self.zeta2
+        r = d.size
+        origin = np.maximum(np.arange(r + 1) - 1, 0)
+        offsets = np.empty(r + 1)
+        lo, hi = np.zeros(r + 1), 0.5 * self.gap
+        if self.linear:
+            # Weyl's bounds place the outer roots within |zeta| of the diagonal
+            znorm = np.sqrt(zeta2.sum())
+            lo[0] = (min(a - d[0], 0.0) - znorm) * (1.0 + 4.0 * _EPS)
+            hi[r] = (max(a - d[-1], 0.0) + znorm) * (1.0 + 4.0 * _EPS)
+        i = self.index
+        if start is not None:
+            i = np.setdiff1d(i, self._warm(start, origin, offsets, lo, hi), assume_unique=True)
+        if i.size:
+            self._cold(i, origin, offsets, lo, hi)
+        return origin[self.index], offsets[self.index]
 
 
 def _lowner(diff, d, k, ratio):
@@ -646,8 +625,8 @@ def _eigh_star(diagonal: np.ndarray, c: np.ndarray) -> SpectralDecomposition:
 def _star_levels(model: StarModel, start=None):
     # eigh(model).eigenvalues and .zero_overlaps without the eigenvectors:
     # O(n) memory beyond the row blocks. The secular roots start at the
-    # ascending ``start`` where they can (see _Secular.solve); without it
-    # both arrays are eigh's to the bit.
+    # ascending ``start`` where they can (see _Secular._warm); without it,
+    # or when no start is accepted, both arrays are eigh's to the bit.
     eigenvalues, weights, _ = _arrowhead_eigh(
         model.eps[0], model.eps[1:], np.abs(model.alpha), start, vectors=False
     )

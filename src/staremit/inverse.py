@@ -222,24 +222,25 @@ def verify_round_trip(
     weights are ``eigh(model).zero_overlaps`` for the same roots, to the
     bit, and no eigenvector matrix is built, so memory stays O(n).
 
-    Each secular root starts at its target level where exactly one target
-    lies strictly inside its interval between poles and not within
-    rounding of a pole (for the two outer roots: beyond the outer pole,
-    inside Weyl's bracket); any other root starts at its interval's
-    midpoint, as in ``eigh``. A started root is done after its one
-    evaluation when the solver's convergence test, ``|g| <= eps * err``,
-    accepts the start, or when the solver's step from the start is below
-    1e-10 of the root's offset from its pole and stays in the start's
-    half. The step converges quadratically, so it leaves an error of order
+    A pre-pass of the solver evaluates each secular root at its target
+    level, in one sweep, where exactly one target lies strictly inside its
+    interval between poles and not within rounding of a pole (for the two
+    outer roots: beyond the outer pole, inside Weyl's bracket); any other
+    root starts at its interval's midpoint, as in ``eigh``. A started root
+    is done after its one evaluation when the solver's convergence test,
+    ``|g| <= eps * err``, accepts the start, or when the solver's step from
+    the start is below 1e-10 of the root's offset from its pole and stays
+    in the start's half. The step converges quadratically, so it leaves an error of order
     1e-20 of the offset; the ladder's own rounding, at the spacing of the
     largest level, is far below 1e-10 of the offsets of a faithful model,
     which is therefore verified in one evaluation per root, centred or
-    not. Otherwise the root is iterated from its start, or from its
-    midpoint where the sign of ``g`` at the start leaves its half open, so
-    a model whose levels miss their targets is solved as precisely as by
-    ``eigh``. A root done at its start takes that step, so its eigenvalue
-    error reads the step plus the rounding of pole plus offset: often
-    exactly 0, and within a few ulps of the level.
+    not. A root not accepted at its start restarts from its midpoint,
+    exactly as ``eigh`` solves it, so a model whose levels miss their
+    targets is solved as by ``eigh``: when no start is accepted, its
+    eigenvalues and weights are ``eigh``'s to the bit. A root done at its
+    start takes that step, so its eigenvalue error reads the step plus the
+    rounding of pole plus offset: often exactly 0, and within a few ulps
+    of the level.
 
     Eigenvalues are compared sorted, elementwise. Overlap weights are
     summed per distinct level on both sides first, so basis choices inside

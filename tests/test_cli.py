@@ -181,12 +181,12 @@ def test_series_commands_store_no_eigenvector_rows(tmp_path):
 def test_identical_modes_memory_is_linear_in_n(tmp_path):
     # At n = 100000 eigh's eigenvector matrix alone would take 74.5 GiB.
     # The series solve keeps arrays of length n, and the survival kernel on
-    # a uniform grid of S samples holds about seven complex arrays of
-    # n x ceil(sqrt(S)) (106 MiB measured here, at S = 101). The budget is
-    # eight such arrays: O(n sqrt(S)), 134 MiB.
+    # a uniform grid of S samples holds at most four complex arrays of
+    # n x ceil(sqrt(S)) at once (67.5 MiB measured here, at S = 101). The
+    # budget is five such arrays: O(n sqrt(S)), 84 MiB.
     n, samples = 100_000, 101
     out = tmp_path / "x.csv"
-    budget = 8 * 16 * (n + 1) * (math.isqrt(samples - 1) + 1)
+    budget = 5 * 16 * (n + 1) * (math.isqrt(samples - 1) + 1)
     tracemalloc.start()
     try:
         rc = main(["identical-modes", "--n", str(n), "--samples", str(samples), "--out", str(out)])

@@ -452,6 +452,31 @@ def test_verify_round_trip_warm_start_matches_cold_solve(kind, scale, m_half, se
     assert np.abs(weights - cold.zero_overlaps).max() <= 64 * eps
 
 
+@pytest.mark.parametrize("scale", _SCALES)
+@pytest.mark.parametrize("kind", ["shift-1/4", "shift-1/2"])
+def test_verify_round_trip_pre_pass_never_steers_a_root(kind, scale):
+    # Levels shifted by a quarter or half a spacing miss every target, so
+    # the pre-pass accepts no start, and every root restarts from its
+    # midpoint: verification solves the model exactly as eigh does, after
+    # one sweep over the started roots (none at m_half = 1, whose three
+    # targets leave no interval with exactly one inside)
+    eps0, d_width = scale
+    for m_half in range(1, 31):
+        rng = np.random.default_rng(m_half)
+        w = 10.0 ** rng.uniform(-12.0, 0.0, 2 * m_half + 1)
+        p = SpectralProfile(m_half, eps0, d_width, w / w.sum())
+        model = _family_model(kind, p, construct_hamiltonian(p), rng)
+        eigenvalues, weights = hermitian._star_levels(model, start=p.eigenvalues())
+        cold_rows, cold = solver_rows(eigh, model)
+        assert np.array_equal(eigenvalues, cold.eigenvalues), m_half
+        assert np.array_equal(weights, cold.zero_overlaps), m_half
+        rows, report = solver_rows(verify_round_trip, model, p, 1e-8)
+        started = rows[:1] if m_half > 1 else []
+        assert rows == started + cold_rows, m_half
+        assert 0 < sum(started) <= model.dim or m_half == 1
+        assert not report.passed
+
+
 @pytest.mark.parametrize("model_scale, d_width", [(1e-300, 1e10), (1e300, 1e-300)])
 def test_verify_round_trip_of_a_model_at_another_scale(model_scale, d_width):
     # the targets, scaled with the model's entries, overflow or underflow:
@@ -493,8 +518,9 @@ def test_verify_round_trip_off_centre_takes_one_evaluation_per_root(eps0):
     # below _START_STEP, so the root is done with it all the same (with the
     # convergence test alone, the seed-13 benchmark's dim-457 item took
     # sweeps of 457, 212 and 426 roots). A root whose offset from its pole
-    # is a few thousand ulps of |E| still iterates: a few symmetric random
-    # profiles at M = 228 have one or two.
+    # is a few thousand ulps of |E| is not accepted at its start and
+    # restarts from its midpoint, exactly as eigh solves it: a few symmetric
+    # random profiles at M = 228 have one or two.
     for m_half in (1, 2, 7, 20, 60, 114, 228, 250):
         for d_width in (0.7, 2.0):
             for p in (flat_profile(m_half, eps0, d_width),
@@ -504,7 +530,8 @@ def test_verify_round_trip_off_centre_takes_one_evaluation_per_root(eps0):
 
 def test_verify_round_trip_far_off_centre_still_iterates():
     # at eps0 = 1e6 and d = 1e-3 a target's rounding is ~1e-5 of its offset:
-    # the first step is above _START_STEP, and the roots go on iterating
+    # the first step is above _START_STEP, so the pre-pass accepts no start,
+    # and the roots restart from their midpoints, exactly as eigh solves them
     p = flat_profile(20, 1e6, 1e-3)
     rows, report = solver_rows(verify_round_trip, construct_hamiltonian(p), p, 1e-7)
     assert report.passed
