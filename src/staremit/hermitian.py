@@ -55,6 +55,7 @@ dense matrix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,6 +88,42 @@ _START_STEP = 1e-10
 
 # Matrix entries per row block of the star solver's temporaries.
 _BLOCK_CELLS = 1 << 15
+
+# eigh refuses a dim whose eigenvector matrix and work arrays would exceed
+# this many bytes, before it allocates them: 8 bytes a cell for a star with
+# real non-negative couplings, 16 for another star (its complex
+# eigenvectors) and 48 for LAPACK's complex solver (the eigenvectors and
+# its two work arrays of about n^2 entries, one complex and one real pair).
+_EIGH_BUDGET = 8 << 30
+
+# Rows of at least this many entries are run in buffers of one row (_RowBuffers).
+_ROW_BUFFERS = 160
+
+
+class _RowBuffers:
+    """Context in which numpy runs elementwise operations in buffers of one row.
+
+    numpy applies an operation whose operands are broadcast across a row
+    block in buffers of ``np.getbufsize()`` entries, 8192 by default, and a
+    buffer that spans several rows copies the broadcast operands: on rows of
+    200 to 4000 entries that made ``d - d_origin[:, None]`` 2-4 times as
+    slow as its contiguous form. Buffers of at most one row use the operands
+    in place. Below ``_ROW_BUFFERS`` entries a row, short buffers cost more
+    than the copies, and numpy's default stays. Each entry is computed by
+    the same operation either way. Reductions, whose grouping may follow the
+    buffers, stay outside.
+    """
+
+    def __init__(self, row: int):
+        self.size = row // 16 * 16 if row >= _ROW_BUFFERS else 0
+
+    def __enter__(self):
+        if self.size:
+            self.old = np.setbufsize(self.size)
+
+    def __exit__(self, *exc):
+        if self.size:
+            np.setbufsize(self.old)
 
 
 def _as_square_matrix(mat) -> np.ndarray:
@@ -155,15 +192,16 @@ class SpectralDecomposition:
 
 def _pick_root(coef, lo, hi):
     # the root of qa x^2 - qb x + qc = 0, for the rows qc, qb, qa of coef,
-    # that lies inside (lo, hi), NaN where neither does; coef is overwritten
+    # that lies inside (lo, hi), NaN where neither does; coef is overwritten.
+    # A zero q or qa gives a quotient that is not inside; _Secular.solve
+    # silences those divisions once for all of its sweeps.
     qc, qb, qa = coef
     disc = qb * qb
     disc -= 4.0 * qa * qc
     np.sqrt(np.abs(disc, out=disc), out=disc)
     qb += np.copysign(disc, qb, out=disc)
     qb *= 0.5  # q, in place of qb
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x = coef[:2] / coef[1:]  # qc / q and q / qa: the small and the large root
+    x = coef[:2] / coef[1:]  # qc / q and q / qa: the small and the large root
     inside = (x > lo) & (x < hi)
     small, root = x
     np.copyto(root, np.nan, where=~inside[1])
@@ -184,9 +222,8 @@ class _Secular:
     def __init__(self, a: float, d: np.ndarray, zeta2: np.ndarray, linear: bool = True):
         self.a, self.d, self.zeta2, self.linear = a, d, zeta2, linear
         r = d.size
-        self.index = np.arange(r + 1) if linear else np.arange(1, r)
         self.gap = np.zeros(r + 1)
-        self.gap[1:r] = np.diff(d)
+        np.subtract(d[1:], d[:-1], out=self.gap[1:r])
         self.rows = max(1, _BLOCK_CELLS // r)
         self.buf = np.empty((2, min(self.rows, r + 1), r))
         # the band of columns each row block masks, laid out as np.where
@@ -194,14 +231,13 @@ class _Secular:
         self.masked = np.empty(self.buf.size)
         self.columns = np.arange(r)
 
-    def _block(self, i, origin, tau, out):
-        # writes into the rows of ``out``: g at d[origin] + tau, its slopes
-        # from the poles left and right of each root (the linear term acts as
-        # a pole at -inf, on the left), and a bound on the rounding error of g
+    def _block(self, i, d_origin, tau, out):
+        # the pole sums of the roots i at d_origin + tau, into the rows of
+        # ``out``: over the poles left of each root, psi and its slope, and
+        # over those right of it, its slope and phi
         d, zeta2 = self.d, self.zeta2
         both = self.buf[:, : tau.size]
         square, rec = both
-        d_origin = d[origin]
         np.subtract(d, d_origin[:, None], out=rec)
         rec -= tau[:, None]  # d_k - lambda, exactly -tau at k == origin
         np.divide(1.0, rec, out=rec)
@@ -215,12 +251,26 @@ class _Secular:
         masked.fill(0.0)
         np.copyto(masked, band, where=self.columns[c0:c1] < i[:, None])
         mixed = masked @ zb
-        g, slope_l, slope_r, err = out
-        # psi and phi, the sums over the left and right poles, go to the
-        # rows of g and err until those are formed
         np.add(both[..., :c0] @ zeta2[:c0], mixed, out=out[1::-1])
         np.subtract(band @ zb, mixed, out=mixed)
         np.add(both[..., c1:] @ zeta2[c1:], mixed, out=out[2:])
+
+    def evaluate(self, i, origin, tau):
+        # The rows g at d[origin] + tau, its slopes from the poles left and
+        # right of each root (the linear term acts as a pole at -inf, on the
+        # left), and a bound on the rounding error of g: the pole sums in
+        # row blocks, the rest elementwise over all the roots at once.
+        d_origin = self.d[origin]
+        out = np.empty((4, i.size))
+        if i.size <= self.rows:
+            self._block(i, d_origin, tau, out)
+        else:
+            for s in range(0, i.size, self.rows):
+                e = s + self.rows
+                self._block(i[s:e], d_origin[s:e], tau[s:e], out[:, s:e])
+        # psi and phi, the sums over the left and right poles, sit in the
+        # rows of g and err until those are formed
+        g, slope_l, slope_r, err = out
         psi, phi = g, err
         lin = d_origin - self.a if self.linear else 0.0
         if self.linear:
@@ -236,26 +286,19 @@ class _Secular:
         np.add(bound, slopes, out=err)
         return out
 
-    def evaluate(self, i, origin, tau):
-        # _block over the rows of roots i at d[origin] + tau, in row blocks
-        out = np.empty((4, i.size))
-        for s in range(0, i.size, self.rows):
-            e = s + self.rows
-            self._block(i[s:e], origin[s:e], tau[s:e], out[:, s:e])
-        return out
-
-    def _frame(self, i, origin, frame):
-        # What the first sweep fixes for each root, with its origin: whether
-        # that is the interval's left pole, returned, and the rows of
-        # ``frame``: the interval's width signed toward the far pole, and
-        # the offsets of its left and right poles from the origin. An outer
-        # root's rows are not used.
-        at_left = origin == i - 1
+    def _frame(self, i, right, frame):
+        # The rows of ``frame`` that step reads, fixed once each root's
+        # origin is: its interval's width signed toward the far pole, and
+        # the offsets of the interval's left and right poles from the
+        # origin, which is the right pole where ``right``. Returns whether
+        # the origin is the left pole. An outer root's rows are not used.
         gap = self.gap[i]
-        frame[0] = np.where(at_left, gap, -gap)
-        frame[1] = np.where(at_left, 0.0, frame[0])
-        frame[2] = np.where(at_left, gap, 0.0)
-        return at_left
+        frame[0] = gap
+        frame[1] = 0.0
+        frame[2] = gap
+        np.copyto(frame[:2], -gap, where=right)
+        np.copyto(frame[2], 0.0, where=right)
+        return ~right
 
     def step(self, i, at_left, frame, t, lo, hi, out):
         # Interior roots take the middle way: a model with one pole at each
@@ -289,10 +332,12 @@ class _Secular:
     def _outer(coef, j, t, g, slope):
         # qc, qb, qa of the outer root in row j, whose poles act as one at
         # its origin with the weight ``slope t^2``
-        tj = t[j]
-        coef[:, j] = -tj * tj * slope, tj - g[j] - tj * slope, 1.0
+        tj, slope = float(t[j]), float(slope)
+        coef[0, j] = -tj * tj * slope
+        coef[1, j] = tj - float(g[j]) - tj * slope
+        coef[2, j] = 1.0
 
-    def _warm(self, start, origin, offsets, lo, hi):
+    def _warm(self, start, origin, offsets, bracket):
         # The pre-pass from the ascending ``start``. A root starts at a point
         # of it where its interval holds exactly one, strictly inside (the
         # outer roots' inside Weyl's bracket) and not within rounding of its
@@ -302,62 +347,84 @@ class _Secular:
         # roots are evaluated in one sweep; those the convergence test
         # accepts, or whose step is at most _START_STEP of the offset and
         # stays in the half (else it is NaN), take that step and are done.
-        # Their origins and offsets are written, and their indices returned.
+        # Their origins and offsets are written; returns which roots are not.
         d, r = self.d, self.d.size
-        first = np.append(0, np.searchsorted(start, d, side="right"))
-        end = np.append(np.searchsorted(start, d, side="left"), start.size)
-        k = np.flatnonzero(end - first == 1)
+        # the points strictly inside interval k are first[k] .. end[k] - 1
+        first, end = np.empty((2, r + 1), dtype=np.intp)
+        first[0], end[r] = 0, start.size
+        first[1:] = np.searchsorted(start, d, side="right")
+        end[:r] = np.searchsorted(start, d, side="left")
+        end -= first
+        k = np.flatnonzero(end == 1)
         point = start[first[k]]
         o = origin[k]
         t = point - d[o]
-        use = (t > lo[k]) & ((k < r) | (t < hi[k]))
-        flip = (k > 0) & (k < r) & (t > hi[k])
-        o[flip] = k[flip]
-        t[flip] = point[flip] - d[k[flip]]
+        lo, hi = bracket[:, k]
+        use = t > lo
+        use &= (k < r) | (t < hi)
+        # a point right of an inner interval's midpoint is kept as an offset
+        # from the right pole
+        flip = (k > 0) & (k < r) & (t > hi)
+        np.copyto(o, k, where=flip)
+        np.copyto(t, point - d[np.minimum(k, r - 1)], where=flip)
         use &= np.abs(t) > 4.0 * _EPS * max(1.0, -start[0], start[-1])
-        k, o, t, flip = k[use], o[use], t[use], flip[use]
-        if not k.size:
-            return k
-        lo, hi = lo[k], hi[k]
-        lo[flip], hi[flip] = -hi[flip], 0.0
+        pending = np.ones(r + 1, dtype=bool)
+        if not np.count_nonzero(use):
+            return pending
+        k, o, t, flip, lo, hi = k[use], o[use], t[use], flip[use], lo[use], hi[use]
+        np.negative(hi, out=lo, where=flip)
+        np.copyto(hi, 0.0, where=flip)
         out = self.evaluate(k, o, t)
         frame = np.empty((3, k.size))
-        new = self.step(k, self._frame(k, o, frame), frame, t, lo, hi, out)
+        new = self.step(k, self._frame(k, flip, frame), frame, t, lo, hi, out)
         done = np.abs(out[0]) <= _EPS * out[3]
         done |= np.abs(new - t) <= _START_STEP * np.abs(new)
+        np.copyto(new, t, where=np.isnan(new))
         k = k[done]
         origin[k] = o[done]
-        offsets[k] = np.where(np.isnan(new), t, new)[done]
-        return k
+        offsets[k] = new[done]
+        pending[k] = False
+        return pending
 
-    def _cold(self, i, origin, offsets, lo, hi):
+    def _cold(self, i, origin, offsets, bracket):
         # The roots ``i`` from their intervals' midpoints: g there tells
         # which half holds each root, and so its nearer pole. Their origins
         # and offsets are written.
         r = self.d.size
-        tau = 0.5 * (lo + hi)
-        tau[1:r] = hi[1:r]
         # From here on each root is a column: of ``ints``, its index and
         # origin; of ``state``, its offset, bracket, the relative size of
         # its last step and, once the first sweep has fixed its origin, its
         # _frame rows.
-        ints = np.stack((i, origin[i]))
+        ints = np.empty((2, i.size), dtype=np.intp)
+        ints[0] = i
+        i, o = ints
+        np.take(origin, i, out=o)
         state = np.empty((7, i.size))
-        state[0], state[1], state[2] = tau[i], lo[i], hi[i]
-        o, (tau, lo, hi, last), frame = ints[1], state[:4], state[4:]
+        np.take(bracket, i, axis=1, out=state[1:3])
+        (tau, lo, hi, last), frame = state[:4], state[4:]
+        # an inner root starts at its interval's midpoint, hi from its left
+        # pole; an outer one at the middle of Weyl's bracket
+        np.copyto(tau, hi)
+        outer = ([0] if i[0] == 0 else []) + ([-1] if i[-1] == r else [])
+        for j in outer:
+            tau[j] = 0.5 * (lo[j] + hi[j])
         out = self.evaluate(i, o, tau)
         g, err = out[0], out[3]
-        inner = (i > 0) & (i < r)
         # an inner root right of its midpoint takes the right pole for its
-        # origin, and the midpoint for its offset
-        right = inner & (g < 0)
-        o[right] = i[right]
-        lo[right], hi[right] = -hi[right], 0.0
-        tau[right] = lo[right]
-        above, below = ~inner & (g > 0), ~inner & (g < 0)
-        hi[above] = tau[above]
-        lo[below] = tau[below]
-        at_left = self._frame(i, o, frame)
+        # origin, and the midpoint for its offset; an outer root halves its
+        # bracket
+        right = g < 0
+        for j in outer:
+            right[j] = False
+            if g[j] > 0:
+                hi[j] = tau[j]
+            elif g[j] < 0:
+                lo[j] = tau[j]
+        np.copyto(o, i, where=right)
+        np.negative(hi, out=lo, where=right)
+        np.copyto(tau, lo, where=right)
+        np.copyto(hi, 0.0, where=right)
+        at_left = self._frame(i, right, frame)
         new = self.step(i, at_left, frame, tau, lo, hi, out)
         # a root within rounding of its midpoint (as the middle level of a
         # symmetric spectrum is) has converged: model steps from inside its
@@ -366,7 +433,7 @@ class _Secular:
         done = np.abs(g) <= _EPS * err
         new = np.where(np.isnan(new), np.where(done, tau, 0.5 * (lo + hi)), new)
         np.divide(np.abs(new - tau), np.abs(new), out=last)  # relative size of each root's last step
-        tau[...] = new
+        np.copyto(tau, new)
         origin[i], offsets[i] = o, new
         # only the roots not done stay in the columns
         keep = ~done
@@ -375,8 +442,7 @@ class _Secular:
             if not ints.shape[1]:
                 break
             i, o = ints
-            t, lo, hi, last = state[:4]
-            frame = state[4:]
+            (t, lo, hi, last), frame = state[:4], state[4:]
             out = self.evaluate(i, o, t)
             g, err = out[0], out[3]
             above = g > 0
@@ -391,18 +457,19 @@ class _Secular:
             bisect = np.isnan(new)
             bisected = np.count_nonzero(bisect)
             if bisected:
-                new = np.where(bisect, np.where(done, t, 0.5 * (lo + hi)), new)
+                np.copyto(new, np.where(done, t, 0.5 * (lo + hi)), where=bisect)
             # the step converges quadratically: after steps of relative size
             # last and rho, the error left is near rho^3 / last^2, and a
             # root whose error that puts below eps / 8 needs no further
-            # sweep. A bisection tells nothing of the error left.
-            rho = np.abs(new - t) / np.abs(new)
-            small = (rho <= 1e-6) & (rho**3 <= 0.125 * _EPS * last**2)
+            # sweep. A bisection tells nothing of the error left. rho goes
+            # into the row of last once last^2 is formed.
+            bound = 0.125 * _EPS * last**2
+            rho = np.divide(np.abs(new - t), np.abs(new), out=last)
+            small = (rho <= 1e-6) & (rho**3 <= bound)
             if bisected:
                 small &= ~bisect
             done |= small
             np.copyto(t, new)
-            np.copyto(last, rho)
             offsets[i] = new
             if np.count_nonzero(done):
                 keep = ~done
@@ -414,43 +481,54 @@ class _Secular:
             )
 
     def solve(self, start=None):
-        """Nearer poles and offsets of the roots ``self.index``, in order.
+        """Nearer poles and offsets of the roots ``0..r``, or ``1..r-1`` without the linear term.
 
         With ``start``, a pre-pass (``_warm``) evaluates the roots at their
         usable points of the ascending ``start``, in one sweep, and ends
         those whose start it accepts. Every other root starts at its
         interval's midpoint, exactly as without ``start``, and goes on in
         sweeps over compacted columns of the roots still active (``_cold``).
+        Division warnings are silenced once for all the sweeps: a zero
+        quotient's operand only ever yields a step that _pick_root discards.
         """
         a, d, zeta2 = self.a, self.d, self.zeta2
         r = d.size
-        origin = np.maximum(np.arange(r + 1) - 1, 0)
+        origin = np.arange(-1, r)
+        origin[0] = 0
         offsets = np.empty(r + 1)
-        lo, hi = np.zeros(r + 1), 0.5 * self.gap
+        bracket = np.zeros((2, r + 1))
+        np.multiply(0.5, self.gap, out=bracket[1])
         if self.linear:
             # Weyl's bounds place the outer roots within |zeta| of the diagonal
             znorm = np.sqrt(zeta2.sum())
-            lo[0] = (min(a - d[0], 0.0) - znorm) * (1.0 + 4.0 * _EPS)
-            hi[r] = (max(a - d[-1], 0.0) + znorm) * (1.0 + 4.0 * _EPS)
-        i = self.index
-        if start is not None:
-            i = np.setdiff1d(i, self._warm(start, origin, offsets, lo, hi), assume_unique=True)
-        if i.size:
-            self._cold(i, origin, offsets, lo, hi)
-        return origin[self.index], offsets[self.index]
+            bracket[0, 0] = (min(a - d[0], 0.0) - znorm) * (1.0 + 4.0 * _EPS)
+            bracket[1, r] = (max(a - d[-1], 0.0) + znorm) * (1.0 + 4.0 * _EPS)
+            i = np.arange(r + 1)
+        else:
+            i = np.arange(1, r)
+        with np.errstate(divide="ignore", invalid="ignore"), _RowBuffers(r):
+            if start is not None:
+                i = i[self._warm(start, origin, offsets, bracket)[i]]
+            if i.size:
+                self._cold(i, origin, offsets, bracket)
+        if self.linear:
+            return origin, offsets
+        return origin[1:r], offsets[1:r]
 
 
-def _lowner(diff, d, k, ratio):
+def _lowner(diff, d, k, dk, ratio, buffers):
     # Löwner's formula
     #   zhat_k^2 = -(lambda_k - d_k)(lambda_r - d_k) prod_{i != k, i < r}
     #              (lambda_i - d_k) / (d_i - d_k)
-    # for the poles d[k], from diff[j, i] = lambda_i - d[k_j] over the r + 1
-    # roots lambda of the r poles d: the couplings for which those roots
-    # are exact. ``ratio`` is a work array shaped like diff[:, :r].
+    # for the poles dk = d[k], from diff[j, i] = lambda_i - d[k_j] over the
+    # r + 1 roots lambda of the r poles d: the couplings for which those
+    # roots are exact. ``ratio`` is a work array shaped like diff[:, :r];
+    # ``buffers`` the _RowBuffers of the rows.
     r = d.size
-    np.subtract(d, d[k][:, None], out=ratio)
-    ratio[np.arange(k.size), k] = -1.0 / diff[:, r]
-    np.divide(diff[:, :r], ratio, out=ratio)
+    with buffers:
+        np.subtract(d, dk[:, None], out=ratio)
+        ratio[np.arange(k.size), k] = -1.0 / diff[:, r]
+        np.divide(diff[:, :r], ratio, out=ratio)
     return np.sqrt(np.prod(ratio, axis=1))
 
 
@@ -464,15 +542,19 @@ def _lowner_vectors(d, origin, tau, rank, out=None):
     d_origin = d[origin]
     norm2 = np.ones(r + 1)
     rows = max(1, _BLOCK_CELLS // r)
+    buffers = _RowBuffers(r)
     ratio = np.empty((min(rows, r), r))
     scratch = np.empty((min(rows, r), r + 1)) if out is None else None
     for s in range(0, r, rows):
         k = rank[s : s + rows]
+        dk = d[k]
         diff = scratch[: k.size] if out is None else out[s : s + k.size]
-        np.subtract(d_origin, d[k][:, None], out=diff)
-        diff += tau  # lambda_i - d_k, exactly tau_i where origin[i] == k
-        zhat = _lowner(diff, d, k, ratio[: k.size])
-        np.divide(zhat[:, None], diff, out=diff)
+        with buffers:
+            np.subtract(d_origin, dk[:, None], out=diff)
+            diff += tau  # lambda_i - d_k, exactly tau_i where origin[i] == k
+        zhat = _lowner(diff, d, k, dk, ratio[: k.size], buffers)
+        with buffers:
+            np.divide(zhat[:, None], diff, out=diff)
         norm2 += np.einsum("ij,ij->j", diff, diff)
     return np.sqrt(norm2)
 
@@ -486,30 +568,33 @@ def _arrowhead_from_spectrum(lam: np.ndarray, w: np.ndarray):
     # poles), evaluated on the rounded p, so the arrowhead that is returned
     # has eigenvalues lam to working precision. lam is scaled by a power
     # of two, so the largest |lam| lies in [1/2, 1), and scaled back.
-    e = int(np.frexp(np.abs(lam).max())[1])
+    e = math.frexp(max(-lam[0], lam[-1]))[1]
     lam = np.ldexp(lam, -e)
     origin, tau = _Secular(0.0, lam, w, linear=False).solve()
     p = lam[origin] + tau
     r = p.size
     z = np.empty(r)
     rows = max(1, _BLOCK_CELLS // (r + 1))
+    buffers = _RowBuffers(r)
     diff, ratio = np.empty((min(rows, r), r + 1)), np.empty((min(rows, r), r))
     # a root rounded onto lam[-1] gives -1/0 in Löwner's formula, and
     # coupling 0, which is exact for it
     with np.errstate(divide="ignore"):
         for s in range(0, r, rows):
             k = np.arange(s, min(s + rows, r))
-            blk = diff[: k.size]
-            np.subtract(lam, p[k][:, None], out=blk)
-            z[s : s + k.size] = _lowner(blk, p, k, ratio[: k.size])
+            pk, blk = p[k], diff[: k.size]
+            with buffers:
+                np.subtract(lam, pk[:, None], out=blk)
+            z[s : s + k.size] = _lowner(blk, p, k, pk, ratio[: k.size], buffers)
     return np.ldexp(p, e), np.ldexp(z, e)
 
 
-def _pole_groups(sorted_poles: np.ndarray, tol: float) -> np.ndarray:
+def _pole_groups(sorted_poles: np.ndarray, tol: float):
     # starts of the runs in which every pole lies within tol of the run's
-    # first one
-    if not np.any(np.diff(sorted_poles) <= tol):
-        return np.arange(sorted_poles.size)
+    # first one; None when no two neighbours lie within tol, so every run
+    # is one pole
+    if not np.count_nonzero(np.diff(sorted_poles) <= tol):
+        return None
     starts, anchor = [0], sorted_poles[0]
     for j, x in enumerate(sorted_poles.tolist()):
         if x - anchor > tol:
@@ -518,42 +603,69 @@ def _pole_groups(sorted_poles: np.ndarray, tol: float) -> np.ndarray:
     return np.array(starts)
 
 
-def _arrowhead_eigh(a: float, p: np.ndarray, z: np.ndarray, start=None, vectors: bool = True):
+def _check_dim(n: int, cell_bytes: int) -> None:
+    # refuse, before they exist, n x n arrays of cell_bytes bytes a cell in
+    # all that would exceed _EIGH_BUDGET
+    need = n * n * cell_bytes
+    if need > _EIGH_BUDGET:
+        raise ValueError(
+            f"dim {n} is too large for eigh: its eigenvectors and work arrays would take "
+            f"{need / 2**30:.1f} GiB, above the budget of {_EIGH_BUDGET / 2**30:g} GiB"
+        )
+
+
+def _arrowhead_eigh(a: float, p: np.ndarray, z: np.ndarray, start=None, vectors: bool = False,
+                    phase=None):
     # ascending eigenvalues, their weights (the squared first components of
-    # the eigenvectors) and, with ``vectors``, the real orthonormal
-    # eigenvectors of the arrowhead [[a, z^T], [z, diag(p)]] with z >= 0,
-    # else None: then no n x n array is formed. The secular roots start at
-    # the ascending ``start`` where _Secular can use it.
+    # the eigenvectors) and, with ``vectors``, the orthonormal eigenvectors
+    # of the arrowhead [[a, z^T], [z, diag(p)]] with z >= 0: real, or with
+    # the complex ``phase`` those of diag(phase) times it. Without
+    # ``vectors`` they are None, and no n x n array is formed. The secular
+    # roots start at the ascending ``start`` where _Secular can use it.
     m = p.size
     n = m + 1
-    top = max(abs(a), np.abs(p).max(initial=0.0), z.max(initial=0.0))
+    if vectors:
+        _check_dim(n, 8 if phase is None else 16)
+    pa = max(abs(a), np.abs(p).max(initial=0.0))
+    top = max(pa, z.max(initial=0.0))
     if top == 0.0:
         weights = np.zeros(n)
         weights[0] = 1.0
         return np.zeros(n), weights, np.eye(n) if vectors else None
     # an exact power-of-two scale puts the largest entry in [1/2, 1): no
-    # z_k^2 overflows, and none above the deflation threshold underflows
-    e = int(np.frexp(top)[1])
-    a, p, z = float(np.ldexp(a, -e)), np.ldexp(p, -e), np.ldexp(z, -e)
-    tol = _DEFLATION * _EPS * (max(abs(a), np.abs(p).max(initial=0.0)) + np.sqrt(z @ z))
+    # z_k^2 overflows, and none above the deflation threshold underflows.
+    # The scale is exact, so the largest scaled |a|, |p_k| is pa's scaled.
+    e = math.frexp(top)[1]
+    a, p, z = math.ldexp(a, -e), np.ldexp(p, -e), np.ldexp(z, -e)
+    tol = _DEFLATION * _EPS * (math.ldexp(pa, -e) + np.sqrt(z @ z))
     bright = np.flatnonzero(z > tol)
     bright = bright[np.argsort(p[bright], kind="stable")]
-    starts = _pole_groups(p[bright], tol)
-    ends = np.append(starts[1:], bright.size)
-    r = starts.size
-    reps = bright[starts]
-    d, zeta = p[reps], z[reps]
+    d = p[bright]
+    starts = _pole_groups(d, tol)
     # one Householder reflection per group of equal poles turns its
     # couplings into one bright direction u, of coupling |z| over the
     # group, and size - 1 dark ones; |z| is scaled by the largest coupling,
     # which makes it exact for equal couplings
     groups = []
-    for j in np.flatnonzero(ends - starts > 1):
-        members = bright[starts[j] : ends[j]]
-        big = z[members].max()
-        zeta[j] = big * np.sqrt(np.sum((z[members] / big) ** 2))
-        groups.append((members, z[members] / zeta[j]))
-    vals, head, block = np.full(1, a), np.ones(1), np.ones((1, 1))
+    if starts is None:
+        reps, zeta = bright, z[bright]
+    else:
+        ends = np.append(starts[1:], bright.size)
+        reps = bright[starts]
+        d, zeta = p[reps], z[reps]
+        for j in np.flatnonzero(ends - starts > 1):
+            members = bright[starts[j] : ends[j]]
+            big = z[members].max()
+            zeta[j] = big * np.sqrt(np.sum((z[members] / big) ** 2))
+            groups.append((members, z[members] / zeta[j]))
+    r = reps.size
+    out = vecs = None
+    if vectors:
+        # the vectors are written into the result's own memory: a complex
+        # result holds them in the first half of each row until its rows
+        # are multiplied by their phases, in row blocks
+        out = (np.empty if r == m else np.zeros)((n, n), dtype=float if phase is None else complex)
+        vecs = out if phase is None else out.view(float)[:, :n]
     if r:
         scaled_start = None
         if start is not None:
@@ -564,15 +676,22 @@ def _arrowhead_eigh(a: float, p: np.ndarray, z: np.ndarray, start=None, vectors:
         vals = d[origin] + tau
         # rows in mode order, so that with nothing deflated they are final
         by_mode = np.argsort(reps)
-        block = np.empty((r + 1, r + 1)) if vectors else None
+        block = None if vecs is None else vecs[: r + 1, : r + 1]
         norms = _lowner_vectors(d, origin, tau, by_mode, None if block is None else block[1:])
         head = 1.0 / norms
-        if vectors:
+        if r == m:
+            if vecs is not None:
+                block[0] = 1.0
+                _rephase(out, vecs, phase, norms)
+            return np.ldexp(vals, e), head**2, out
+        if vecs is not None:
             block[0] = 1.0
             block /= norms
-        if r == m:
-            return np.ldexp(vals, e), head**2, block
         reps = reps[by_mode]
+    else:
+        vals, head = np.full(1, a), np.ones(1)
+        if vecs is not None:
+            vecs[0, 0] = 1.0
     lone = np.flatnonzero(z <= tol)
     dark_vals = [np.full(members.size - 1, p[members[0]]) for members, _ in groups]
     all_vals = np.concatenate([vals, *dark_vals, p[lone]])
@@ -582,39 +701,80 @@ def _arrowhead_eigh(a: float, p: np.ndarray, z: np.ndarray, start=None, vectors:
     bright_cols = col[: r + 1]
     weights = np.zeros(n)
     weights[bright_cols] = head**2
-    if not vectors:
+    if vecs is None:
         return np.ldexp(all_vals[order], e), weights, None
-    v = np.zeros((n, n))
-    v[np.ix_(np.append(0, 1 + reps), bright_cols)] = block
+    # the bright block moves from the top left corner to its rows [0, 1 +
+    # reps] and columns bright_cols, both ascending and at or beyond where it
+    # is now, so moving it a row block at a time from the bottom up leaves
+    # the rows still to move in place
+    rows = max(1, _BLOCK_CELLS // (r + 1))
+    target = np.append(0, 1 + reps)
+    for s in range(r // rows * rows, -1, -rows):
+        e_ = min(s + rows, r + 1)
+        moved = vecs[s:e_, : r + 1].copy()
+        vecs[s:e_, : r + 1] = 0.0
+        vecs[np.ix_(target[s:e_], bright_cols)] = moved
     c = r + 1
     for members, u in groups:
         # the group's share of each bright vector, then its dark vectors
-        # H e_j (j >= 1) of H = I - w w^T / (1 + u_0), w = u + e_0
-        v[np.ix_(1 + members, bright_cols)] = np.outer(u, v[1 + members[0], bright_cols])
+        # H e_j (j >= 1) of H = I - w w^T / (1 + u_0), w = u + e_0, in row
+        # blocks of the group
+        share = vecs[1 + members[0], bright_cols]
         w = u.copy()
         w[0] += 1.0
-        h = np.outer(w, u[1:] / -w[0])
-        k = np.arange(members.size - 1)
-        h[k + 1, k] += 1.0
-        v[np.ix_(1 + members, col[c : c + members.size - 1])] = h
+        coef = u[1:] / -w[0]
+        dark = col[c : c + members.size - 1]
+        step = max(1, _BLOCK_CELLS // members.size)
+        for s in range(0, members.size, step):
+            rows_ = 1 + members[s : s + step]
+            vecs[np.ix_(rows_, bright_cols)] = np.outer(u[s : s + step], share)
+            h = np.outer(w[s : s + step], coef)
+            k = np.arange(max(s, 1), min(s + step, members.size))
+            h[k - s, k - 1] += 1.0
+            vecs[np.ix_(rows_, dark)] = h
         c += members.size - 1
-    v[1 + lone, col[c:]] = 1.0
-    return np.ldexp(all_vals[order], e), weights, v
+    vecs[1 + lone, col[c:]] = 1.0
+    if phase is not None:
+        _rephase(out, vecs, phase)
+    return np.ldexp(all_vals[order], e), weights, out
+
+
+def _rephase(out, vecs, phase, norms=None):
+    # out = diag(phase) (vecs / norms), in place: vecs is a real view of
+    # out's memory (row i within row i), or out itself when phase is None;
+    # a row block at a time goes through one scratch block, so the result
+    # holds no second n x n array
+    if phase is None:
+        if norms is not None:
+            vecs /= norms
+        return
+    n = out.shape[0]
+    rows = max(1, _BLOCK_CELLS // n)
+    scratch = np.empty((min(rows, n), n))
+    for s in range(0, n, rows):
+        blk = scratch[: min(rows, n - s)]
+        if norms is None:
+            np.copyto(blk, vecs[s : s + rows])
+        else:
+            np.divide(vecs[s : s + rows], norms, out=blk)
+        np.multiply(phase[s : s + rows, None], blk, out=out[s : s + rows])
 
 
 def _eigh_star(diagonal: np.ndarray, c: np.ndarray) -> SpectralDecomposition:
     # the star with real diagonal `diagonal` and couplings c in column 0:
     # D^H H D with D = diag(1, c/|c|) is the real arrowhead with couplings
-    # |c|. When every c is already real and non-negative, D = I and the
-    # real eigenvectors are returned as they are, with no complex copy.
-    # D leaves row 0 alone, so the weights are the arrowhead's.
+    # |c|, whose eigenvectors V_real give D V_real. When every c is already
+    # real and non-negative, D = I and V_real is returned as it is. D leaves
+    # row 0 alone, so the weights are the arrowhead's.
     mod = np.abs(c)
-    eigenvalues, weights, eigenvectors = _arrowhead_eigh(diagonal[0], diagonal[1:], mod)
+    phase = None
     if not np.array_equal(c, mod):
         coupled = mod > 0
         phase = np.ones(diagonal.size, dtype=complex)
         phase[1:][coupled] = c[coupled] / mod[coupled]
-        eigenvectors = phase[:, None] * eigenvectors
+    eigenvalues, weights, eigenvectors = _arrowhead_eigh(
+        diagonal[0], diagonal[1:], mod, vectors=True, phase=phase
+    )
     return SpectralDecomposition(
         eigenvalues=eigenvalues,
         eigenvectors=eigenvectors,
@@ -627,9 +787,7 @@ def _star_levels(model: StarModel, start=None):
     # O(n) memory beyond the row blocks. The secular roots start at the
     # ascending ``start`` where they can (see _Secular._warm); without it,
     # or when no start is accepted, both arrays are eigh's to the bit.
-    eigenvalues, weights, _ = _arrowhead_eigh(
-        model.eps[0], model.eps[1:], np.abs(model.alpha), start, vectors=False
-    )
+    eigenvalues, weights, _ = _arrowhead_eigh(model.eps[0], model.eps[1:], np.abs(model.alpha), start)
     return eigenvalues, weights
 
 
@@ -717,6 +875,7 @@ def eigh(mat) -> SpectralDecomposition:
         raise ValueError("matrix is not Hermitian within tolerance")
     if star:
         return _eigh_star(m.diagonal().real, m[1:, 0])
+    _check_dim(m.shape[0], 48)
     try:
         eigenvalues, eigenvectors = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:

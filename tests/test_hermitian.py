@@ -525,7 +525,8 @@ def _block_reference(sec, i, origin, tau):
 @pytest.mark.parametrize("r", [1, 2, 7, 100, 200, 333])
 def test_secular_block_masks_like_where(r):
     # the band mask is written into a kept buffer; the products are those of
-    # the np.where form to the bit, for whole sweeps and for scattered rows
+    # the np.where form to the bit, for whole sweeps and for scattered rows.
+    # Each call evaluates one row block: _block's pole sums, then the rest.
     rng = np.random.default_rng(r)
     d = np.sort(rng.uniform(-0.9, 0.9, r))
     sec = hermitian._Secular(0.1, d, rng.uniform(0.01, 0.5, r) ** 2)
@@ -535,7 +536,7 @@ def test_secular_block_masks_like_where(r):
     for act in (np.arange(r + 1), np.flatnonzero(rng.uniform(size=r + 1) < 0.4)):
         for s in range(0, act.size, sec.rows):
             blk = act[s : s + sec.rows]
-            got = sec._block(blk, origin[blk], tau[blk], np.empty((4, blk.size)))
+            got = sec.evaluate(blk, origin[blk], tau[blk])
             want = _block_reference(sec, blk, origin[blk], tau[blk])
             for x, y in zip(got, want):
                 assert np.array_equal(x, y)
