@@ -97,7 +97,7 @@ _BLOCK_CELLS = 1 << 15
 _EIGH_BUDGET = 8 << 30
 
 # Rows of at least this many entries are run in buffers of one row (_RowBuffers).
-_ROW_BUFFERS = 160
+_ROW_BUFFERS = 128
 
 
 class _RowBuffers:
@@ -195,7 +195,7 @@ def _pick_root(coef, lo, hi):
     # that lies inside (lo, hi), NaN where neither does; coef is overwritten.
     # A zero q or qa gives a quotient that is not inside; _Secular.solve
     # silences those divisions once for all of its sweeps.
-    qc, qb, qa = coef
+    qc, qb, qa = coef[0], coef[1], coef[2]
     disc = qb * qb
     disc -= 4.0 * qa * qc
     np.sqrt(np.abs(disc, out=disc), out=disc)
@@ -203,9 +203,9 @@ def _pick_root(coef, lo, hi):
     qb *= 0.5  # q, in place of qb
     x = coef[:2] / coef[1:]  # qc / q and q / qa: the small and the large root
     inside = (x > lo) & (x < hi)
-    small, root = x
+    root = x[1]
     np.copyto(root, np.nan, where=~inside[1])
-    np.copyto(root, small, where=inside[0])
+    np.copyto(root, x[0], where=inside[0])
     return root
 
 
@@ -237,7 +237,7 @@ class _Secular:
         # over those right of it, its slope and phi
         d, zeta2 = self.d, self.zeta2
         both = self.buf[:, : tau.size]
-        square, rec = both
+        square, rec = both[0], both[1]
         np.subtract(d, d_origin[:, None], out=rec)
         rec -= tau[:, None]  # d_k - lambda, exactly -tau at k == origin
         np.divide(1.0, rec, out=rec)
@@ -270,7 +270,7 @@ class _Secular:
                 self._block(i[s:e], d_origin[s:e], tau[s:e], out[:, s:e])
         # psi and phi, the sums over the left and right poles, sit in the
         # rows of g and err until those are formed
-        g, slope_l, slope_r, err = out
+        g, slope_l, slope_r, err = out[0], out[1], out[2], out[3]
         psi, phi = g, err
         lin = d_origin - self.a if self.linear else 0.0
         if self.linear:
@@ -311,7 +311,7 @@ class _Secular:
         span = frame[0]
         dist = frame[1:] - t  # dl and dr, from the root to its interval's poles
         coef = np.empty((3, t.size))
-        qc, qb, qa = coef
+        qc, qb, qa = coef[0], coef[1], coef[2]
         prod = dist * slopes
         np.subtract(g, prod[0], out=qa)
         qa -= prod[1]  # c = g - dl slope_l - dr slope_r
@@ -369,9 +369,11 @@ class _Secular:
         np.copyto(t, point - d[np.minimum(k, r - 1)], where=flip)
         use &= np.abs(t) > 4.0 * _EPS * max(1.0, -start[0], start[-1])
         pending = np.ones(r + 1, dtype=bool)
-        if not np.count_nonzero(use):
+        used = np.count_nonzero(use)
+        if not used:
             return pending
-        k, o, t, flip, lo, hi = k[use], o[use], t[use], flip[use], lo[use], hi[use]
+        if used < k.size:
+            k, o, t, flip, lo, hi = k[use], o[use], t[use], flip[use], lo[use], hi[use]
         np.negative(hi, out=lo, where=flip)
         np.copyto(hi, 0.0, where=flip)
         out = self.evaluate(k, o, t)
@@ -380,9 +382,10 @@ class _Secular:
         done = np.abs(out[0]) <= _EPS * out[3]
         done |= np.abs(new - t) <= _START_STEP * np.abs(new)
         np.copyto(new, t, where=np.isnan(new))
-        k = k[done]
-        origin[k] = o[done]
-        offsets[k] = new[done]
+        if np.count_nonzero(done) < k.size:
+            k, o, new = k[done], o[done], new[done]
+        origin[k] = o
+        offsets[k] = new
         pending[k] = False
         return pending
 
@@ -397,11 +400,11 @@ class _Secular:
         # _frame rows.
         ints = np.empty((2, i.size), dtype=np.intp)
         ints[0] = i
-        i, o = ints
+        i, o = ints[0], ints[1]
         np.take(origin, i, out=o)
         state = np.empty((7, i.size))
         np.take(bracket, i, axis=1, out=state[1:3])
-        (tau, lo, hi, last), frame = state[:4], state[4:]
+        tau, lo, hi, last, frame = state[0], state[1], state[2], state[3], state[4:]
         # an inner root starts at its interval's midpoint, hi from its left
         # pole; an outer one at the middle of Weyl's bracket
         np.copyto(tau, hi)
@@ -441,8 +444,8 @@ class _Secular:
         for _ in range(_MAX_ITER):
             if not ints.shape[1]:
                 break
-            i, o = ints
-            (t, lo, hi, last), frame = state[:4], state[4:]
+            i, o = ints[0], ints[1]
+            t, lo, hi, last, frame = state[0], state[1], state[2], state[3], state[4:]
             out = self.evaluate(i, o, t)
             g, err = out[0], out[3]
             above = g > 0
@@ -793,19 +796,31 @@ def _star_levels(model: StarModel, start=None):
 
 def _is_star(m: np.ndarray) -> bool:
     # np.count_nonzero(m[1:, 1:]) == np.count_nonzero(m.diagonal()[1:]) for
-    # a square complex m. When the nonzero 64-bit words of all of m are those
-    # of its arrow and diagonal, every other entry is +0.0 and m is a star.
-    # Integer words are counted faster than complex entries, and only the
-    # complex count tells -0.0 from a nonzero entry, so that count decides
-    # whenever the words leave it open, and when m is not C-contiguous.
-    if m.flags.c_contiguous:
-        n = m.shape[0]
-        words = m.view(np.uint64).reshape(n, n, 2)
-        arrow = (np.count_nonzero(words[0]) + np.count_nonzero(words[1:, 0])
-                 + np.count_nonzero(words[1:, 1:].diagonal()))
-        if np.count_nonzero(words) == arrow:
-            return True
-    return np.count_nonzero(m[1:, 1:]) == np.count_nonzero(m.diagonal()[1:])
+    # a square complex m, from its 64-bit words when m is C-contiguous:
+    # integer words are counted faster than complex entries. When the
+    # nonzero words of all of m are those of its arrow and diagonal, every
+    # other entry is +0.0 and m is a star. Else an entry off the arrow is
+    # zero only if both its words are 0.0 or -0.0, the sign bit alone,
+    # which a left shift clears: row blocks stop at the first word that the
+    # shift leaves nonzero (NaN and inf among them), so a dense matrix is
+    # told from its first rows.
+    if not m.flags.c_contiguous:
+        return np.count_nonzero(m[1:, 1:]) == np.count_nonzero(m.diagonal()[1:])
+    n = m.shape[0]
+    words = m.view(np.uint64).reshape(n, n, 2)
+    arrow = (np.count_nonzero(words[0]) + np.count_nonzero(words[1:, 0])
+             + np.count_nonzero(words[1:, 1:].diagonal()))
+    if np.count_nonzero(words) == arrow:
+        return True
+    rest = words[1:, 1:]
+    rows = max(1, _BLOCK_CELLS // n)
+    for s in range(0, n - 1, rows):
+        blk = rest[s : s + rows] << np.uint64(1)
+        k = np.arange(blk.shape[0])
+        blk[k, s + k] = 0  # the diagonal
+        if np.count_nonzero(blk):
+            return False
+    return True
 
 
 def eigh(mat) -> SpectralDecomposition:
@@ -909,8 +924,20 @@ def aggregate_degenerate(eigenvalues, overlaps, tol: float = DEGENERACY_TOL):
     w = np.asarray(overlaps, dtype=float)
     if e.ndim != 1 or e.shape != w.shape or e.size == 0:
         raise ValueError("eigenvalues and overlaps must be matching 1-d arrays")
-    if np.any(np.diff(e) < 0):
+    gaps = np.diff(e)
+    if np.count_nonzero(gaps < 0):
         raise ValueError("eigenvalues must be sorted ascending")
-    starts = np.concatenate(([0], np.flatnonzero(np.diff(e) > tol) + 1))
+    return _merge_levels(e, w, tol, gaps)
+
+
+def _merge_levels(e, w, tol, gaps=None):
+    # aggregate_degenerate of sorted float arrays, unchecked; with no two
+    # neighbours within tol, copies of e and w: each level's mean is itself
+    if gaps is None:
+        gaps = np.diff(e)
+    split = np.flatnonzero(gaps > tol)
+    if split.size == gaps.size:
+        return e.copy(), w.copy()
+    starts = np.concatenate(([0], split + 1))
     counts = np.diff(np.append(starts, e.size))
     return np.add.reduceat(e, starts) / counts, np.add.reduceat(w, starts)

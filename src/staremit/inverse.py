@@ -19,9 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateProfile, DimensionMismatch
-from .hermitian import (  # noqa: F401 (eigh stays importable from here)
+from .hermitian import (  # noqa: F401 (eigh and aggregate_degenerate stay importable from here)
     DEGENERACY_TOL,
     _arrowhead_from_spectrum,
+    _merge_levels,
     _star_levels,
     aggregate_degenerate,
     eigh,
@@ -39,6 +40,8 @@ MIN_WEIGHT = 1e-24
 # near its largest level: eigenvalue differences up to this many machine
 # epsilons of max|E_m| are that rounding, whatever d_width is.
 ROUNDING_EPS = 4
+
+_EPS = np.finfo(float).eps
 
 
 def equally_spaced_spectrum(m_half: int, eps0: float, d_width: float) -> np.ndarray:
@@ -263,22 +266,29 @@ def verify_round_trip(
     eigenvalues, weights = _star_levels(model, start=target_e)
     eig_err = float(np.abs(eigenvalues - target_e).max())
 
-    rounding = ROUNDING_EPS * np.finfo(float).eps * float(np.abs(target_e).max())
+    # the ladder ascends, so its largest |E_m| is at one end
+    rounding = ROUNDING_EPS * _EPS * max(-target_e[0], target_e[-1])
     merge = DEGENERACY_TOL * profile.d_width + rounding
-    got_levels, got_weights = aggregate_degenerate(eigenvalues, weights, merge)
-    want_levels, want_weights = aggregate_degenerate(target_e, profile.overlaps, merge)
+    got_levels, got_weights = _merge_levels(eigenvalues, weights, merge)
+    want_levels, want_weights = _merge_levels(target_e, profile.overlaps, merge)
     window = 0.5 * np.diff(want_levels).min() if want_levels.size > 1 else np.inf
-    # nearest target level, the lower one on equal distances
-    hi = np.minimum(np.searchsorted(want_levels, got_levels), want_levels.size - 1)
-    lo = np.maximum(hi - 1, 0)
-    dist_lo = np.abs(want_levels[lo] - got_levels)
-    dist_hi = np.abs(want_levels[hi] - got_levels)
-    nearest = np.where(dist_lo <= dist_hi, lo, hi)
-    matched = np.minimum(dist_lo, dist_hi) <= window
-    assigned = np.zeros_like(want_weights)
-    np.add.at(assigned, nearest[matched], got_weights[matched])
-    stray = got_weights[~matched].max(initial=0.0)
-    overlap_err = float(max(np.abs(assigned - want_weights).max(), stray))
+    if got_levels.size == want_levels.size == target_e.size and eig_err <= 0.25 * window:
+        # nothing merged and every level within a quarter window of its
+        # own target, at least 1.75 windows from any other: level m is
+        # matched to target m, as the nearest-level search below finds
+        overlap_err = float(np.abs(got_weights - want_weights).max())
+    else:
+        # nearest target level, the lower one on equal distances
+        hi = np.minimum(np.searchsorted(want_levels, got_levels), want_levels.size - 1)
+        lo = np.maximum(hi - 1, 0)
+        dist_lo = np.abs(want_levels[lo] - got_levels)
+        dist_hi = np.abs(want_levels[hi] - got_levels)
+        nearest = np.where(dist_lo <= dist_hi, lo, hi)
+        matched = np.minimum(dist_lo, dist_hi) <= window
+        assigned = np.zeros_like(want_weights)
+        np.add.at(assigned, nearest[matched], got_weights[matched])
+        stray = got_weights[~matched].max(initial=0.0)
+        overlap_err = float(max(np.abs(assigned - want_weights).max(), stray))
     return RoundTripReport(
         max_eigenvalue_error=eig_err,
         max_overlap_error=overlap_err,

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -212,6 +214,28 @@ def test_star_test_reads_a_signed_zero_off_the_arrow_as_zero():
         assert hermitian._is_star(z)
     z[3, 1] = 5e-324
     assert not hermitian._is_star(z)
+
+
+def test_dense_non_star_is_told_without_the_complex_count(monkeypatch):
+    # a word off the arrow that is neither 0.0 nor -0.0 decides: the dense
+    # matrix goes to LAPACK without a complex count_nonzero
+    count = np.count_nonzero
+
+    def integer_counts_only(a, *args, **kwargs):
+        if np.iscomplexobj(a):
+            raise AssertionError("complex count")
+        return count(a, *args, **kwargs)
+
+    def lapack(*args, **kwargs):
+        raise np.linalg.LinAlgError("LAPACK called")
+
+    monkeypatch.setattr(np, "count_nonzero", integer_counts_only)
+    monkeypatch.setattr(np.linalg, "eigh", lapack)
+    for m in (random_hermitian(np.random.default_rng(3), 300),
+              build_hamiltonian(random_star_model(np.random.default_rng(4), 300))):
+        m[250, 40] = m[40, 250] = 0.5  # one entry pair off the arrow, late in the rows
+        with pytest.raises(NonConvergence, match="LAPACK called"):
+            eigh(m)
 
 
 def test_check_hermitian_requires_square():
@@ -627,3 +651,43 @@ def test_eigh_large_stars(dim, kind):
     assert np.abs(h @ v - v * e).max() <= _bound(h)
     assert np.abs(v.conj().T @ v - np.eye(dim)).max() <= 1e-12
     assert np.abs(e - np.linalg.eigvalsh(h)).max() <= _bound(h)
+
+
+@pytest.mark.parametrize("kind", ["random", "identical"])
+def test_complex_star_eigenvectors_hold_no_real_copy(kind):
+    # A star with complex couplings gets complex eigenvectors, 16 bytes a
+    # cell. The real vectors and the Householder blocks are built in the
+    # result's own memory and its rows rephased through one row block of
+    # scratch, so eigh peaks at 16.5 bytes a cell here; a real n x n array
+    # beside the result made it 24.
+    dim = 2001
+    n = dim - 1
+    if kind == "identical":
+        model = StarModel(eps=np.full(dim, 0.3), alpha=np.full(n, 0.7 * np.exp(0.4j) / np.sqrt(n)))
+    else:
+        model = random_star_model(np.random.default_rng(dim), dim)
+    tracemalloc.start()
+    try:
+        d = eigh(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d.eigenvectors.dtype == complex
+    assert peak <= 17 * dim**2, peak / dim**2
+
+
+def test_eigh_refuses_a_dim_beyond_its_budget(monkeypatch):
+    # the guard's arithmetic, on small dims under a patched budget: 8 bytes
+    # a cell for a real-coupled star, 16 for a complex one and 48 for LAPACK
+    dim = 10
+    real = StarModel(eps=np.linspace(0, 1, dim), alpha=np.full(dim - 1, 0.1))
+    complex_ = StarModel(eps=np.linspace(0, 1, dim), alpha=np.full(dim - 1, 0.1j))
+    dense = random_hermitian(np.random.default_rng(1), dim)
+    for mat, cell in ((real, 8), (complex_, 16), (build_hamiltonian(complex_), 16), (dense, 48)):
+        monkeypatch.setattr(hermitian, "_EIGH_BUDGET", cell * dim**2)
+        eigh(mat)
+        monkeypatch.setattr(hermitian, "_EIGH_BUDGET", cell * dim**2 - 1)
+        with pytest.raises(ValueError, match=f"dim {dim} is too large"):
+            eigh(mat)
+    # the levels alone form no n x n array and are not refused
+    hermitian._star_levels(complex_)
