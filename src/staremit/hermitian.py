@@ -369,11 +369,9 @@ class _Secular:
         np.copyto(t, point - d[np.minimum(k, r - 1)], where=flip)
         use &= np.abs(t) > 4.0 * _EPS * max(1.0, -start[0], start[-1])
         pending = np.ones(r + 1, dtype=bool)
-        used = np.count_nonzero(use)
-        if not used:
+        if not np.count_nonzero(use):
             return pending
-        if used < k.size:
-            k, o, t, flip, lo, hi = k[use], o[use], t[use], flip[use], lo[use], hi[use]
+        k, o, t, flip, lo, hi = k[use], o[use], t[use], flip[use], lo[use], hi[use]
         np.negative(hi, out=lo, where=flip)
         np.copyto(hi, 0.0, where=flip)
         out = self.evaluate(k, o, t)
@@ -382,10 +380,9 @@ class _Secular:
         done = np.abs(out[0]) <= _EPS * out[3]
         done |= np.abs(new - t) <= _START_STEP * np.abs(new)
         np.copyto(new, t, where=np.isnan(new))
-        if np.count_nonzero(done) < k.size:
-            k, o, new = k[done], o[done], new[done]
-        origin[k] = o
-        offsets[k] = new
+        k = k[done]
+        origin[k] = o[done]
+        offsets[k] = new[done]
         pending[k] = False
         return pending
 
@@ -931,13 +928,9 @@ def aggregate_degenerate(eigenvalues, overlaps, tol: float = DEGENERACY_TOL):
 
 
 def _merge_levels(e, w, tol, gaps=None):
-    # aggregate_degenerate of sorted float arrays, unchecked; with no two
-    # neighbours within tol, copies of e and w: each level's mean is itself
+    # aggregate_degenerate of sorted float arrays, unchecked
     if gaps is None:
         gaps = np.diff(e)
-    split = np.flatnonzero(gaps > tol)
-    if split.size == gaps.size:
-        return e.copy(), w.copy()
-    starts = np.concatenate(([0], split + 1))
+    starts = np.concatenate(([0], np.flatnonzero(gaps > tol) + 1))
     counts = np.diff(np.append(starts, e.size))
     return np.add.reduceat(e, starts) / counts, np.add.reduceat(w, starts)

@@ -272,23 +272,17 @@ def verify_round_trip(
     got_levels, got_weights = _merge_levels(eigenvalues, weights, merge)
     want_levels, want_weights = _merge_levels(target_e, profile.overlaps, merge)
     window = 0.5 * np.diff(want_levels).min() if want_levels.size > 1 else np.inf
-    if got_levels.size == want_levels.size == target_e.size and eig_err <= 0.25 * window:
-        # nothing merged and every level within a quarter window of its
-        # own target, at least 1.75 windows from any other: level m is
-        # matched to target m, as the nearest-level search below finds
-        overlap_err = float(np.abs(got_weights - want_weights).max())
-    else:
-        # nearest target level, the lower one on equal distances
-        hi = np.minimum(np.searchsorted(want_levels, got_levels), want_levels.size - 1)
-        lo = np.maximum(hi - 1, 0)
-        dist_lo = np.abs(want_levels[lo] - got_levels)
-        dist_hi = np.abs(want_levels[hi] - got_levels)
-        nearest = np.where(dist_lo <= dist_hi, lo, hi)
-        matched = np.minimum(dist_lo, dist_hi) <= window
-        assigned = np.zeros_like(want_weights)
-        np.add.at(assigned, nearest[matched], got_weights[matched])
-        stray = got_weights[~matched].max(initial=0.0)
-        overlap_err = float(max(np.abs(assigned - want_weights).max(), stray))
+    # nearest target level, the lower one on equal distances
+    hi = np.minimum(np.searchsorted(want_levels, got_levels), want_levels.size - 1)
+    lo = np.maximum(hi - 1, 0)
+    dist_lo = np.abs(want_levels[lo] - got_levels)
+    dist_hi = np.abs(want_levels[hi] - got_levels)
+    nearest = np.where(dist_lo <= dist_hi, lo, hi)
+    matched = np.minimum(dist_lo, dist_hi) <= window
+    assigned = np.zeros_like(want_weights)
+    np.add.at(assigned, nearest[matched], got_weights[matched])
+    stray = got_weights[~matched].max(initial=0.0)
+    overlap_err = float(max(np.abs(assigned - want_weights).max(), stray))
     return RoundTripReport(
         max_eigenvalue_error=eig_err,
         max_overlap_error=overlap_err,
