@@ -658,7 +658,7 @@ def test_complex_star_eigenvectors_hold_no_real_copy(kind):
     # A star with complex couplings gets complex eigenvectors, 16 bytes a
     # cell. The real vectors and the Householder blocks are built in the
     # result's own memory and its rows rephased through one row block of
-    # scratch, so eigh peaks at 16.5 bytes a cell here; a real n x n array
+    # scratch, so eigh peaks at about 16.2 bytes a cell here; a real n x n array
     # beside the result made it 24.
     dim = 2001
     n = dim - 1
