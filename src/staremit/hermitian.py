@@ -124,14 +124,14 @@ class _RowBuffers:
     200 to 4000 entries that made ``d - d_origin[:, None]`` 2-4 times as
     slow as its contiguous form. Buffers of at most one row use the operands
     in place. Below ``_ROW_BUFFERS`` entries a row, short buffers cost more
-    than the copies, and from 8192 on the default buffer fits in a row:
-    numpy's default stays. Each entry is computed by the same operation
-    either way. Reductions, whose grouping may follow the buffers, stay
-    outside.
+    than the copies, and a row at least ``np.getbufsize()`` long already
+    holds a whole buffer: the buffer size in force stays. Buffers are only
+    ever shrunk. Each entry is computed by the same operation either way.
+    Reductions, whose grouping may follow the buffers, stay outside.
     """
 
     def __init__(self, row: int):
-        self.size = row // 16 * 16 if _ROW_BUFFERS <= row < 8192 else 0
+        self.size = row // 16 * 16 if _ROW_BUFFERS <= row < np.getbufsize() else 0
 
     def __enter__(self):
         if self.size:
@@ -209,15 +209,15 @@ class SpectralDecomposition:
 def _pick_root(coef, lo, hi):
     # the root of qa x^2 - qb x + qc = 0, for the rows qc, qb, qa of coef,
     # that lies inside (lo, hi), NaN where neither does; coef is overwritten.
-    # A zero q or qa gives a quotient that is not inside; _Secular.solve
-    # silences those divisions once for all of its sweeps.
+    # A zero q or qa gives a quotient that is not inside.
     qc, qb, qa = coef[0], coef[1], coef[2]
     disc = qb * qb
     disc -= 4.0 * qa * qc
     np.sqrt(np.abs(disc, out=disc), out=disc)
     qb += np.copysign(disc, qb, out=disc)
     qb *= 0.5  # q, in place of qb
-    x = coef[:2] / coef[1:]  # qc / q and q / qa: the small and the large root
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = coef[:2] / coef[1:]  # qc / q and q / qa: the small and the large root
     inside = (x > lo) & (x < hi)
     root = x[1]
     np.copyto(root, np.nan, where=~inside[1])
@@ -278,12 +278,9 @@ class _Secular:
         # row blocks, the rest elementwise over all the roots at once.
         d_origin = self.d[origin]
         out = np.empty((4, i.size))
-        if i.size <= self.rows:
-            self._block(i, d_origin, tau, out)
-        else:
-            for s in range(0, i.size, self.rows):
-                e = s + self.rows
-                self._block(i[s:e], d_origin[s:e], tau[s:e], out[:, s:e])
+        for s in range(0, i.size, self.rows):
+            e = s + self.rows
+            self._block(i[s:e], d_origin[s:e], tau[s:e], out[:, s:e])
         # psi and phi, the sums over the left and right poles, sit in the
         # rows of g and err until those are formed
         g, slope_l, slope_r, err = out[0], out[1], out[2], out[3]
@@ -504,8 +501,6 @@ class _Secular:
         those whose start it accepts. Every other root starts at its
         interval's midpoint, exactly as without ``start``, and goes on in
         sweeps over compacted columns of the roots still active (``_cold``).
-        Division warnings are silenced once for all the sweeps: a zero
-        quotient's operand only ever yields a step that _pick_root discards.
         """
         a, d, zeta2 = self.a, self.d, self.zeta2
         r = d.size
@@ -522,7 +517,7 @@ class _Secular:
             i = np.arange(r + 1)
         else:
             i = np.arange(1, r)
-        with np.errstate(divide="ignore", invalid="ignore"), _RowBuffers(r):
+        with _RowBuffers(r):
             if start is not None:
                 i = i[self._warm(start, origin, offsets, bracket)[i]]
             if i.size:
@@ -607,10 +602,9 @@ def _arrowhead_from_spectrum(lam: np.ndarray, w: np.ndarray):
 
 def _pole_groups(sorted_poles: np.ndarray, tol: float):
     # starts of the runs in which every pole lies within tol of the run's
-    # first one; None when no two neighbours lie within tol, so every run
-    # is one pole
+    # first one
     if not np.count_nonzero(np.diff(sorted_poles) <= tol):
-        return None
+        return np.arange(sorted_poles.size)
     starts, anchor = [0], sorted_poles[0]
     for j, x in enumerate(sorted_poles.tolist()):
         if x - anchor > tol:
@@ -656,24 +650,20 @@ def _arrowhead_eigh(a: float, p: np.ndarray, z: np.ndarray, start=None, vectors:
     tol = _DEFLATION * _EPS * (math.ldexp(pa, -e) + np.sqrt(z @ z))
     bright = np.flatnonzero(z > tol)
     bright = bright[np.argsort(p[bright], kind="stable")]
-    d = p[bright]
-    starts = _pole_groups(d, tol)
+    starts = _pole_groups(p[bright], tol)
+    ends = np.append(starts[1:], bright.size)
+    reps = bright[starts]
+    d, zeta = p[reps], z[reps]
     # one Householder reflection per group of equal poles turns its
     # couplings into one bright direction u, of coupling |z| over the
     # group, and size - 1 dark ones; |z| is scaled by the largest coupling,
     # which makes it exact for equal couplings
     groups = []
-    if starts is None:
-        reps, zeta = bright, z[bright]
-    else:
-        ends = np.append(starts[1:], bright.size)
-        reps = bright[starts]
-        d, zeta = p[reps], z[reps]
-        for j in np.flatnonzero(ends - starts > 1):
-            members = bright[starts[j] : ends[j]]
-            big = z[members].max()
-            zeta[j] = big * np.sqrt(np.sum((z[members] / big) ** 2))
-            groups.append((members, z[members] / zeta[j]))
+    for j in np.flatnonzero(ends - starts > 1):
+        members = bright[starts[j] : ends[j]]
+        big = z[members].max()
+        zeta[j] = big * np.sqrt(np.sum((z[members] / big) ** 2))
+        groups.append((members, z[members] / zeta[j]))
     r = reps.size
     out = vecs = None
     if r:
@@ -943,16 +933,13 @@ def aggregate_degenerate(eigenvalues, overlaps, tol: float = DEGENERACY_TOL):
     w = np.asarray(overlaps, dtype=float)
     if e.ndim != 1 or e.shape != w.shape or e.size == 0:
         raise ValueError("eigenvalues and overlaps must be matching 1-d arrays")
-    gaps = np.diff(e)
-    if np.count_nonzero(gaps < 0):
+    if np.count_nonzero(np.diff(e) < 0):
         raise ValueError("eigenvalues must be sorted ascending")
-    return _merge_levels(e, w, tol, gaps)
+    return _merge_levels(e, w, tol)
 
 
-def _merge_levels(e, w, tol, gaps=None):
+def _merge_levels(e, w, tol):
     # aggregate_degenerate of sorted float arrays, unchecked
-    if gaps is None:
-        gaps = np.diff(e)
-    starts = np.concatenate(([0], np.flatnonzero(gaps > tol) + 1))
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(e) > tol) + 1))
     counts = np.diff(np.append(starts, e.size))
     return np.add.reduceat(e, starts) / counts, np.add.reduceat(w, starts)

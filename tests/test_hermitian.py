@@ -566,6 +566,40 @@ def test_secular_block_masks_like_where(r):
                 assert np.array_equal(x, y)
 
 
+def test_secular_sweeps_keep_the_callers_error_settings(monkeypatch):
+    # only _pick_root's quotients are silenced: every evaluation, with and
+    # without a start, runs under the caller's settings
+    seen = []
+    evaluate = hermitian._Secular.evaluate
+
+    def spy(self, *args):
+        seen.append(np.geterr())
+        return evaluate(self, *args)
+
+    monkeypatch.setattr(hermitian._Secular, "evaluate", spy)
+    rng = np.random.default_rng(5)
+    d = np.sort(rng.uniform(-0.9, 0.9, 40))
+    zeta2 = rng.uniform(0.01, 0.5, 40) ** 2
+    with np.errstate(divide="raise", invalid="raise"):
+        _, offsets = hermitian._Secular(0.1, d, zeta2).solve()
+        hermitian._Secular(0.1, d, zeta2).solve(d[np.maximum(np.arange(41) - 1, 0)] + offsets)
+    assert len(seen) > 2
+    assert all(e["divide"] == "raise" and e["invalid"] == "raise" for e in seen)
+
+
+def test_row_buffers_only_shrink_the_callers_buffers():
+    old = np.getbufsize()
+    try:
+        for size, row, inside in ((1 << 16, 10000, 10000), (1 << 16, 1000, 992),
+                                  (4096, 5000, 4096), (4096, 1000, 992), (4096, 100, 4096)):
+            np.setbufsize(size)
+            with hermitian._RowBuffers(row):
+                assert np.getbufsize() == inside
+            assert np.getbufsize() == size
+    finally:
+        np.setbufsize(old)
+
+
 # Mode energies sit on a 0.1 grid, each repeated exactly or moved off its
 # grid point by one ulp, 1e-14 or 1e-10: all within DEGENERACY_TOL, so the
 # deflation tolerance decides which of them merge. Couplings range from
