@@ -45,12 +45,13 @@ A :class:`~staremit.model.StarModel` goes to the same solver from its
 matrix goes to LAPACK's complex solver.
 
 Costs. The O(n^2) work is the row blocks of steps 2 and 3: about 2^15
-entries each, whose pole sums are BLAS products. Rows of 128 to 8191
-entries run in numpy buffers of one row (``_RowBuffers``), so the broadcast
-differences that fill a block cost what contiguous ones do. Each sweep also
-pays a fixed cost of about 80 numpy calls on arrays of one entry per active
-root, which is most of a solve below a few dozen levels: a dim-19 star
-took 0.52 ms, LAPACK on its dense matrix 0.08 ms (2 vCPUs, numpy 2.4).
+entries each, whose pole sums are BLAS products. Rows from 128 entries up
+to numpy's buffer size (8192 by default) run in numpy buffers of one row
+(``_RowBuffers``), so the broadcast differences that fill a block cost what
+contiguous ones do. Each sweep also pays a fixed cost of about 80 numpy
+calls on arrays of one entry per active root, which is most of a solve
+below a few dozen levels: a dim-19 star takes about 7 times as long as
+LAPACK on its dense matrix (0.88 against 0.12 ms, 2 vCPUs, numpy 2.4).
 The eigenvectors of a star are the only n x n array: 8 bytes a cell when
 every coupling is real and non-negative, else 16, complex, built in the
 result's own memory and multiplied by their phases a row block at a time.
