@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -37,8 +38,8 @@ from .analysis import (
     revival_period,
 )
 from .errors import DegenerateProfile, NonConvergence
-from .evolution import SurvivalSeries, TimeGrid, _survival
-from .hermitian import _star_levels
+from .evolution import SurvivalSeries, TimeGrid, survival_probability
+from .hermitian import eigh
 from .inverse import (
     SpectralProfile,
     construct_hamiltonian,
@@ -67,6 +68,25 @@ def _check_output_size(rows: int, row_bytes: int) -> None:
         raise ValueError(
             f"the output would take up to {size} bytes of text, above the budget of "
             f"{OUTPUT_BUDGET_BYTES} bytes; lower --samples"
+        )
+
+
+# Memory the survival series of one model may take: _LEVEL_BYTES a level for
+# its arrays of one entry per level (solving an identical-modes star peaks
+# at about 100 bytes a level) and the survival kernel's four complex arrays
+# of levels x ceil(sqrt(samples)). Larger --n and --m-list values are
+# refused up front.
+_SERIES_BUDGET_BYTES = 1 << 30
+_LEVEL_BYTES = 512
+
+
+def _check_series_memory(levels: int, samples: int, flag: str) -> None:
+    # runs before the model or any per-level array is allocated
+    size = levels * (_LEVEL_BYTES + 4 * 16 * (math.isqrt(samples - 1) + 1))
+    if size > _SERIES_BUDGET_BYTES:
+        raise ValueError(
+            f"{flag} would take about {size} bytes of memory, above the budget of "
+            f"{_SERIES_BUDGET_BYTES} bytes; lower it or --samples"
         )
 
 
@@ -130,10 +150,9 @@ def _run_series(args, model: StarModel, analytic, svg_title: str) -> int:
     _check_output_size(args.samples, 3 * field_bytes + (2 * SVG_POINT_BYTES if args.svg else 0))
     ts = np.linspace(0.0, args.t_max, args.samples)
     tau = ts / args.hbar
-    # eigh(model)'s eigenvalues and weights, bit for bit, without its
-    # eigenvector matrix: O(n) memory beyond the survival kernel's
-    levels, weights = _star_levels(model)
-    columns = {"P": _survival(levels, weights, tau), "P_analytic": analytic(tau)}
+    # the survival reads only the eigenvalues and weights; the eigenvectors
+    # are never read, so never built: O(n) memory beyond the kernel's
+    columns = {"P": survival_probability(eigh(model), tau), "P_analytic": analytic(tau)}
     _require_finite(ts, *columns.values())
     text = (csv_table if args.format == "csv" else json_table)(ts, columns)
     if args.out:
@@ -159,6 +178,7 @@ def _cmd_two_level(args) -> int:
 
 
 def _cmd_identical_modes(args) -> int:
+    _check_series_memory(args.n + 1, args.samples, f"--n {args.n}")
     model = StarModel(
         eps=np.full(args.n + 1, args.eps0),
         alpha=np.full(args.n, args.alpha, dtype=complex),
@@ -221,6 +241,8 @@ def _cmd_figure1(args) -> int:
     # bad input (say, a threshold outside (0, 1)) leaves no partial output
     _check_output_size(args.samples * len(args.m_list),
                        2 * CSV_FIELD_BYTES + (SVG_POINT_BYTES if args.svg else 0))
+    m_max = max(args.m_list)
+    _check_series_memory(2 * m_max + 1, args.samples, f"--m-list value {m_max}")
     runs = []
     for m_half in args.m_list:
         period = revival_period(m_half, args.d) * args.hbar

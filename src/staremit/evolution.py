@@ -82,7 +82,10 @@ class SurvivalSeries:
 
 
 def evolve_state(d: SpectralDecomposition, psi0, t: float) -> np.ndarray:
-    """Propagate a state for time ``t``: ``V exp(-i E t) V^dag psi0``."""
+    """Propagate a state for time ``t``: ``V exp(-i E t) V^dag psi0``.
+
+    Reads ``d.eigenvectors``: the first read builds a star's.
+    """
     psi = np.asarray(psi0, dtype=complex)
     if psi.shape != (d.dim,):
         raise DimensionMismatch(f"state has shape {psi.shape}, expected ({d.dim},)")
@@ -102,11 +105,11 @@ def survival_probability(d: SpectralDecomposition, t):
     """Probability of finding the initial basis state again after time ``t``.
 
     Evaluates ``|sum_n |<0|e_n>|^2 exp(-i E_n t)|^2`` from the cached
-    overlaps, clipped to [0, 1]; vectorized over ``t``, a float for
-    scalar ``t``. A uniform grid of S times costs about ``1.5 dim sqrt(S)``
-    exponentials and one matrix product in ``O(dim sqrt(S) + S)`` memory;
-    other times cost ``dim S`` exponentials, in blocks of 4096 samples
-    (see the module docstring).
+    overlaps, clipped to [0, 1], with no read of ``d.eigenvectors``;
+    vectorized over ``t``, a float for scalar ``t``. A uniform grid of S
+    times costs about ``1.5 dim sqrt(S)`` exponentials and one matrix
+    product in ``O(dim sqrt(S) + S)`` memory; other times cost ``dim S``
+    exponentials, in blocks of 4096 samples (see the module docstring).
     """
     return _survival(d.eigenvalues, d.zero_overlaps, t)
 

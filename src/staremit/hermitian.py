@@ -36,8 +36,10 @@ Jakovčević Stor, Slapničar & Barlow, Linear Algebra Appl. 464, 2015):
 3. Recompute the couplings from the roots by Löwner's formula, so the
    computed roots are exact eigenvalues of a nearby arrowhead, and take the
    eigenvectors ``[1, zhat_k / (E - p_k)]``, normalized: they come out
-   orthogonal to working precision. Verification reads only their first
-   components, the weights, and keeps just the column norms.
+   orthogonal to working precision. The solve keeps the column norms,
+   whose inverses give the weights, and ``zhat``: the eigenvectors are
+   built from these and the roots on their first read, by the same
+   operations.
 4. Merge the dark and bright eigenpairs in ascending order.
 
 A :class:`~staremit.model.StarModel` goes to the same solver from its
@@ -52,13 +54,14 @@ contiguous ones do. Each sweep also pays a fixed cost of about 80 numpy
 calls on arrays of one entry per active root, which is most of a solve
 below a few dozen levels: a dim-19 star takes about 7 times as long as
 LAPACK on its dense matrix (0.88 against 0.12 ms, 2 vCPUs, numpy 2.4).
-The eigenvectors of a star are the only n x n array: 8 bytes a cell when
-every coupling is real and non-negative, else 16, complex, built in the
-result's own memory and multiplied by their phases a row block at a time.
-:func:`eigh` refuses, as a ``ValueError`` naming the dim and before any
-n x n array exists, a dim whose arrays would exceed ``_EIGH_BUDGET``
-(8 GiB): a star's eigenvectors at 8 or 16 bytes a cell, LAPACK's at about
-48 with its work arrays.
+Reading a star's eigenvectors costs one more row pass of step 3; until
+then its decomposition takes O(n) memory. They are its only n x n array:
+8 bytes a cell when every coupling is real and non-negative, else 16,
+complex, built in the result's own memory and multiplied by their phases
+a row block at a time. A dim whose arrays would exceed ``_EIGH_BUDGET``
+(8 GiB) is refused, as a ``ValueError`` naming the dim and before any
+n x n array exists: a star's eigenvectors, 8 or 16 bytes a cell, at their
+first read, and LAPACK's, about 48 with its work arrays, in :func:`eigh`.
 
 The inverse direction, from eigenvalues ``lam`` and first-row weights
 ``w`` to an arrowhead, is the same secular equation with the roles of
@@ -73,6 +76,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -183,7 +187,7 @@ def check_hermitian(mat, tol: float) -> bool:
     return bool(_hermiticity_defect(m, f) <= tol * f)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SpectralDecomposition:
     """Eigendecomposition of a Hermitian matrix.
 
@@ -193,14 +197,24 @@ class SpectralDecomposition:
         Real eigenvalues in ascending order.
     eigenvectors : ndarray
         Unitary matrix whose column ``n`` is the eigenvector belonging to
-        ``eigenvalues[n]``.
+        ``eigenvalues[n]``. Given a function of no arguments in its place,
+        as :func:`eigh` gives for a star, it is built on first read and cached.
     zero_overlaps : ndarray
         ``|<0|e_n>|**2`` for the initial basis state (index 0); sums to 1.
     """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
     zero_overlaps: np.ndarray
+
+    def __init__(self, eigenvalues, eigenvectors, zero_overlaps):
+        object.__setattr__(self, "eigenvalues", eigenvalues)
+        object.__setattr__(self, "zero_overlaps", zero_overlaps)
+        object.__setattr__(self, "_eigenvectors", eigenvectors)
+
+    @cached_property
+    def eigenvectors(self) -> np.ndarray:
+        v = self._eigenvectors
+        return v() if callable(v) else v
 
     @property
     def dim(self) -> int:
@@ -544,31 +558,30 @@ def _lowner(diff, d, k, dk, ratio, buffers):
     return np.sqrt(np.prod(ratio, axis=1))
 
 
-def _lowner_vectors(d, origin, tau, rank, out=None):
-    # Row k of ``out`` gets zhat_k / (lambda_i - d[rank_k]), where
-    # lambda = d[origin] + tau and zhat comes from Löwner's formula, so the
-    # vectors come out orthogonal. Returns the column norms of [1; out].
-    # Without ``out`` each row block goes to one scratch block of the same
-    # layout, so the norms are the same to the bit and no rows are kept.
+def _lowner_vectors(d, origin, tau, rank):
+    # The rows zhat_k / (lambda_i - d[rank_k]), lambda = d[origin] + tau,
+    # with zhat from Löwner's formula, so the vectors come out orthogonal,
+    # a row block at a time in one scratch block. Returns zhat, by row, and
+    # the column norms of [1; rows], from which _star_vectors rebuilds them.
     r = d.size
     d_origin = d[origin]
-    norm2 = np.ones(r + 1)
+    zhat, norm2 = np.empty(r), np.ones(r + 1)
     rows = max(1, _BLOCK_CELLS // r)
     buffers = _RowBuffers(r)
     ratio = np.empty((min(rows, r), r))
-    scratch = np.empty((min(rows, r), r + 1)) if out is None else None
+    scratch = np.empty((min(rows, r), r + 1))
     for s in range(0, r, rows):
         k = rank[s : s + rows]
         dk = d[k]
-        diff = scratch[: k.size] if out is None else out[s : s + k.size]
+        diff = scratch[: k.size]
         with buffers:
             np.subtract(d_origin, dk[:, None], out=diff)
             diff += tau  # lambda_i - d_k, exactly tau_i where origin[i] == k
-        zhat = _lowner(diff, d, k, dk, ratio[: k.size], buffers)
+        z = zhat[s : s + k.size] = _lowner(diff, d, k, dk, ratio[: k.size], buffers)
         with buffers:
-            np.divide(zhat[:, None], diff, out=diff)
+            np.divide(z[:, None], diff, out=diff)
         norm2 += np.einsum("ij,ij->j", diff, diff)
-    return np.sqrt(norm2)
+    return zhat, np.sqrt(norm2)
 
 
 def _arrowhead_from_spectrum(lam: np.ndarray, w: np.ndarray):
@@ -625,24 +638,19 @@ def _check_dim(n: int, cell_bytes: int) -> None:
         )
 
 
-def _arrowhead_eigh(a: float, p: np.ndarray, z: np.ndarray, start=None, vectors: bool = False,
-                    phase=None):
-    # ascending eigenvalues, their weights (the squared first components of
-    # the eigenvectors) and, with ``vectors``, the orthonormal eigenvectors
-    # of the arrowhead [[a, z^T], [z, diag(p)]] with z >= 0: real, or with
-    # the complex ``phase`` those of diag(phase) times it. Without
-    # ``vectors`` they are None, and no n x n array is formed. The secular
-    # roots start at the ascending ``start`` where _Secular can use it.
+def _arrowhead_eigh(a: float, p: np.ndarray, z: np.ndarray, start=None, phase=None):
+    # ascending eigenvalues, a function that builds their orthonormal
+    # eigenvectors from O(n) saved state (_star_vectors), and their weights
+    # (the eigenvectors' squared first components) of the arrowhead [[a,
+    # z^T], [z, diag(p)]] with z >= 0, or with the complex ``phase`` of
+    # diag(phase) times it. The secular roots start at the ascending
+    # ``start`` where _Secular can use it.
     m = p.size
     n = m + 1
-    if vectors:
-        _check_dim(n, 8 if phase is None else 16)
     pa = max(abs(a), np.abs(p).max(initial=0.0))
     top = max(pa, z.max(initial=0.0))
     if top == 0.0:
-        weights = np.zeros(n)
-        weights[0] = 1.0
-        return np.zeros(n), weights, np.eye(n) if vectors else None
+        a, p = 0.0, np.zeros(m)  # the zero matrix: eigenvalues +0.0, vectors I
     # an exact power-of-two scale puts the largest entry in [1/2, 1): no
     # z_k^2 overflows, and none above the deflation threshold underflows.
     # The scale is exact, so the largest scaled |a|, |p_k| is pa's scaled.
@@ -666,7 +674,7 @@ def _arrowhead_eigh(a: float, p: np.ndarray, z: np.ndarray, start=None, vectors:
         zeta[j] = big * np.sqrt(np.sum((z[members] / big) ** 2))
         groups.append((members, z[members] / zeta[j]))
     r = reps.size
-    out = vecs = None
+    lowner = None
     if r:
         scaled_start = None
         if start is not None:
@@ -677,40 +685,73 @@ def _arrowhead_eigh(a: float, p: np.ndarray, z: np.ndarray, start=None, vectors:
         vals = d[origin] + tau
         # rows in mode order, so that with nothing deflated they are final
         by_mode = np.argsort(reps)
-        if vectors:
-            out, vecs = _vector_memory(n, phase, r < m)
-        block = None if vecs is None else vecs[: r + 1, : r + 1]
-        norms = _lowner_vectors(d, origin, tau, by_mode, None if block is None else block[1:])
+        zhat, norms = _lowner_vectors(d, origin, tau, by_mode)
+        lowner = d, origin, tau, by_mode, zhat, norms
         head = 1.0 / norms
         if r == m:
-            if vecs is not None:
-                block[0] = 1.0
-                _rephase(out, vecs, phase, norms)
-            return np.ldexp(vals, e), head**2, out
-        if vecs is not None:
-            block[0] = 1.0
-            block /= norms
+            return np.ldexp(vals, e), partial(_star_vectors, n, phase, lowner), head**2
         reps = reps[by_mode]
     else:
         vals, head = np.full(1, a), np.ones(1)
-        if vectors:
-            out, vecs = _vector_memory(n, phase, True)
-            vecs[0, 0] = 1.0
     lone = np.flatnonzero(z <= tol)
     dark_vals = [np.full(members.size - 1, p[members[0]]) for members, _ in groups]
     all_vals = np.concatenate([vals, *dark_vals, p[lone]])
     order = np.argsort(all_vals, kind="stable")
     col = np.empty(n, dtype=int)
     col[order] = np.arange(n)
-    bright_cols = col[: r + 1]
     weights = np.zeros(n)
-    weights[bright_cols] = head**2
-    if vecs is None:
-        return np.ldexp(all_vals[order], e), weights, None
-    # the bright block moves from the top left corner to its rows [0, 1 +
-    # reps] and columns bright_cols, both ascending and at or beyond where it
-    # is now, so moving it a row block at a time from the bottom up leaves
-    # the rows still to move in place
+    weights[col[: r + 1]] = head**2
+    vectors = partial(_star_vectors, n, phase, lowner, (reps, col, groups, lone))
+    return np.ldexp(all_vals[order], e), vectors, weights
+
+
+def _star_vectors(n, phase, lowner, deflated=None):
+    # The eigenvectors of _arrowhead_eigh from the state it keeps: ``lowner``
+    # (None when no coupling is bright) and, unless nothing deflated, the
+    # arguments of _place_deflated. The real vectors are built in the
+    # result's own memory, for a complex result the first half of each row,
+    # until the rows are multiplied by their phases through one row block.
+    _check_dim(n, 8 if phase is None else 16)
+    out = (np.empty if deflated is None else np.zeros)((n, n), float if phase is None else complex)
+    vecs = out if phase is None else out.view(float)[:, :n]
+    if lowner is None:
+        vecs[0, 0] = 1.0
+    else:
+        # the rows of _lowner_vectors, by the same operations on the same
+        # operands, divided by the norms
+        d, origin, tau, rank, zhat, norms = lowner
+        r = d.size
+        d_origin, block = d[origin], vecs[1 : r + 1, : r + 1]
+        rows = max(1, _BLOCK_CELLS // r)
+        with _RowBuffers(r):
+            for s in range(0, r, rows):
+                diff = block[s : s + rows]
+                np.subtract(d_origin, d[rank[s : s + rows]][:, None], out=diff)
+                diff += tau
+                np.divide(zhat[s : s + rows, None], diff, out=diff)
+                diff /= norms
+        np.divide(1.0, norms, out=vecs[0, : r + 1])
+    if deflated is not None:
+        _place_deflated(vecs, *deflated)
+    if phase is not None:
+        rows = max(1, _BLOCK_CELLS // n)
+        scratch = np.empty((min(rows, n), n))
+        for s in range(0, n, rows):
+            blk = scratch[: min(rows, n - s)]
+            np.copyto(blk, vecs[s : s + rows])
+            np.multiply(phase[s : s + rows, None], blk, out=out[s : s + rows])
+    return out
+
+
+def _place_deflated(vecs, reps, col, groups, lone):
+    # The bright block moves from the top left corner to the rows of the
+    # head and the bright modes ``reps`` and the columns ``col[:r + 1]`` of
+    # their eigenvalues, both ascending and at or beyond where it is now,
+    # so moving it a row block at a time from the bottom up leaves the rows
+    # still to move in place. The Householder groups' and the lone dark
+    # modes' vectors take the columns after them.
+    r = reps.size
+    bright_cols = col[: r + 1]
     rows = max(1, _BLOCK_CELLS // (r + 1))
     target = np.append(0, 1 + reps)
     for s in range(r // rows * rows, -1, -rows):
@@ -738,70 +779,23 @@ def _arrowhead_eigh(a: float, p: np.ndarray, z: np.ndarray, start=None, vectors:
             vecs[np.ix_(block_rows, dark)] = h
         c += members.size - 1
     vecs[1 + lone, col[c:]] = 1.0
-    if phase is not None:
-        _rephase(out, vecs, phase)
-    return np.ldexp(all_vals[order], e), weights, out
 
 
-def _vector_memory(n, phase, zeroed):
-    # the n x n eigenvector result, zeroed or not, and the real n x n view
-    # the vectors are built in: the result itself, or for a complex result
-    # the first half of each of its rows, until _rephase multiplies the
-    # rows by their phases
-    out = (np.zeros if zeroed else np.empty)((n, n), dtype=float if phase is None else complex)
-    return out, out if phase is None else out.view(float)[:, :n]
-
-
-def _rephase(out, vecs, phase, norms=None):
-    # out = diag(phase) (vecs / norms), in place: vecs is a real view of
-    # out's memory (row i within row i), or out itself when phase is None;
-    # a row block at a time goes through one scratch block, so the result
-    # holds no second n x n array
-    if phase is None:
-        if norms is not None:
-            vecs /= norms
-        return
-    n = out.shape[0]
-    rows = max(1, _BLOCK_CELLS // n)
-    scratch = np.empty((min(rows, n), n))
-    for s in range(0, n, rows):
-        blk = scratch[: min(rows, n - s)]
-        if norms is None:
-            np.copyto(blk, vecs[s : s + rows])
-        else:
-            np.divide(vecs[s : s + rows], norms, out=blk)
-        np.multiply(phase[s : s + rows, None], blk, out=out[s : s + rows])
-
-
-def _eigh_star(diagonal: np.ndarray, c: np.ndarray) -> SpectralDecomposition:
+def _eigh_star(diagonal: np.ndarray, c: np.ndarray, start=None) -> SpectralDecomposition:
     # the star with real diagonal `diagonal` and couplings c in column 0:
     # D^H H D with D = diag(1, c/|c|) is the real arrowhead with couplings
     # |c|, whose eigenvectors V_real give D V_real. When every c is already
     # real and non-negative, D = I and V_real is returned as it is. D leaves
-    # row 0 alone, so the weights are the arrowhead's.
+    # row 0 alone, so the weights are the arrowhead's. The secular roots
+    # start at the ascending ``start`` where they can (see _Secular._warm);
+    # without it, or when no start is accepted, the result is eigh's.
     mod = np.abs(c)
     phase = None
     if not np.array_equal(c, mod):
         coupled = mod > 0
         phase = np.ones(diagonal.size, dtype=complex)
         phase[1:][coupled] = c[coupled] / mod[coupled]
-    eigenvalues, weights, eigenvectors = _arrowhead_eigh(
-        diagonal[0], diagonal[1:], mod, vectors=True, phase=phase
-    )
-    return SpectralDecomposition(
-        eigenvalues=eigenvalues,
-        eigenvectors=eigenvectors,
-        zero_overlaps=weights,
-    )
-
-
-def _star_levels(model: StarModel, start=None):
-    # eigh(model).eigenvalues and .zero_overlaps without the eigenvectors:
-    # O(n) memory beyond the row blocks. The secular roots start at the
-    # ascending ``start`` where they can (see _Secular._warm); without it,
-    # or when no start is accepted, both arrays are eigh's to the bit.
-    eigenvalues, weights, _ = _arrowhead_eigh(model.eps[0], model.eps[1:], np.abs(model.alpha), start)
-    return eigenvalues, weights
+    return SpectralDecomposition(*_arrowhead_eigh(diagonal[0], diagonal[1:], mod, start, phase))
 
 
 def _is_star(m: np.ndarray) -> bool:
@@ -867,14 +861,17 @@ def eigh(mat) -> SpectralDecomposition:
     -------
     SpectralDecomposition
         Ascending eigenvalues, orthonormal eigenvector columns, and the
-        cached overlap weights of basis state 0. The eigenvectors of a
-        star whose couplings are all real and non-negative are real.
+        cached overlap weights of basis state 0. A star's eigenvectors are
+        built on their first read, from O(n) state the solve keeps, and
+        are real when its couplings are all real and non-negative.
         Deterministic for identical input.
 
     Raises
     ------
     ValueError
-        If the matrix is not square, finite and Hermitian.
+        If the matrix is not square, finite and Hermitian, or, for LAPACK,
+        if its arrays would exceed 8 GiB (a star's first eigenvector read
+        raises it instead).
     NonConvergence
         If the underlying iteration fails to converge: the secular root
         finder within ``_MAX_ITER`` steps, or LAPACK.
@@ -913,7 +910,7 @@ def eigh(mat) -> SpectralDecomposition:
 
 
 def reconstruct(d: SpectralDecomposition) -> np.ndarray:
-    """Rebuild ``V diag(E) V†`` from a decomposition."""
+    """Rebuild ``V diag(E) V†`` from a decomposition (reading ``V`` builds a star's)."""
     v = d.eigenvectors
     return (v * d.eigenvalues) @ v.conj().T
 

@@ -22,8 +22,8 @@ from .errors import DegenerateProfile, DimensionMismatch
 from .hermitian import (  # noqa: F401 (eigh and aggregate_degenerate stay importable from here)
     DEGENERACY_TOL,
     _arrowhead_from_spectrum,
+    _eigh_star,
     _merge_levels,
-    _star_levels,
     aggregate_degenerate,
     eigh,
 )
@@ -219,11 +219,10 @@ def verify_round_trip(
 ) -> RoundTripReport:
     """Re-diagonalize ``model`` and compare against ``profile``.
 
-    The model is solved as the real arrowhead with couplings ``|alpha|`` by
-    the O(n^2) star solver of ``eigh``, so the report is the same in every
-    coupling gauge. Only its eigenvalues and weights are formed: the
-    weights are ``eigh(model).zero_overlaps`` for the same roots, to the
-    bit, and no eigenvector matrix is built, so memory stays O(n).
+    The model is solved by the O(n^2) star solve of ``eigh``, as the real
+    arrowhead with couplings ``|alpha|``, so the report is the same in every
+    coupling gauge. Only its eigenvalues and weights are read, never its
+    eigenvectors, so no eigenvector matrix is built and memory stays O(n).
 
     A pre-pass of the solver evaluates each secular root at its target
     level, in one sweep, where exactly one target lies strictly inside its
@@ -263,7 +262,8 @@ def verify_round_trip(
         raise DimensionMismatch(
             f"model dimension {model.dim} != profile dimension {profile.dim}"
         )
-    eigenvalues, weights = _star_levels(model, start=target_e)
+    solved = _eigh_star(model.eps, model.alpha, target_e)
+    eigenvalues, weights = solved.eigenvalues, solved.zero_overlaps
     eig_err = float(np.abs(eigenvalues - target_e).max())
 
     # the ladder ascends, so its largest |E_m| is at one end

@@ -3,7 +3,6 @@ import math
 import re
 import tracemalloc
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -152,7 +151,7 @@ def test_memory_error_exits_2_and_writes_nothing(argv, message, tmp_path, capsys
     def fail(*args, **kwargs):
         raise MemoryError(message)
 
-    monkeypatch.setattr("staremit.cli._star_levels", fail)
+    monkeypatch.setattr("staremit.cli.eigh", fail)
     out, svg = tmp_path / "out.csv", tmp_path / "out.svg"
     assert main(argv + ["--out", str(out), "--svg", str(svg)]) == 2
     expected = f"error: out of memory: {message}\n" if message else "error: out of memory\n"
@@ -160,30 +159,29 @@ def test_memory_error_exits_2_and_writes_nothing(argv, message, tmp_path, capsys
     assert list(tmp_path.iterdir()) == []
 
 
-def test_series_commands_store_no_eigenvector_rows(tmp_path):
-    # the series read only the eigenvalues and the weights: the row-storing
-    # Löwner pass, which builds eigh's eigenvector block, is never reached
-    lowner_vectors = hermitian._lowner_vectors
+def test_series_commands_store_no_eigenvector_rows(tmp_path, capsys, monkeypatch):
+    # the series and verification read only the eigenvalues and the
+    # weights: the builder of a star's eigenvectors is never reached
+    def fail(*args):
+        raise AssertionError("eigenvectors built")
 
-    def norms_only(d, origin, tau, rank, out=None):
-        if out is not None:
-            raise AssertionError("eigenvector rows stored")
-        return lowner_vectors(d, origin, tau, rank)
-
-    out = tmp_path / "series.txt"
-    with mock.patch.object(hermitian, "_lowner_vectors", norms_only):
-        for argv in (["two-level"], ["two-level", "--eps1", "0.4", "--format", "json"],
-                     ["identical-modes", "--n", "1"], ["identical-modes", "--n", "300", "--svg",
-                                                       str(tmp_path / "chart.svg")]):
-            assert main(argv + ["--out", str(out)]) == 0
+    monkeypatch.setattr(hermitian, "_star_vectors", fail)
+    out, svg = tmp_path / "series.txt", str(tmp_path / "chart.svg")
+    for argv in (["two-level"], ["two-level", "--eps1", "0.4", "--format", "json"],
+                 ["two-level", "--alpha", "0.3", "--svg", svg],
+                 ["identical-modes", "--n", "1"], ["identical-modes", "--n", "5", "--format", "json"],
+                 ["identical-modes", "--n", "300", "--svg", svg]):
+        assert main(argv + ["--out", str(out)]) == 0
+    assert main(["inverse", "--m", "60", "--seed", "5", "--out", str(out)]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
 
 
 def test_identical_modes_memory_is_linear_in_n(tmp_path):
-    # At n = 100000 eigh's eigenvector matrix alone would take 74.5 GiB.
-    # The series solve keeps arrays of length n, and the survival kernel on
-    # a uniform grid of S samples holds at most four complex arrays of
-    # n x ceil(sqrt(S)) at once (67.5 MiB measured here, at S = 101). The
-    # budget is five such arrays: O(n sqrt(S)), 84 MiB.
+    # At n = 100000 eigh's eigenvector matrix alone would take 74.5 GiB and
+    # is never built. The solve keeps arrays of length n, and the survival
+    # kernel on a uniform grid of S samples holds at most four complex
+    # arrays of n x ceil(sqrt(S)) at once (69.8 MiB measured here, at
+    # S = 101). The budget is five such arrays: O(n sqrt(S)), 84 MiB.
     n, samples = 100_000, 101
     out = tmp_path / "x.csv"
     budget = 5 * 16 * (n + 1) * (math.isqrt(samples - 1) + 1)
@@ -406,6 +404,49 @@ def test_output_budget_default_refuses_huge_sample_counts(tmp_path, capsys, monk
         f"error: the output would take up to {samples * 3 * JSON_FIELD_BYTES} bytes of text, "
         f"above the budget of {cli.OUTPUT_BUDGET_BYTES} bytes; lower --samples\n")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, levels, flag",
+    [
+        (["identical-modes", "--n", "50", "--samples", "101"], 51, "--n 50"),
+        (["identical-modes", "--n", "7", "--samples", "10", "--svg", "c.svg"], 8, "--n 7"),
+        (["figure1", "--m-list", "3,20,2", "--samples", "40"], 41, "--m-list value 20"),
+    ],
+    ids=["identical-modes", "identical-modes-svg", "figure1"],
+)
+def test_series_memory_guard_refuses_before_any_allocation(argv, levels, flag,
+                                                            tmp_path, capsys, monkeypatch):
+    # the model's arrays of one entry per level and the survival kernel's
+    # four complex arrays of levels x ceil(sqrt(samples)), under a patched
+    # budget: the refusal comes before the model or the profile exists
+    samples = int(argv[argv.index("--samples") + 1])
+    size = levels * (cli._LEVEL_BYTES + 4 * 16 * (math.isqrt(samples - 1) + 1))
+    argv = [str(tmp_path / a) if a == "c.svg" else a for a in argv]
+    out = tmp_path / "out"
+    argv += ["--out", str(out)]
+    monkeypatch.setattr(cli, "_SERIES_BUDGET_BYTES", size - 1)
+    monkeypatch.setattr(cli, "StarModel", pytest.fail)
+    monkeypatch.setattr(cli, "flat_profile", pytest.fail)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: {flag} would take about {size} bytes of memory, above the budget of "
+        f"{size - 1} bytes; lower it or --samples\n")
+    assert list(tmp_path.iterdir()) == []
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "_SERIES_BUDGET_BYTES", size)
+    assert main(argv) == 0
+    assert out.exists()
+
+
+def test_series_memory_budget_admits_the_largest_documented_runs():
+    # identical-modes --n 100000 --samples 101 (70 MB of kernel arrays) and
+    # every benchmark input (n and M up to 200, up to 1e5 samples), checked
+    # without running them
+    cli._check_series_memory(100_001, 101, "--n 100000")
+    cli._check_series_memory(401, 100_000, "--m-list value 200")
+    with pytest.raises(ValueError, match="--n 1000000 would take about"):
+        cli._check_series_memory(1_000_001, 1000, "--n 1000000")
 
 
 def test_figure1_outputs(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from staremit import (
     two_level_survival,
 )
 
+from staremit import hermitian
 from staremit.evolution import _grid_amplitude
 
 from helpers import random_hermitian, random_star_model
@@ -119,6 +121,42 @@ def test_survival_probability_matches_evolved_amplitude():
         for t in rng.uniform(0.0, 10.0, 3):
             via_state = abs(evolve_state(d, psi0, t)[0]) ** 2
             assert abs(survival_probability(d, t) - via_state) < 1e-12
+
+
+def test_survival_of_a_star_never_builds_its_eigenvectors(monkeypatch):
+    # survival_probability reads the eigenvalues and weights that eigh's
+    # solve forms; the builder of a star's eigenvectors is never reached
+    def fail(*args):
+        raise AssertionError("eigenvectors built")
+
+    monkeypatch.setattr(hermitian, "_star_vectors", fail)
+    ts = np.linspace(0.0, 8.0, 301)
+    for model in (random_star_model(np.random.default_rng(2), 40),
+                  StarModel(eps=np.full(9, 0.2), alpha=np.full(8, 0.5j))):
+        assert survival_probability(eigh(model), ts).shape == ts.shape
+        survival_series(eigh(model), TimeGrid(0.0, 8.0, 11))
+    with pytest.raises(AssertionError, match="eigenvectors built"):
+        eigh(model).eigenvectors
+
+
+def test_survival_of_a_large_star_is_linear_in_n():
+    # At n = 100000 eigh's eigenvector matrix alone would take 74.5 GiB and
+    # is never built: the solve keeps arrays of length n, and the survival
+    # kernel on a uniform grid of S samples holds at most four complex
+    # arrays of n x ceil(sqrt(S)) at once (67.3 MiB measured here, at
+    # S = 101). The budget is five such arrays: O(n sqrt(S)), 84 MiB.
+    n, samples = 100_000, 101
+    model = StarModel(eps=np.zeros(n + 1), alpha=np.full(n, 1.0, dtype=complex))
+    ts = np.linspace(0.0, 20.0, samples)
+    budget = 5 * 16 * (n + 1) * (math.isqrt(samples - 1) + 1)
+    tracemalloc.start()
+    try:
+        p = survival_probability(eigh(model), ts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.abs(p - np.cos(math.sqrt(n) * ts) ** 2).max() < 1e-10
+    assert peak <= budget, peak / 2**20
 
 
 def test_survival_series_constant_for_decoupled_model():

@@ -1,3 +1,4 @@
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -497,18 +498,6 @@ def test_eigh_star_model_matches_its_dense_matrix(couplings):
     assert np.isrealobj(d.eigenvectors) == (couplings == "real")
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(_star_matrices().filter(lambda h: h.shape[0] > 1))
-def test_star_levels_without_start_are_eighs_to_the_bit(h):
-    # the spectrum part alone, with no eigenvector block: the same
-    # eigenvalues and weights as eigh, to the bit
-    model = StarModel(eps=h.diagonal().real, alpha=h[1:, 0])
-    d = eigh(model)
-    eigenvalues, weights = hermitian._star_levels(model)
-    assert np.array_equal(eigenvalues, d.eigenvalues)
-    assert np.array_equal(weights, d.zero_overlaps)
-
-
 @pytest.mark.parametrize(
     "seed, dim, rows",
     [
@@ -692,8 +681,8 @@ def test_complex_star_eigenvectors_hold_no_real_copy(kind):
     # A star with complex couplings gets complex eigenvectors, 16 bytes a
     # cell. The real vectors and the Householder blocks are built in the
     # result's own memory and its rows rephased through one row block of
-    # scratch, so eigh peaks at about 16.2 bytes a cell here; a real n x n array
-    # beside the result made it 24.
+    # scratch, so eigh and the first read of the eigenvectors peak at about
+    # 16.2 bytes a cell here; a real n x n array beside the result made it 24.
     dim = 2001
     n = dim - 1
     if kind == "identical":
@@ -702,26 +691,61 @@ def test_complex_star_eigenvectors_hold_no_real_copy(kind):
         model = random_star_model(np.random.default_rng(dim), dim)
     tracemalloc.start()
     try:
-        d = eigh(model)
+        v = eigh(model).eigenvectors
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert d.eigenvectors.dtype == complex
+    assert v.dtype == complex
     assert peak <= 17 * dim**2, peak / dim**2
 
 
 def test_eigh_refuses_a_dim_beyond_its_budget(monkeypatch):
     # the guard's arithmetic, on small dims under a patched budget: 8 bytes
-    # a cell for a real-coupled star, 16 for a complex one and 48 for LAPACK
+    # a cell for a real-coupled star, 16 for a complex one and 48 for LAPACK.
+    # A star's eigenvectors are refused at their first read, LAPACK's at eigh.
     dim = 10
     real = StarModel(eps=np.linspace(0, 1, dim), alpha=np.full(dim - 1, 0.1))
     complex_ = StarModel(eps=np.linspace(0, 1, dim), alpha=np.full(dim - 1, 0.1j))
     dense = random_hermitian(np.random.default_rng(1), dim)
     for mat, cell in ((real, 8), (complex_, 16), (build_hamiltonian(complex_), 16), (dense, 48)):
         monkeypatch.setattr(hermitian, "_EIGH_BUDGET", cell * dim**2)
-        eigh(mat)
+        eigh(mat).eigenvectors
         monkeypatch.setattr(hermitian, "_EIGH_BUDGET", cell * dim**2 - 1)
         with pytest.raises(ValueError, match=f"dim {dim} is too large"):
-            eigh(mat)
+            eigh(mat).eigenvectors
+        if cell == 48:
+            with pytest.raises(ValueError, match=f"dim {dim} is too large"):
+                eigh(mat)
     # the levels alone form no n x n array and are not refused
-    hermitian._star_levels(complex_)
+    d = eigh(complex_)
+    assert d.eigenvalues.shape == d.zero_overlaps.shape == (dim,)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex", "deflated", "dense"])
+def test_decompositions_pickle_before_and_after_the_first_read(kind):
+    # a star's decomposition keeps the state that builds its eigenvectors
+    # in arrays, not in a closure, so it pickles before its first read; the
+    # read caches the matrix, and a second read returns the same object
+    model = random_star_model(np.random.default_rng(3), 30)
+    if kind == "real":
+        model = StarModel(eps=model.eps, alpha=np.abs(model.alpha))
+    elif kind == "deflated":
+        model = StarModel(eps=np.round(3.0 * model.eps) / 3.0, alpha=model.alpha)
+    mat = build_hamiltonian(model) if kind == "dense" else model
+    want = eigh(mat)
+    v = want.eigenvectors
+    assert want.eigenvectors is v
+    for before in (True, False):
+        d = eigh(mat)
+        if not before:
+            d.eigenvectors
+        copy = pickle.loads(pickle.dumps(d))
+        for name in ("eigenvalues", "eigenvectors", "zero_overlaps"):
+            assert np.array_equal(getattr(copy, name), getattr(want, name))
+        assert copy.eigenvectors is copy.eigenvectors
+        assert copy.eigenvectors.dtype == v.dtype
+    explicit = hermitian.SpectralDecomposition(
+        eigenvalues=want.eigenvalues, eigenvectors=v, zero_overlaps=want.zero_overlaps)
+    assert explicit.eigenvectors is v
+    with pytest.raises(AttributeError):
+        explicit.eigenvalues = want.eigenvalues

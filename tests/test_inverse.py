@@ -365,8 +365,7 @@ def _cold_report(model, p, tol):
     # interval's midpoint and the eigenvector matrix built, put through the
     # same comparison
     cold = eigh(model)
-    levels = cold.eigenvalues, cold.zero_overlaps
-    with mock.patch.object(inverse, "_star_levels", lambda m, start: levels):
+    with mock.patch.object(inverse, "_eigh_star", lambda diagonal, c, start: cold):
         return verify_round_trip(model, p, tol), cold
 
 
@@ -444,7 +443,8 @@ def test_verify_round_trip_warm_start_matches_cold_solve(kind, scale, m_half, se
     wrong = kind.startswith("shift") or kind == "collapsed" or kind == "decoupled" and w[m_half] < 0.5
     if wrong:
         assert not report.passed
-    eigenvalues, weights = hermitian._star_levels(model, start=ladder)
+    started = hermitian._eigh_star(model.eps, model.alpha, ladder)
+    eigenvalues, weights = started.eigenvalues, started.zero_overlaps
     top = max(np.abs(model.eps).max(), np.abs(model.alpha).max()) or 1.0
     norm = np.abs(model.eps).max() + top * np.sqrt(np.sum((np.abs(model.alpha) / top) ** 2))
     eps = np.finfo(float).eps
@@ -466,7 +466,8 @@ def test_verify_round_trip_pre_pass_never_steers_a_root(kind, scale):
         w = 10.0 ** rng.uniform(-12.0, 0.0, 2 * m_half + 1)
         p = SpectralProfile(m_half, eps0, d_width, w / w.sum())
         model = _family_model(kind, p, construct_hamiltonian(p), rng)
-        eigenvalues, weights = hermitian._star_levels(model, start=p.eigenvalues())
+        started = hermitian._eigh_star(model.eps, model.alpha, p.eigenvalues())
+        eigenvalues, weights = started.eigenvalues, started.zero_overlaps
         cold_rows, cold = solver_rows(eigh, model)
         assert np.array_equal(eigenvalues, cold.eigenvalues), m_half
         assert np.array_equal(weights, cold.zero_overlaps), m_half
@@ -555,32 +556,28 @@ def test_construct_hamiltonian_row_counts_are_pinned(profile, rows):
     assert solver_rows(construct_hamiltonian, profile)[0] == rows
 
 
-def test_verify_round_trip_stores_no_eigenvector_rows(capsys):
-    # the row-storing Löwner pass builds the eigenvector block; verification
-    # needs only its column norms
-    lowner_vectors = hermitian._lowner_vectors
+def test_verify_round_trip_stores_no_eigenvector_rows(capsys, monkeypatch):
+    # verification reads only the eigenvalues and the weights of its solve:
+    # the builder of a star's eigenvectors is never reached
+    def fail(*args):
+        raise AssertionError("eigenvectors built")
 
-    def norms_only(d, origin, tau, rank, out=None):
-        if out is not None:
-            raise AssertionError("eigenvector rows stored")
-        return lowner_vectors(d, origin, tau, rank)
-
-    with mock.patch.object(hermitian, "_lowner_vectors", norms_only):
-        for p in (flat_profile(1, 0.0, 1.0),
-                  random_profile(40, 0.5, 2.0, np.random.default_rng(4))):
-            assert verify_round_trip(construct_hamiltonian(p), p, 1e-8).passed
-        for argv in (["inverse", "--flat", "--m", "3"], ["inverse", "--m", "60", "--seed", "5"],
-                     ["inverse", "--m", "40", "--seed", "2", "--symmetric", "--eps0", "1.5"]):
-            assert main(argv) == 0
-            assert json.loads(capsys.readouterr().out)["report"]["passed"] is True
+    monkeypatch.setattr(hermitian, "_star_vectors", fail)
+    for p in (flat_profile(1, 0.0, 1.0),
+              random_profile(40, 0.5, 2.0, np.random.default_rng(4))):
+        assert verify_round_trip(construct_hamiltonian(p), p, 1e-8).passed
+    for argv in (["inverse", "--flat", "--m", "3"], ["inverse", "--m", "60", "--seed", "5"],
+                 ["inverse", "--m", "40", "--seed", "2", "--symmetric", "--eps0", "1.5"]):
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["report"]["passed"] is True
 
 
 def test_verify_round_trip_memory_is_linear():
-    # At dim 4001 the eigenvector matrix alone is 122 MiB, and eigh(model)
-    # peaks at 123 MiB. Verification keeps arrays of length dim (32 KiB
-    # each) and four row blocks of 2^15 entries (256 KiB each) beside the
-    # solver's two 512 KiB work arrays: it measured 2.4 MiB. The budget is
-    # 8 MiB.
+    # At dim 4001 the eigenvector matrix alone is 122 MiB, and reading
+    # eigh(model).eigenvectors peaks at 122.4 MiB. Verification keeps
+    # arrays of length dim (32 KiB each) and four row blocks of 2^15
+    # entries (256 KiB each) beside the solver's two 512 KiB work arrays:
+    # it measured 2.4 MiB. The budget is 8 MiB.
     p = random_profile(2000, 0.3, 1.5, np.random.default_rng(4))
     model = construct_hamiltonian(p)
     tracemalloc.start()
