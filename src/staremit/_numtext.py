@@ -16,21 +16,22 @@ value lies within a small margin of a rounding tie (1e-3 of a last digit
 for CSV, 1e-6 for SVG). Those elements, exact binary ties among them,
 are formatted by Python's ``%`` and their digits taken from that. A
 value whose rounding carries into the next decade (``9.99999999999995e5``)
-moves to the next exponent. A CSV table with a non-finite value or a
-three-digit exponent, and an SVG curve with a coordinate outside the one
-point layout below, do not fit the fixed width and are written by the
-per-value reference instead.
+moves to the next exponent. A CSV table with a set sign bit, a non-finite
+value or a three-digit exponent, and an SVG curve with a coordinate
+outside the one point layout below, do not fit the fixed width and are
+written by the per-value reference instead.
 
 Buffer layout. A CSV table is one preallocated ``uint8`` buffer: the
-header, then ``rows x row_width`` bytes, filled 4096 rows at a time so
-that a block's temporaries stay in cache. Each field owns a column slice
-of the rows: a sign slot (only in columns that hold a negative value),
-then the 12 mantissa digits and ``e±dd`` copied as one 16-byte block of
-four words (three 4-digit groups and an exponent word from a 199-entry
-table) one byte to the right, after which the first digit moves left and
-``.`` takes its place, then the separator. The buffer is decoded as it
-stands, unless a column mixes signs: its non-negative rows then hold NUL
-in the sign slot, and one pass over the rows drops those bytes.
+header, then a ``(rows, columns, 18)`` array, filled 4096 rows at a time
+so that a block's temporaries stay in cache. Each field is the 12
+mantissa digits and ``e±dd`` copied as one 16-byte block of four words
+(three 4-digit groups and an exponent word from a 199-entry table) one
+byte to the right, after which the first digit moves left and ``.``
+takes its place, then the separator. That is the only layout the
+program's tables take: their times run from 0 and their probabilities
+lie in [0, 1], so every field is unsigned. A table with any set sign
+bit (a negative value, or ``-0.0``) goes whole to the per-value
+reference, so the buffer is decoded as it stands.
 
 An SVG point is a row of four words, two per coordinate: the integer
 part right-aligned in one word with NUL in place of leading zeros, then
@@ -83,7 +84,7 @@ _POW10 = np.array([float(10**j) for j in range(90)])
 _CSV_TIE = 1e-3
 _SVG_TIE = 1e-6
 
-_MINUS, _DOT = b"-."
+_DOT = ord(".")
 
 # rows formatted at a time: a block's temporaries stay in cache, and below
 # the sizes at which the allocator hands memory back to the system
@@ -117,12 +118,11 @@ def _near_ties(x: np.ndarray, rounded: np.ndarray, tie: float) -> np.ndarray:
 
 
 def _e_words(v: np.ndarray, out: np.ndarray) -> bool:
-    # "%.11e" % |v| without its dot, as the words of the three 4-digit
-    # groups and "e±dd" in each row of `out` (n x 4 uint32); False if v
-    # does not fit
-    a = np.abs(v)
-    zero = a == 0
-    safe = np.where(zero, 1.0, a)  # zeros are scaled as 1.0, mended below
+    # "%.11e" % v for v >= 0 without its dot, as the words of the three
+    # 4-digit groups and "e±dd" in each row of `out` (n x 4 uint32); False
+    # if v does not fit
+    zero = v == 0
+    safe = np.where(zero, 1.0, v)  # zeros are scaled as 1.0, mended below
     if not (safe.max() < 1e99 and safe.min() >= 1e-99):
         return False  # inf, NaN or a three-digit exponent
     e = np.floor(np.log10(safe)).astype(np.int64)
@@ -138,7 +138,7 @@ def _e_words(v: np.ndarray, out: np.ndarray) -> bool:
         m[carry] = 1e11
         e += carry
     if ties.size:
-        texts = [CSV_TEMPLATE % f for f in a[ties].tolist()]
+        texts = [CSV_TEMPLATE % f for f in v[ties].tolist()]
         m[ties] = [int(t[0] + t[2:13]) for t in texts]
         e[ties] = [int(t[14:]) for t in texts]
     if not (m.min() >= 1e11 and m.max() < 1e12 and e.min() >= -99 and e.max() <= 99):
@@ -161,12 +161,13 @@ def csv_table(ts, columns: dict) -> str:
     row of ``"%.11e"`` fields per sample, LF line endings.
 
     The output is byte for byte that of :func:`csv_table_reference`. Each
-    column is formatted as a whole array into its slice of one byte
-    buffer: its magnitudes are scaled to 12-digit integers, and an element
-    within 1e-3 of a last digit of a rounding tie is formatted by ``%``
-    instead (see the module docstring). A table with a value that does not
-    fit ``d.ddddddddddde±dd`` (inf, NaN or a three-digit exponent) is
-    written by the reference template.
+    column is formatted as a whole array into its fields of one byte
+    buffer, every field ``d.ddddddddddde±dd`` and its separator: the
+    values are scaled to 12-digit integers, and an element within 1e-3 of
+    a last digit of a rounding tie is formatted by ``%`` instead (see the
+    module docstring). A table with a value that does not fit that field
+    (a set sign bit, ``-0.0`` included, inf, NaN or a three-digit
+    exponent) is written by the reference template.
     """
     cols = [np.asarray(c, dtype=float).ravel() for c in (ts, *columns.values())]
     n = min(c.size for c in cols)  # rows stop at the shortest column, as zip does
@@ -174,38 +175,25 @@ def csv_table(ts, columns: dict) -> str:
     header = "t," + ",".join(columns) + "\n"
     if n == 0:
         return header
+    if any(np.signbit(c).any() for c in cols):
+        return csv_table_reference(ts, columns)
     head = np.frombuffer(header.encode(), dtype=np.uint8)
-    signs = [np.signbit(c) for c in cols]
-    leads = [bool(s.any()) for s in signs]
-    buf = np.empty(head.size + n * (sum(leads) + 18 * len(cols)), dtype=np.uint8)
+    buf = np.empty(head.size + n * len(cols) * 18, dtype=np.uint8)
     buf[: head.size] = head
-    table = buf[head.size :].reshape(n, -1)
-    seps = b"," * (len(cols) - 1) + b"\n"
-    mixed = False
-    at = 0
-    for sign, lead, sep in zip(signs, leads, seps):
-        if lead:
-            # "-", or NUL in the rows whose sign slot is dropped at the end
-            np.multiply(sign, _MINUS, out=table[:, at], dtype=np.uint8, casting="unsafe")
-            mixed = mixed or not sign.all()
-        at += lead + 18
-        table[:, at - 1] = sep
+    table = buf[head.size :].reshape(n, len(cols), 18)
+    table[:, :, 17] = np.frombuffer(b"," * (len(cols) - 1) + b"\n", dtype=np.uint8)
     words = np.empty((min(n, _BLOCK), 4), dtype=np.uint32)
     for start in range(0, n, _BLOCK):
         rows = table[start : start + _BLOCK]
         block = words[: rows.shape[0]]
-        at = 0
-        for c, lead in zip(cols, leads):
-            at += lead
+        for j, c in enumerate(cols):
             if not _e_words(c[start : start + _BLOCK], block):
                 return csv_table_reference(ts, columns)
             # one 16-byte item per row copies faster than 16 byte columns
-            rows[:, at + 1 : at + 17].view("V16")[:, 0] = block.view("V16")[:, 0]
-            rows[:, at] = rows[:, at + 1]
-            rows[:, at + 1] = _DOT
-            at += 18
-    if mixed:  # drop the NUL sign slots in one pass
-        return header + table.tobytes().translate(None, b"\0").decode("ascii")
+            field = rows[:, j]
+            field[:, 1:17].view("V16")[:, 0] = block.view("V16")[:, 0]
+            field[:, 0] = field[:, 1]
+            field[:, 1] = _DOT
     return str(buf, "utf-8")
 
 

@@ -80,9 +80,9 @@ def profile_survival(profile: SpectralProfile, t):
     implied level ladder, clipped to [0, 1]; vectorized over ``t``, a
     float for scalar ``t``. It shares the kernel of
     :func:`~staremit.evolution.survival_probability`: a uniform grid of S
-    times over 2M+1 levels costs about ``2 (2M+1) sqrt(S)`` exponentials
-    and one matrix product in ``O(M sqrt(S) + S)`` memory; other times
-    cost ``(2M+1) S`` exponentials, in blocks of 4096 samples.
+    times over 2M+1 levels costs about ``1.5 (2M+1) sqrt(S)`` exponentials
+    and one matrix product, other times ``(2M+1) S`` exponentials; both
+    take ``O(M sqrt(S) + S)`` memory.
     """
     return _survival(profile.eigenvalues(), profile.overlaps, t)
 

@@ -74,8 +74,8 @@ def _check_output_size(rows: int, row_bytes: int) -> None:
 # Memory the survival series of one model may take: _LEVEL_BYTES a level for
 # its arrays of one entry per level (solving an identical-modes star peaks
 # at about 100 bytes a level) and the survival kernel's four complex arrays
-# of levels x ceil(sqrt(samples)). Larger --n and --m-list values are
-# refused up front.
+# of levels x ceil(sqrt(samples)), on either of its paths. Larger --n and
+# --m-list values are refused up front.
 _SERIES_BUDGET_BYTES = 1 << 30
 _LEVEL_BYTES = 512
 
@@ -200,7 +200,7 @@ def _load_profile(path: str) -> SpectralProfile:
         return SpectralProfile.from_dict(data)
     except KeyError as exc:
         raise ValueError(f"{path}: missing field {exc}") from exc
-    except TypeError as exc:  # e.g. "m_half": null
+    except TypeError as exc:  # a field of the wrong type, e.g. "m_half": 1.9
         raise ValueError(f"{path}: malformed field: {exc}") from exc
 
 

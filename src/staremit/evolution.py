@@ -13,12 +13,12 @@ times a fine one at the offset inside the block, times
 ``1 - i E_n r_j`` for the rounding-sized residual ``r_j`` of the split.
 The offsets are symmetric about 0, so each fine phasor at a negative
 offset is the conjugate of one at a positive offset. That takes about
-``1.5 dim sqrt(S)`` exponentials and one matrix product, in
-``O(dim sqrt(S) + S)`` memory. It is used when
+``1.5 dim sqrt(S)`` exponentials and one matrix product. It is used when
 ``max|r| max|E| <= 1e-8``, so the neglected ``(E r)^2 / 2`` is at most
 5e-17. Other times (a scalar, two samples, a non-uniform grid) take the
-direct sum in blocks of 4096 samples: ``dim S`` exponentials in
-``O(4096 dim + S)`` memory.
+direct sum in blocks of the same ``nb`` samples: ``dim S`` exponentials.
+Either path holds ``O(dim sqrt(S) + S)`` memory, at most four
+``dim x nb`` complex arrays at once.
 """
 
 from __future__ import annotations
@@ -32,9 +32,6 @@ import numpy as np
 from ._numtext import csv_table
 from .errors import DimensionMismatch, StepTooLarge
 from .hermitian import SpectralDecomposition
-
-# Samples per block of the direct sum, which holds levels x _CHUNK phasors.
-_CHUNK = 4096
 
 # Largest max|r| max|E| for the factorised grid sum, where r is a sample's
 # distance from its coarse x fine split; the neglected (E r)^2 / 2 stays
@@ -108,8 +105,8 @@ def survival_probability(d: SpectralDecomposition, t):
     overlaps, clipped to [0, 1], with no read of ``d.eigenvectors``;
     vectorized over ``t``, a float for scalar ``t``. A uniform grid of S
     times costs about ``1.5 dim sqrt(S)`` exponentials and one matrix
-    product in ``O(dim sqrt(S) + S)`` memory; other times cost ``dim S``
-    exponentials, in blocks of 4096 samples (see the module docstring).
+    product; other times cost ``dim S`` exponentials. Both take
+    ``O(dim sqrt(S) + S)`` memory (see the module docstring).
     """
     return _survival(d.eigenvalues, d.zero_overlaps, t)
 
@@ -120,9 +117,12 @@ def _survival(levels, weights, t):
     tt = t.ravel()
     amp = _grid_amplitude(levels, weights, tt)
     if amp is None:
+        # blocks of ceil(sqrt(S)) samples, the grid path's width, so that
+        # either path holds O(levels sqrt(S)) phasors
+        nb = math.isqrt(max(tt.size - 1, 0)) + 1
         amp = np.concatenate([
-            weights @ np.exp(-1j * np.multiply.outer(levels, tt[i : i + _CHUNK]))
-            for i in range(0, max(tt.size, 1), _CHUNK)
+            weights @ np.exp(-1j * np.multiply.outer(levels, tt[i : i + nb]))
+            for i in range(0, max(tt.size, 1), nb)
         ])
     p = np.clip(np.abs(amp) ** 2, 0.0, 1.0)
     return float(p[0]) if t.ndim == 0 else p.reshape(t.shape)

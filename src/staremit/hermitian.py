@@ -151,7 +151,8 @@ def _as_square_matrix(mat) -> np.ndarray:
     m = np.asarray(mat, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    return m
+    # C order, so that _is_star can read the entries as 64-bit words
+    return np.ascontiguousarray(m)
 
 
 def _entry_scale(entries: np.ndarray):
@@ -800,16 +801,14 @@ def _eigh_star(diagonal: np.ndarray, c: np.ndarray, start=None) -> SpectralDecom
 
 def _is_star(m: np.ndarray) -> bool:
     # np.count_nonzero(m[1:, 1:]) == np.count_nonzero(m.diagonal()[1:]) for
-    # a square complex m, from its 64-bit words when m is C-contiguous:
-    # integer words are counted faster than complex entries. When the
-    # nonzero words of all of m are those of its arrow and diagonal, every
-    # other entry is +0.0 and m is a star. Else an entry off the arrow is
-    # zero only if both its words are 0.0 or -0.0, the sign bit alone,
-    # which a left shift clears: row blocks stop at the first word that the
-    # shift leaves nonzero (NaN and inf among them), so a dense matrix is
-    # told from its first rows.
-    if not m.flags.c_contiguous:
-        return np.count_nonzero(m[1:, 1:]) == np.count_nonzero(m.diagonal()[1:])
+    # a square C-contiguous complex m (as _as_square_matrix returns it),
+    # from its 64-bit words: integer words are counted faster than complex
+    # entries. When the nonzero words of all of m are those of its arrow
+    # and diagonal, every other entry is +0.0 and m is a star. Else an
+    # entry off the arrow is zero only if both its words are 0.0 or -0.0,
+    # the sign bit alone, which a left shift clears: row blocks stop at the
+    # first word that the shift leaves nonzero (NaN and inf among them), so
+    # a dense matrix is told from its first rows.
     n = m.shape[0]
     words = m.view(np.uint64).reshape(n, n, 2)
     arrow = (np.count_nonzero(words[0]) + np.count_nonzero(words[1:, 0])

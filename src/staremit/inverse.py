@@ -44,6 +44,19 @@ ROUNDING_EPS = 4
 _EPS = np.finfo(float).eps
 
 
+class _FieldTypeError(TypeError, ValueError):
+    """A profile field read from JSON has the wrong type."""
+
+
+def _json_number(value, field: str, integer: bool = False):
+    # value if it is a JSON number (an integer when asked), else raise; a
+    # bool is refused, though Python counts it as an int
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        kind = "an integer" if integer else "a number"
+        raise _FieldTypeError(f"{field} must be {kind}, got {value!r}")
+    return value
+
+
 def equally_spaced_spectrum(m_half: int, eps0: float, d_width: float) -> np.ndarray:
     """Level ladder ``eps0 + (m/M) d_width`` for ``m = -M..M``, ascending."""
     if m_half < 1:
@@ -107,11 +120,25 @@ class SpectralProfile:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SpectralProfile":
+        """Read the fields :meth:`to_dict` writes, as ``json`` loads them.
+
+        ``m_half`` must be an int, ``eps0`` and ``d_width`` ints or floats,
+        and ``overlaps`` a list of ints or floats, none of them a bool; any
+        other type raises ``ValueError`` naming the field (also a
+        ``TypeError``), and a missing field raises ``KeyError``.
+        """
+        m_half = _json_number(data["m_half"], "m_half", integer=True)
+        eps0 = float(_json_number(data["eps0"], "eps0"))
+        d_width = float(_json_number(data["d_width"], "d_width"))
+        overlaps = data["overlaps"]
+        if not isinstance(overlaps, list):
+            raise _FieldTypeError(f"overlaps must be a list, got {overlaps!r}")
         return cls(
-            m_half=int(data["m_half"]),
-            eps0=float(data["eps0"]),
-            d_width=float(data["d_width"]),
-            overlaps=np.asarray(data["overlaps"], dtype=float),
+            m_half=m_half,
+            eps0=eps0,
+            d_width=d_width,
+            overlaps=np.array([_json_number(w, f"overlaps[{i}]") for i, w in enumerate(overlaps)],
+                              dtype=float),
         )
 
 

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from staremit import cli, dirichlet_survival, hermitian, revival_period
+from staremit import _numtext, cli, dirichlet_survival, hermitian, revival_period
 from staremit._numtext import CSV_FIELD_BYTES, JSON_FIELD_BYTES, SVG_POINT_BYTES
 from staremit.cli import main
 
@@ -270,6 +270,23 @@ def test_inverse_missing_field(tmp_path, capsys):
         assert str(path) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value", [
+    ("m_half", 1.9), ("m_half", True), ("eps0", "1e3"), ("d_width", None),
+    ("overlaps", [0.25, False, 0.25]),
+])
+def test_inverse_profile_field_of_the_wrong_type_exits_2(field, value, tmp_path, capsys):
+    # refused as input, not coerced into another profile: nothing is written
+    profile = {"m_half": 1, "eps0": 0.0, "d_width": 1.0, "overlaps": [0.25, 0.5, 0.25], field: value}
+    path, out = tmp_path / "profile.json", tmp_path / "model.json"
+    path.write_text(json.dumps(profile))
+    assert main(["inverse", "--profile", str(path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert re.fullmatch(rf"error: {re.escape(str(path))}: malformed field: {field}(\[1\])? must be .*\n",
+                        captured.err)
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_inverse_missing_source_flag(capsys):
     assert main(["inverse"]) == 2
 
@@ -447,6 +464,23 @@ def test_series_memory_budget_admits_the_largest_documented_runs():
     cli._check_series_memory(401, 100_000, "--m-list value 200")
     with pytest.raises(ValueError, match="--n 1000000 would take about"):
         cli._check_series_memory(1_000_001, 1000, "--n 1000000")
+
+
+@pytest.mark.parametrize("argv, files", [
+    (["two-level", "--samples", "1001", "--out", "o.csv"], ["o.csv"]),
+    (["identical-modes", "--n", "50", "--samples", "1001", "--out", "o.csv", "--svg", "c.svg"],
+     ["o.csv", "c.svg"]),
+    (["figure1", "--m-list", "1,5,20", "--samples", "2001", "--out", "figs"],
+     ["figs/figure1_M1.csv", "figs/figure1_M5.csv", "figs/figure1_M20.csv"]),
+], ids=["two-level", "identical-modes-svg", "figure1"])
+def test_series_csvs_never_reach_the_per_value_template(argv, files, tmp_path, monkeypatch):
+    # times from 0 and probabilities in [0, 1]: every field is unsigned,
+    # so the whole-array writer formats every table
+    argv = [str(tmp_path / a) if a in ("o.csv", "c.svg", "figs") else a for a in argv]
+    monkeypatch.setattr(_numtext, "csv_table_reference", pytest.fail)
+    assert main(argv) == 0
+    for name in files:
+        assert (tmp_path / name).stat().st_size > 0
 
 
 def test_figure1_outputs(tmp_path, capsys):

@@ -159,6 +159,27 @@ def test_survival_of_a_large_star_is_linear_in_n():
     assert peak <= budget, peak / 2**20
 
 
+def test_survival_on_non_uniform_times_holds_the_grid_paths_memory():
+    # sorted non-uniform times take the direct sum, which runs in blocks of
+    # ceil(sqrt(S)) samples like the grid path, so the count of four
+    # levels x ceil(sqrt(S)) complex arrays that the CLI's memory guard
+    # makes holds for it too (about 2.2 MiB here)
+    levels, samples = 501, 5000
+    rng = np.random.default_rng(5)
+    d = eigh(random_star_model(rng, levels))
+    ts = np.sort(rng.uniform(0.0, 50.0, samples))
+    count = 4 * 16 * levels * (math.isqrt(samples - 1) + 1)
+    tracemalloc.start()
+    try:
+        p = survival_probability(d, ts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < count, peak / 2**20
+    assert _grid_amplitude(d.eigenvalues, d.zero_overlaps, ts) is None
+    assert np.abs(p[::97] - _scalar_calls(d, ts[::97])).max() < 1e-12
+
+
 def test_survival_series_constant_for_decoupled_model():
     m = StarModel(eps=np.array([1.0, -1.0, 0.5]), alpha=np.zeros(2))
     s = survival_series(eigh(build_hamiltonian(m)), TimeGrid(0.0, 10.0, 101))
@@ -239,7 +260,8 @@ def test_survival_with_one_sample_off_grid_matches_scalar_calls(seed, samples, s
 @settings(max_examples=4, deadline=None, derandomize=True)
 @given(st.integers(0, 2**32 - 1), st.integers(4097, 9000))
 def test_survival_on_non_uniform_grid_matches_scalar_calls(seed, samples):
-    # the direct sum runs in blocks of 4096 samples; check across the seams
+    # the direct sum runs in blocks of ceil(sqrt(S)) samples, 65 to 95
+    # here; check across the seams
     rng = np.random.default_rng(seed)
     d = eigh(build_hamiltonian(random_star_model(rng, max_dim=30)))
     ts = np.sort(rng.uniform(-100.0, 100.0, samples))

@@ -198,13 +198,32 @@ def _matrices_near_a_star(draw):
     return m
 
 
+def _eigh_outcome(m):
+    # the bytes of eigh's decomposition, or its refusal; the suite raises
+    # RuntimeWarning, which a subnormal coupling's phase c/|c| gives
+    try:
+        d = eigh(m)
+        return d.eigenvalues.tobytes(), d.zero_overlaps.tobytes(), d.eigenvectors.tobytes()
+    except (ValueError, NonConvergence, RuntimeWarning) as exc:
+        return type(exc), str(exc)
+
+
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(_matrices_near_a_star())
 def test_star_test_from_words_agrees_with_the_complex_count(m):
     # the integer count of nonzero words takes the path the complex count
-    # takes: -0.0 off the arrow still leaves a star, NaN and inf do not
+    # takes: -0.0 off the arrow still leaves a star, NaN and inf do not.
+    # _is_star reads C order, which eigh's intake makes of every layout,
+    # so eigh gives the same bytes for each layout as for the C copy
     want = np.count_nonzero(m[1:, 1:]) == np.count_nonzero(m.diagonal()[1:])
-    assert hermitian._is_star(m) == want
+    c = np.ascontiguousarray(m)
+    assert hermitian._is_star(c) == want
+    assert _eigh_outcome(m) == _eigh_outcome(c)
+    # and on the Hermitian part, a star when m is one and dense when not
+    with np.errstate(invalid="ignore"):  # inf - inf
+        h = c + c.conj().T
+    for layout in (np.asfortranarray(h), np.repeat(h, 2, axis=1)[:, ::2]):
+        assert _eigh_outcome(layout) == _eigh_outcome(h)
 
 
 def test_star_test_reads_a_signed_zero_off_the_arrow_as_zero():

@@ -85,6 +85,34 @@ def test_profile_rejects_non_finite_eps0(eps0):
         SpectralProfile.from_dict(data)
 
 
+_GOOD_PROFILE = {"m_half": 1, "eps0": 0.0, "d_width": 1.0, "overlaps": [0.25, 0.5, 0.25]}
+
+
+@pytest.mark.parametrize("field, value", [
+    ("m_half", 1.9), ("m_half", 1.0), ("m_half", True), ("m_half", "1"), ("m_half", None),
+    ("eps0", "1e3"), ("eps0", True), ("eps0", None), ("eps0", [0.0]),
+    ("d_width", "1"), ("d_width", False), ("d_width", {"value": 1.0}),
+    ("overlaps", "0.25,0.5,0.25"), ("overlaps", 1.0), ("overlaps", {"0": 0.25}),
+    ("overlaps", [0.25, "0.5", 0.25]), ("overlaps", [0.25, True, 0.25]), ("overlaps", [0.25, [0.5], 0.25]),
+])
+def test_profile_from_dict_refuses_fields_of_the_wrong_type(field, value):
+    # json loads what it reads as is; int() and float() would turn 1.9 or
+    # true into a valid-looking M = 1 and "1e3" into a number
+    data = {**_GOOD_PROFILE, field: value}
+    with pytest.raises(ValueError, match=rf"^{field}(\[1\])? must be "):
+        SpectralProfile.from_dict(data)
+
+
+def test_profile_from_dict_takes_json_numbers():
+    # a JSON integer is a number too, and is read as a float
+    p = SpectralProfile.from_dict({**_GOOD_PROFILE, "eps0": 2, "d_width": 1})
+    assert (p.m_half, p.eps0, p.d_width) == (1, 2.0, 1.0)
+    assert type(p.eps0) is float and type(p.d_width) is float
+    assert p.overlaps.tolist() == _GOOD_PROFILE["overlaps"]
+    with pytest.raises(KeyError):
+        SpectralProfile.from_dict({"m_half": 1, "eps0": 0.0})
+
+
 def test_profile_json_round_trip():
     p = random_profile(3, 0.25, 2.0, np.random.default_rng(1), symmetric=True)
     again = SpectralProfile.from_dict(p.to_dict())

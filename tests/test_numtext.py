@@ -67,15 +67,20 @@ _FITTING = st.one_of(
     _CARRY,
     _ROUNDED,
 )
+# the fitting values with the sign bit cleared, as the program's tables
+# (times from 0, probabilities in [0, 1]) hold them
+_UNSIGNED = _FITTING.map(abs)
 # values that do not fit the fixed width: the whole table takes the template
 _MISFITS = st.sampled_from(
     [5e-324, 2.2e-310, 1e-100, 9.999999999999999e99, 1e100, -3e250, np.inf, -np.inf, np.nan]
 )
+# a set sign bit does not fit either: -0.0 and negative values
+_SIGNED = st.one_of(st.just(-0.0), _FITTING.map(lambda v: -abs(v)))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.integers(1, 4).flatmap(
-    lambda k: st.tuples(st.just(k), st.lists(_FITTING, min_size=k, max_size=40 * k))))
+    lambda k: st.tuples(st.just(k), st.lists(_UNSIGNED, min_size=k, max_size=40 * k))))
 def test_csv_table_matches_template(case):
     k, values = case
     cols = np.array(values[: len(values) // k * k]).reshape(-1, k).T
@@ -86,13 +91,26 @@ def test_csv_table_matches_template(case):
         assert csv_table(ts, named) == expected
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(st.lists(_FITTING, min_size=1, max_size=30), _MISFITS, st.integers(0, 29))
-def test_csv_table_falls_back_on_values_that_do_not_fit(values, misfit, at):
-    values.insert(at % (len(values) + 1), misfit)
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.lists(_FITTING, min_size=1, max_size=30), _MISFITS, _SIGNED, st.integers(0, 29),
+       st.sampled_from(["unsigned", "mixed", "negative"]))
+def test_csv_table_falls_back_on_values_that_do_not_fit(values, misfit, signed, at, layout):
+    # every table holds a value that does not fit: a misfit among unsigned
+    # values, or a set sign bit in columns of mixed signs, beside an
+    # all-negative column when the layout says so
+    if layout == "unsigned":
+        values, extra = [abs(v) for v in values], abs(misfit)
+    else:
+        extra = signed
+    values.insert(at % (len(values) + 1), extra)
     col = np.array(values)
     named = {"P": col[::-1]}
-    assert csv_table(col, named) == csv_table_reference(col, named)
+    if layout == "negative":
+        named["N"] = -np.abs(col)
+    expected = csv_table_reference(col, named)
+    with mock.patch.object(_numtext, "csv_table_reference", wraps=csv_table_reference) as reference:
+        assert csv_table(col, named) == expected
+    reference.assert_called_once_with(col, named)
 
 
 def test_csv_table_fixed_cases():
@@ -315,24 +333,43 @@ def scale_table():
     return ts, columns
 
 
-def test_csv_table_matches_template_at_scale(scale_table):
-    # mixed signs in t, P and P_analytic, a sign slot that never drops in
-    # "negative", and none in "positive"
+@pytest.fixture(scope="module")
+def unsigned_scale_table(scale_table):
+    # the same families with every sign bit cleared, -0.0 among them
     ts, columns = scale_table
-    assert (columns["P_analytic"] < 0).any() and (columns["P_analytic"] > 0).any()
+    return np.abs(ts), {"P": np.abs(columns["P"]), "P_analytic": np.abs(columns["P_analytic"]),
+                        "positive": columns["positive"]}
+
+
+def test_csv_table_matches_template_at_scale(unsigned_scale_table):
+    # unsigned values of every family in bulk never reach the template
+    ts, columns = unsigned_scale_table
     expected = csv_table_reference(ts, columns)
     with mock.patch.object(_numtext, "csv_table_reference", side_effect=AssertionError):
         assert csv_table(ts, columns) == expected
 
 
-@pytest.mark.parametrize("column, misfit", [("P", np.nan), ("t", 1e100), ("negative", -1e-100)])
-def test_csv_table_misfit_in_the_last_row_of_a_long_table(scale_table, column, misfit):
+def test_csv_table_signed_table_at_scale_matches_template(scale_table):
+    # mixed signs in t, P and P_analytic, all negative in "negative": the
+    # table goes whole to the template, with the same bytes
     ts, columns = scale_table
+    assert (columns["P_analytic"] < 0).any() and (columns["P_analytic"] > 0).any()
+    assert csv_table(ts, columns) == csv_table_reference(ts, columns)
+
+
+@pytest.mark.parametrize("column, misfit", [("P", np.nan), ("t", 1e100), ("positive", 1e-100)])
+def test_csv_table_misfit_in_the_last_row_of_a_long_table(unsigned_scale_table, column, misfit):
+    # every row block before the last is formatted before the misfit is met
+    ts, columns = unsigned_scale_table
     ts, columns = ts.copy(), {k: v.copy() for k, v in columns.items()}
     (ts if column == "t" else columns[column])[-1] = misfit
-    with mock.patch.object(_numtext, "csv_table_reference", return_value="fallback") as reference:
+    with mock.patch.object(_numtext, "csv_table_reference", return_value="fallback") as reference, \
+         mock.patch.object(_numtext, "_e_words", wraps=_numtext._e_words) as e_words:
         assert csv_table(ts, columns) == "fallback"
     reference.assert_called_once_with(ts, columns)
+    names = ["t", *columns]
+    blocks = -(-_SCALE_ROWS // _numtext._BLOCK)
+    assert e_words.call_count == (blocks - 1) * len(names) + names.index(column) + 1
 
 
 def _coordinates(rng, n):
