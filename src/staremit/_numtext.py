@@ -225,7 +225,14 @@ def _f_words(v: np.ndarray, fractions: np.ndarray, out: np.ndarray) -> None:
 
 
 def svg_polylines(x, ys) -> list:
-    """``[svg_points(x, y) for y in ys]``, with ``x`` formatted once."""
+    """Each curve ``y`` of ``ys`` as ``" ".join("%.2f,%.2f" % p for p in zip(x, y))``.
+
+    Byte for byte, with ``x`` formatted once. Each coordinate is ``rint(100 v)``
+    written from the word tables, the NUL bytes of blank integer digits
+    dropped in one pass per block of rows; a value within 1e-6 of a rounding
+    tie is formatted by ``%``. A coordinate with its sign bit set, not finite,
+    or from 9999.995 up sends the whole curve to :func:`svg_points_reference`.
+    """
     x = np.asarray(x, dtype=float).ravel()
     x_fits = x.size > 0 and _f_fits(x)
     if x_fits:
@@ -259,20 +266,8 @@ def svg_polylines(x, ys) -> list:
     return texts
 
 
-def svg_points(x, y) -> str:
-    """``" ".join("%.2f,%.2f" % p for p in zip(x, y))``, byte for byte.
-
-    Each coordinate is ``rint(100 v)`` written from the word tables, and
-    the NUL bytes of blank integer digits are dropped in one pass per block
-    of rows; a value within 1e-6 of a rounding tie is formatted by ``%``
-    instead. A coordinate with its sign bit set, not finite, or from
-    9999.995 up sends the whole curve to :func:`svg_points_reference`.
-    """
-    return svg_polylines(x, [y])[0]
-
-
 def svg_points_reference(x, y) -> str:
-    """:func:`svg_points` one point at a time through the ``%`` template."""
+    """``" ".join("%.2f,%.2f" % p for p in zip(x, y))``, one point at a time."""
     xs = np.asarray(x, dtype=float).ravel().tolist()
     ys = np.asarray(y, dtype=float).ravel().tolist()
     return " ".join(map(f"{SVG_FIELD},{SVG_FIELD}".__mod__, zip(xs, ys)))

@@ -10,7 +10,7 @@ Dirichlet-kernel form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -134,13 +134,7 @@ class EmissionMetrics:
     window_fraction: float | None
 
     def to_dict(self) -> dict:
-        return {
-            "threshold": self.threshold,
-            "decay_time": self.decay_time,
-            "revival_time": self.revival_time,
-            "post_decay_max": self.post_decay_max,
-            "window_fraction": self.window_fraction,
-        }
+        return asdict(self)
 
 
 def _interp_crossing(t0, v0, t1, v1, level):

@@ -80,9 +80,14 @@ _SERIES_BUDGET_BYTES = 1 << 30
 _LEVEL_BYTES = 512
 
 
+def _series_bytes(levels: int, samples: int) -> int:
+    # the memory the budget counts for a series of this many levels and samples
+    return levels * (_LEVEL_BYTES + 4 * 16 * (math.isqrt(samples - 1) + 1))
+
+
 def _check_series_memory(levels: int, samples: int, flag: str) -> None:
     # runs before the model or any per-level array is allocated
-    size = levels * (_LEVEL_BYTES + 4 * 16 * (math.isqrt(samples - 1) + 1))
+    size = _series_bytes(levels, samples)
     if size > _SERIES_BUDGET_BYTES:
         raise ValueError(
             f"{flag} would take about {size} bytes of memory, above the budget of "

@@ -46,7 +46,8 @@ A :class:`~staremit.model.StarModel` goes to the same solver from its
 ``eps`` and ``alpha``, with no dense matrix formed. Any other Hermitian
 matrix goes to LAPACK's complex solver.
 
-Costs. The O(n^2) work is the row blocks of steps 2 and 3: about 2^15
+Costs. A matrix that is not a star pays an O(n^2) count before LAPACK.
+The O(n^2) work is the row blocks of steps 2 and 3: about 2^15
 entries each, whose pole sums are BLAS products. Rows from 128 entries up
 to numpy's buffer size (8192 by default) run in numpy buffers of one row
 (``_RowBuffers``), so the broadcast differences that fill a block cost what
@@ -132,7 +133,7 @@ class _RowBuffers:
     than the copies, and a row at least ``np.getbufsize()`` long already
     holds a whole buffer: the buffer size in force stays. Buffers are only
     ever shrunk. Each entry is computed by the same operation either way.
-    Reductions, whose grouping may follow the buffers, stay outside.
+    Reductions run inside too: their bits do not depend on the buffer size.
     """
 
     def __init__(self, row: int):
@@ -543,19 +544,17 @@ class _Secular:
         return origin[1:r], offsets[1:r]
 
 
-def _lowner(diff, d, k, dk, ratio, buffers):
+def _lowner(diff, d, k, dk, ratio):
     # Löwner's formula
     #   zhat_k^2 = -(lambda_k - d_k)(lambda_r - d_k) prod_{i != k, i < r}
     #              (lambda_i - d_k) / (d_i - d_k)
     # for the poles dk = d[k], from diff[j, i] = lambda_i - d[k_j] over the
     # r + 1 roots lambda of the r poles d: the couplings for which those
-    # roots are exact. ``ratio`` is a work array shaped like diff[:, :r];
-    # ``buffers`` the _RowBuffers of the rows.
+    # roots are exact. ``ratio`` is a work array shaped like diff[:, :r].
     r = d.size
-    with buffers:
-        np.subtract(d, dk[:, None], out=ratio)
-        ratio[np.arange(k.size), k] = -1.0 / diff[:, r]
-        np.divide(diff[:, :r], ratio, out=ratio)
+    np.subtract(d, dk[:, None], out=ratio)
+    ratio[np.arange(k.size), k] = -1.0 / diff[:, r]
+    np.divide(diff[:, :r], ratio, out=ratio)
     return np.sqrt(np.prod(ratio, axis=1))
 
 
@@ -568,20 +567,18 @@ def _lowner_vectors(d, origin, tau, rank):
     d_origin = d[origin]
     zhat, norm2 = np.empty(r), np.ones(r + 1)
     rows = max(1, _BLOCK_CELLS // r)
-    buffers = _RowBuffers(r)
     ratio = np.empty((min(rows, r), r))
     scratch = np.empty((min(rows, r), r + 1))
-    for s in range(0, r, rows):
-        k = rank[s : s + rows]
-        dk = d[k]
-        diff = scratch[: k.size]
-        with buffers:
+    with _RowBuffers(r):
+        for s in range(0, r, rows):
+            k = rank[s : s + rows]
+            dk = d[k]
+            diff = scratch[: k.size]
             np.subtract(d_origin, dk[:, None], out=diff)
             diff += tau  # lambda_i - d_k, exactly tau_i where origin[i] == k
-        z = zhat[s : s + k.size] = _lowner(diff, d, k, dk, ratio[: k.size], buffers)
-        with buffers:
+            z = zhat[s : s + k.size] = _lowner(diff, d, k, dk, ratio[: k.size])
             np.divide(z[:, None], diff, out=diff)
-        norm2 += np.einsum("ij,ij->j", diff, diff)
+            norm2 += np.einsum("ij,ij->j", diff, diff)
     return zhat, np.sqrt(norm2)
 
 
@@ -601,17 +598,15 @@ def _arrowhead_from_spectrum(lam: np.ndarray, w: np.ndarray):
     r = p.size
     z = np.empty(r)
     rows = max(1, _BLOCK_CELLS // (r + 1))
-    buffers = _RowBuffers(r)
     diff, ratio = np.empty((min(rows, r), r + 1)), np.empty((min(rows, r), r))
     # a root rounded onto lam[-1] gives -1/0 in Löwner's formula, and
     # coupling 0, which is exact for it
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore"), _RowBuffers(r):
         for s in range(0, r, rows):
             k = np.arange(s, min(s + rows, r))
             pk, blk = p[k], diff[: k.size]
-            with buffers:
-                np.subtract(lam, pk[:, None], out=blk)
-            z[s : s + k.size] = _lowner(blk, p, k, pk, ratio[: k.size], buffers)
+            np.subtract(lam, pk[:, None], out=blk)
+            z[s : s + k.size] = _lowner(blk, p, k, pk, ratio[: k.size])
     return np.ldexp(p, e), np.ldexp(z, e)
 
 
@@ -793,37 +788,33 @@ def _eigh_star(diagonal: np.ndarray, c: np.ndarray, start=None) -> SpectralDecom
     mod = np.abs(c)
     phase = None
     if not np.array_equal(c, mod):
-        coupled = mod > 0
         phase = np.ones(diagonal.size, dtype=complex)
-        phase[1:][coupled] = c[coupled] / mod[coupled]
+        coupled = np.flatnonzero(mod)
+        cc, cm = c[coupled], mod[coupled]
+        # numpy divides by |c| through its reciprocal, which overflows for a
+        # subnormal |c|: such a c is first scaled by 2^600, exactly
+        tiny = cm < np.finfo(float).tiny
+        cc[tiny] *= 2.0**600
+        cm[tiny] = np.abs(cc[tiny])
+        phase[1 + coupled] = cc / cm
     return SpectralDecomposition(*_arrowhead_eigh(diagonal[0], diagonal[1:], mod, start, phase))
 
 
 def _is_star(m: np.ndarray) -> bool:
     # np.count_nonzero(m[1:, 1:]) == np.count_nonzero(m.diagonal()[1:]) for
-    # a square C-contiguous complex m (as _as_square_matrix returns it),
-    # from its 64-bit words: integer words are counted faster than complex
-    # entries. When the nonzero words of all of m are those of its arrow
-    # and diagonal, every other entry is +0.0 and m is a star. Else an
-    # entry off the arrow is zero only if both its words are 0.0 or -0.0,
-    # the sign bit alone, which a left shift clears: row blocks stop at the
-    # first word that the shift leaves nonzero (NaN and inf among them), so
-    # a dense matrix is told from its first rows.
+    # a square C-contiguous complex m (as _as_square_matrix returns it).
+    # Its 64-bit words are counted first, faster than complex entries: when
+    # the nonzero words of all of m are those of its arrow and diagonal,
+    # every other entry is +0.0 and m is a star. Any other matrix takes the
+    # complex count, in which -0.0 is zero and NaN and inf are not: one
+    # O(n^2) pass before LAPACK's O(n^3) solve.
     n = m.shape[0]
     words = m.view(np.uint64).reshape(n, n, 2)
     arrow = (np.count_nonzero(words[0]) + np.count_nonzero(words[1:, 0])
              + np.count_nonzero(words[1:, 1:].diagonal()))
     if np.count_nonzero(words) == arrow:
         return True
-    rest = words[1:, 1:]
-    rows = max(1, _BLOCK_CELLS // n)
-    for s in range(0, n - 1, rows):
-        blk = rest[s : s + rows] << np.uint64(1)
-        k = np.arange(blk.shape[0])
-        blk[k, s + k] = 0  # the diagonal
-        if np.count_nonzero(blk):
-            return False
-    return True
+    return np.count_nonzero(m[1:, 1:]) == np.count_nonzero(m.diagonal()[1:])
 
 
 def eigh(mat) -> SpectralDecomposition:

@@ -14,7 +14,7 @@ Weights below ``MIN_WEIGHT`` are refused, wherever they sit on the ladder.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .hermitian import (  # noqa: F401 (eigh and aggregate_degenerate stay impor
     aggregate_degenerate,
     eigh,
 )
-from .model import StarModel
+from .model import StarModel, _json_number, _json_numbers
 
 # Overlap weights must sum to one within this tolerance.
 PROFILE_SUM_TOL = 1e-12
@@ -42,19 +42,6 @@ MIN_WEIGHT = 1e-24
 ROUNDING_EPS = 4
 
 _EPS = np.finfo(float).eps
-
-
-class _FieldTypeError(TypeError, ValueError):
-    """A profile field read from JSON has the wrong type."""
-
-
-def _json_number(value, field: str, integer: bool = False):
-    # value if it is a JSON number (an integer when asked), else raise; a
-    # bool is refused, though Python counts it as an int
-    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
-        kind = "an integer" if integer else "a number"
-        raise _FieldTypeError(f"{field} must be {kind}, got {value!r}")
-    return value
 
 
 def equally_spaced_spectrum(m_half: int, eps0: float, d_width: float) -> np.ndarray:
@@ -130,16 +117,8 @@ class SpectralProfile:
         m_half = _json_number(data["m_half"], "m_half", integer=True)
         eps0 = float(_json_number(data["eps0"], "eps0"))
         d_width = float(_json_number(data["d_width"], "d_width"))
-        overlaps = data["overlaps"]
-        if not isinstance(overlaps, list):
-            raise _FieldTypeError(f"overlaps must be a list, got {overlaps!r}")
-        return cls(
-            m_half=m_half,
-            eps0=eps0,
-            d_width=d_width,
-            overlaps=np.array([_json_number(w, f"overlaps[{i}]") for i, w in enumerate(overlaps)],
-                              dtype=float),
-        )
+        overlaps = _json_numbers(data["overlaps"], "overlaps")
+        return cls(m_half=m_half, eps0=eps0, d_width=d_width, overlaps=overlaps)
 
 
 def flat_profile(m_half: int, eps0: float, d_width: float) -> SpectralProfile:
@@ -234,11 +213,7 @@ class RoundTripReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "max_eigenvalue_error": self.max_eigenvalue_error,
-            "max_overlap_error": self.max_overlap_error,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 def verify_round_trip(

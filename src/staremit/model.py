@@ -14,6 +14,26 @@ from dataclasses import dataclass
 import numpy as np
 
 
+class _FieldTypeError(TypeError, ValueError):
+    """A model or profile field read from JSON has the wrong type."""
+
+
+def _json_number(value, field: str, integer: bool = False):
+    # value if it is a JSON number (an integer when asked), else raise; a
+    # bool is refused, though Python counts it as an int
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        kind = "an integer" if integer else "a number"
+        raise _FieldTypeError(f"{field} must be {kind}, got {value!r}")
+    return value
+
+
+def _json_numbers(values, field: str) -> np.ndarray:
+    # a JSON list of numbers as a float array, else raise
+    if not isinstance(values, list):
+        raise _FieldTypeError(f"{field} must be a list, got {values!r}")
+    return np.array([_json_number(v, f"{field}[{i}]") for i, v in enumerate(values)], dtype=float)
+
+
 @dataclass(frozen=True)
 class StarModel:
     """Parameters of an arrowhead Hamiltonian.
@@ -57,11 +77,17 @@ class StarModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "StarModel":
-        re = np.asarray(data["alpha_re"], dtype=float)
-        im = np.asarray(data["alpha_im"], dtype=float)
+        """Read the fields :meth:`to_dict` writes, as ``json`` loads them.
+
+        ``eps``, ``alpha_re`` and ``alpha_im`` must be lists of ints or
+        floats, none of them a bool; any other type raises ``ValueError``
+        naming the field (also a ``TypeError``), and a missing field raises
+        ``KeyError``.
+        """
+        eps, re, im = (_json_numbers(data[f], f) for f in ("eps", "alpha_re", "alpha_im"))
         if re.shape != im.shape:
             raise ValueError("alpha_re and alpha_im must have equal length")
-        return cls(eps=np.asarray(data["eps"], dtype=float), alpha=re + 1j * im)
+        return cls(eps=eps, alpha=re + 1j * im)
 
 
 def build_hamiltonian(m: StarModel) -> np.ndarray:

@@ -220,6 +220,11 @@ def test_emission_metrics_flat_m20():
     # the post-decay maximum is capped by the revival detection level
     assert metrics.post_decay_max == pytest.approx(1.0 - threshold, abs=0.02)
     assert 0.0 < metrics.window_fraction < 0.15
+    # the CLI writes these keys, in this order
+    assert list(metrics.to_dict().items()) == [
+        ("threshold", threshold), ("decay_time", metrics.decay_time),
+        ("revival_time", metrics.revival_time), ("post_decay_max", metrics.post_decay_max),
+        ("window_fraction", metrics.window_fraction)]
 
 
 def test_emission_metrics_without_revival_sees_sidelobes():

@@ -22,7 +22,7 @@ from staremit import (
     two_level_survival,
 )
 
-from staremit import hermitian
+from staremit import cli, hermitian
 from staremit.evolution import _grid_amplitude
 
 from helpers import random_hermitian, random_star_model
@@ -159,24 +159,45 @@ def test_survival_of_a_large_star_is_linear_in_n():
     assert peak <= budget, peak / 2**20
 
 
-def test_survival_on_non_uniform_times_holds_the_grid_paths_memory():
-    # sorted non-uniform times take the direct sum, which runs in blocks of
-    # ceil(sqrt(S)) samples like the grid path, so the count of four
-    # levels x ceil(sqrt(S)) complex arrays that the CLI's memory guard
-    # makes holds for it too (about 2.2 MiB here)
-    levels, samples = 501, 5000
-    rng = np.random.default_rng(5)
-    d = eigh(random_star_model(rng, levels))
-    ts = np.sort(rng.uniform(0.0, 50.0, samples))
-    count = 4 * 16 * levels * (math.isqrt(samples - 1) + 1)
+def _kernel_peak(d, ts):
+    # the tracemalloc peak of survival_probability(d, ts), and its values
     tracemalloc.start()
     try:
         p = survival_probability(d, ts)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < count, peak / 2**20
+    return peak, p
+
+
+def test_survival_on_non_uniform_times_holds_the_grid_paths_memory():
+    # sorted non-uniform times take the direct sum, which runs in blocks of
+    # ceil(sqrt(S)) samples like the grid path, so the kernel term that the
+    # CLI's memory guard counts holds for it too (about 2.2 MiB here)
+    levels, samples = 501, 5000
+    rng = np.random.default_rng(5)
+    d = eigh(random_star_model(rng, levels))
+    ts = np.sort(rng.uniform(0.0, 50.0, samples))
+    peak, p = _kernel_peak(d, ts)
+    # the kernel's term of the guard: four complex levels x ceil(sqrt(S)) arrays
+    assert peak < cli._series_bytes(levels, samples) - levels * cli._LEVEL_BYTES, peak / 2**20
     assert _grid_amplitude(d.eigenvalues, d.zero_overlaps, ts) is None
+    assert np.abs(p[::97] - _scalar_calls(d, ts[::97])).max() < 1e-12
+
+
+def test_survival_on_a_uniform_grid_holds_the_cli_guards_memory():
+    # the grid path, at the size of the non-uniform test above. Its four
+    # n x ceil(sqrt(S)) complex arrays are alive beside numpy's ufunc
+    # buffers (two of np.getbufsize() complex entries, 256 KiB, when an
+    # operand is broadcast or strided) and the S-length residual, which at
+    # this size take it 8 % past the kernel term (2.46 against 2.28 MB)
+    # but not past the whole count that the CLI refuses by
+    levels, samples = 501, 5000
+    d = eigh(random_star_model(np.random.default_rng(5), levels))
+    ts = np.linspace(0.0, 50.0, samples)
+    peak, p = _kernel_peak(d, ts)
+    assert peak < cli._series_bytes(levels, samples), peak / 2**20
+    assert _grid_amplitude(d.eigenvalues, d.zero_overlaps, ts) is not None
     assert np.abs(p[::97] - _scalar_calls(d, ts[::97])).max() < 1e-12
 
 

@@ -327,6 +327,10 @@ def test_verify_round_trip_self_consistency():
     assert report.passed
     assert report.max_eigenvalue_error < 1e-12
     assert report.max_overlap_error < 1e-12
+    # the CLI writes these keys, in this order
+    assert list(report.to_dict().items()) == [
+        ("max_eigenvalue_error", report.max_eigenvalue_error),
+        ("max_overlap_error", report.max_overlap_error), ("passed", True)]
 
 
 def test_verify_round_trip_rejects_decoupled_model():

@@ -30,6 +30,35 @@ def test_star_model_json_round_trip():
     again = StarModel.from_dict(m.to_dict())
     assert np.array_equal(again.eps, m.eps)
     assert np.array_equal(again.alpha, m.alpha)
+    # JSON integers are numbers too, read as floats
+    ints = StarModel.from_dict({"eps": [1, 0.5], "alpha_re": [2], "alpha_im": [0]})
+    assert ints.eps.tolist() == [1.0, 0.5] and ints.alpha.tolist() == [2.0]
+
+
+_GOOD_MODEL = {"eps": [0.1, -0.2], "alpha_re": [1.0], "alpha_im": [0.5]}
+
+
+@pytest.mark.parametrize("field, value", [
+    ("eps", ["1e3", 0.5]), ("eps", [0.1, True]), ("eps", "0.1,-0.2"), ("eps", 0.1),
+    ("eps", {"0": 0.1, "1": -0.2}), ("eps", [0.1, None]), ("eps", [0.1, [0.5]]),
+    ("alpha_re", ["2"]), ("alpha_re", [False]), ("alpha_re", 1.0),
+    ("alpha_im", [True]), ("alpha_im", ["0.5"]), ("alpha_im", None),
+])
+def test_star_model_from_dict_refuses_fields_of_the_wrong_type(field, value):
+    # json loads what it reads as is; float() would turn "1e3" into 1000.0
+    # and true into 1.0
+    data = {**_GOOD_MODEL, field: value}
+    with pytest.raises(ValueError, match=rf"^{field}(\[\d\])? must be "):
+        StarModel.from_dict(data)
+    with pytest.raises(TypeError):
+        StarModel.from_dict(data)
+
+
+def test_star_model_from_dict_checks_lengths_and_fields():
+    with pytest.raises(ValueError, match="equal length"):
+        StarModel.from_dict({**_GOOD_MODEL, "alpha_im": [0.5, 0.5]})
+    with pytest.raises(KeyError):
+        StarModel.from_dict({"eps": [0.1, -0.2], "alpha_re": [1.0]})
 
 
 def test_build_hamiltonian_two_level():
