@@ -40,10 +40,8 @@ a chart produces: ``render_line_chart`` maps every finite point into its
 plot box, so a coordinate is unsigned with at most four integer digits
 while the chart is under 10000 px. A curve with any other coordinate (a
 set sign bit, which ``-0.0`` prints as ``-0.00``, NaN, inf, or 9999.995
-and up) goes whole to the per-point reference. When several curves share
-one x array, its words are formatted once and copied into each curve's
-rows. Each block of rows is one contiguous buffer, and one
-``bytes.translate`` pass drops its NUL bytes.
+and up) goes whole to the per-point reference. Each block of rows is one
+contiguous buffer, and one ``bytes.translate`` pass drops its NUL bytes.
 """
 
 from __future__ import annotations
@@ -224,46 +222,35 @@ def _f_words(v: np.ndarray, fractions: np.ndarray, out: np.ndarray) -> None:
     np.take(fractions, cents - whole * 100, out=out[:, 1], mode="wrap")
 
 
-def svg_polylines(x, ys) -> list:
-    """Each curve ``y`` of ``ys`` as ``" ".join("%.2f,%.2f" % p for p in zip(x, y))``.
+def svg_points(x, y) -> str:
+    """``" ".join("%.2f,%.2f" % p for p in zip(x, y))``, byte for byte.
 
-    Byte for byte, with ``x`` formatted once. Each coordinate is ``rint(100 v)``
-    written from the word tables, the NUL bytes of blank integer digits
-    dropped in one pass per block of rows; a value within 1e-6 of a rounding
-    tie is formatted by ``%``. A coordinate with its sign bit set, not finite,
-    or from 9999.995 up sends the whole curve to :func:`svg_points_reference`.
+    Each coordinate is ``rint(100 v)`` written from the word tables, the NUL
+    bytes of blank integer digits dropped in one pass per block of rows; a
+    value within 1e-6 of a rounding tie is formatted by ``%``. A coordinate
+    with its sign bit set, not finite, or from 9999.995 up sends the whole
+    curve to :func:`svg_points_reference`.
     """
     x = np.asarray(x, dtype=float).ravel()
-    x_fits = x.size > 0 and _f_fits(x)
-    if x_fits:
-        xwords = np.empty((x.size, 2), dtype=np.uint32)
-        for start in range(0, x.size, _BLOCK):
-            _f_words(x[start : start + _BLOCK], _COMMA_FRACTIONS, xwords[start : start + _BLOCK])
-    texts = []
-    for y in ys:
-        y = np.asarray(y, dtype=float).ravel()
-        n = min(x.size, y.size)  # points stop at the shorter array, as zip does
-        y = y[:n]
-        if n == 0:
-            texts.append("")
-            continue
-        if not (x_fits and _f_fits(y)):
-            texts.append(svg_points_reference(x[:n], y))
-            continue
-        words = np.empty((min(n, _BLOCK), 4), dtype=np.uint32)
-        pieces = []
-        for start in range(0, n, _BLOCK):
-            block = words[: min(_BLOCK, n - start)]
-            # x words as one 8-byte item per row: faster than two columns
-            block[:, :2].view("V8")[:, 0] = xwords[start : start + block.shape[0]].view("V8")[:, 0]
-            _f_words(y[start : start + _BLOCK], _SPACE_FRACTIONS, block[:, 2:])
-            text = block.view(np.uint8).ravel()
-            if start + _BLOCK >= n:
-                text = text[:-1]  # no space after the last point
-            # drop every NUL byte in one pass
-            pieces.append(text.tobytes().translate(None, b"\0").decode("ascii"))
-        texts.append("".join(pieces))
-    return texts
+    y = np.asarray(y, dtype=float).ravel()
+    n = min(x.size, y.size)  # points stop at the shorter array, as zip does
+    x, y = x[:n], y[:n]
+    if n == 0:
+        return ""
+    if not (_f_fits(x) and _f_fits(y)):
+        return svg_points_reference(x, y)
+    words = np.empty((min(n, _BLOCK), 4), dtype=np.uint32)
+    pieces = []
+    for start in range(0, n, _BLOCK):
+        block = words[: min(_BLOCK, n - start)]
+        _f_words(x[start : start + _BLOCK], _COMMA_FRACTIONS, block[:, :2])
+        _f_words(y[start : start + _BLOCK], _SPACE_FRACTIONS, block[:, 2:])
+        text = block.view(np.uint8).ravel()
+        if start + _BLOCK >= n:
+            text = text[:-1]  # no space after the last point
+        # drop every NUL byte in one pass
+        pieces.append(text.tobytes().translate(None, b"\0").decode("ascii"))
+    return "".join(pieces)
 
 
 def svg_points_reference(x, y) -> str:

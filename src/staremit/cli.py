@@ -95,6 +95,14 @@ def _check_series_memory(levels: int, samples: int, flag: str) -> None:
         )
 
 
+def _check_output_dirs(*paths) -> None:
+    # runs before any work: a file whose directory is missing would fail
+    # only once the output is written, and after other files of the run
+    for path in paths:
+        if path and not Path(path).parent.is_dir():
+            raise ValueError(f"cannot write {path}: no directory {Path(path).parent}")
+
+
 # Text is written in slices of this many characters, so that encoding it
 # reuses a small buffer instead of copying the whole output at once.
 _WRITE_CHUNK = 1 << 15
@@ -151,6 +159,7 @@ def _require_finite(*columns) -> None:
 
 def _run_series(args, model: StarModel, analytic, svg_title: str) -> int:
     # exact survival of `model` with the closed form `analytic(tau)` overlaid
+    _check_output_dirs(args.out, args.svg)
     field_bytes = CSV_FIELD_BYTES if args.format == "csv" else JSON_FIELD_BYTES
     _check_output_size(args.samples, 3 * field_bytes + (2 * SVG_POINT_BYTES if args.svg else 0))
     ts = np.linspace(0.0, args.t_max, args.samples)
@@ -210,6 +219,7 @@ def _load_profile(path: str) -> SpectralProfile:
 
 
 def _cmd_inverse(args) -> int:
+    _check_output_dirs(args.out)
     if args.profile is not None:
         profile = _load_profile(args.profile)
     elif args.flat or args.seed is not None:
@@ -243,7 +253,9 @@ def _cmd_inverse(args) -> int:
 
 def _cmd_figure1(args) -> int:
     # compute every trace and its metrics before writing anything, so a
-    # bad input (say, a threshold outside (0, 1)) leaves no partial output
+    # bad input (say, a threshold outside (0, 1)) leaves no partial output;
+    # --out is a directory, made once everything else has passed
+    _check_output_dirs(args.svg)
     _check_output_size(args.samples * len(args.m_list),
                        2 * CSV_FIELD_BYTES + (SVG_POINT_BYTES if args.svg else 0))
     m_max = max(args.m_list)
@@ -263,7 +275,7 @@ def _cmd_figure1(args) -> int:
 
     outdir = Path(args.out) if args.out else Path(".")
     outdir.mkdir(parents=True, exist_ok=True)
-    curves = []
+    curves, lines = [], []
     for m_half, period, series, metrics in runs:
         _write_text(outdir / f"figure1_M{m_half}.csv", series.to_csv())
         _write_text(
@@ -271,17 +283,19 @@ def _cmd_figure1(args) -> int:
             json.dumps(metrics.to_dict(), indent=2) + "\n",
         )
         curves.append((f"M={m_half}", series.times, series.values))
-        print(
+        lines.append(
             f"M={m_half}: period={period:.6g}"
             f" decay_time={_show(metrics.decay_time)}"
             f" revival_time={_show(metrics.revival_time)}"
-            f" window_fraction={_show(metrics.window_fraction)}"
+            f" window_fraction={_show(metrics.window_fraction)}\n"
         )
     if args.svg:
         _write_text(
             args.svg,
             render_line_chart(curves, title="flat-profile survival revivals"),
         )
+    # the summary lines follow the files, so a run that fails prints none
+    sys.stdout.write("".join(lines))
     return 0
 
 

@@ -17,8 +17,15 @@ offset is the conjugate of one at a positive offset. That takes about
 ``max|r| max|E| <= 1e-8``, so the neglected ``(E r)^2 / 2`` is at most
 5e-17. Other times (a scalar, two samples, a non-uniform grid) take the
 direct sum in blocks of the same ``nb`` samples: ``dim S`` exponentials.
-Either path holds ``O(dim sqrt(S) + S)`` memory, at most four
-``dim x nb`` complex arrays at once.
+Either path holds ``O(dim sqrt(S) + S)`` memory. On the grid path that is
+four ``dim x nb`` complex arrays at once, beside numpy's ufunc buffers (two
+of ``np.getbufsize()`` complex entries, 256 KiB, for the strided conjugate
+and the broadcast weight products) and arrays of one entry per sample: the
+residual ``r``, the ``2 S`` complex entries of the product and the result,
+about 72 bytes a sample in all. ``cli._series_bytes`` counts the four
+arrays and a per-level slack, which covers the buffers from about 500
+levels up (2.46 MB against a count of 2.53 MB at 501 levels and 5000
+samples), but not the per-sample arrays.
 """
 
 from __future__ import annotations

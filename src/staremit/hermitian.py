@@ -15,10 +15,13 @@ O(n^2) time (Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 16, 1995;
 Jakovčević Stor, Slapničar & Barlow, Linear Algebra Appl. 464, 2015):
 
 1. Scale by a power of two, so the largest entry lies in [1/2, 1), and
-   deflate. A coupling at or below ``8 eps ||H||`` leaves its mode as a
-   dark eigenvector; poles within that distance of a group's first pole
-   are rotated by one Householder reflection into one bright mode and
-   dark modes.
+   deflate. A star's diagonal and the real and imaginary parts of its
+   couplings are scaled before the couplings' moduli are taken, so that
+   none loses digits to the subnormal range; the moduli then move the
+   exponent by 0 or 1 at most. A coupling at or below ``8 eps ||H||``
+   leaves its mode as a dark eigenvector; poles within that distance of a
+   group's first pole are rotated by one Householder reflection into one
+   bright mode and dark modes.
 2. Find each root of ``g`` in its interval between poles, kept as its
    nearer pole plus an offset, so every distance ``E - p_k`` has full
    relative accuracy. Each root starts at its interval's midpoint, where
@@ -785,6 +788,16 @@ def _eigh_star(diagonal: np.ndarray, c: np.ndarray, start=None) -> SpectralDecom
     # row 0 alone, so the weights are the arrowhead's. The secular roots
     # start at the ascending ``start`` where they can (see _Secular._warm);
     # without it, or when no start is accepted, the result is eigh's.
+    # One exact power-of-two scale first puts the largest |diagonal|, |Re c|
+    # and |Im c| in [1/2, 1), so that no |c| loses digits to the subnormal
+    # range; _arrowhead_eigh's own scale then moves by 0 or 1. The parts of
+    # c are scaled through its float view, so signed zeros keep their sign.
+    parts = np.ascontiguousarray(c).view(float)
+    e = math.frexp(max(np.abs(diagonal).max(), np.abs(parts).max(initial=0.0)))[1]
+    diagonal, c = np.ldexp(diagonal, -e), np.ldexp(parts, -e).view(complex)
+    if start is not None:
+        with np.errstate(over="ignore"):  # inf, which no root uses
+            start = np.ldexp(start, -e)
     mod = np.abs(c)
     phase = None
     if not np.array_equal(c, mod):
@@ -792,12 +805,14 @@ def _eigh_star(diagonal: np.ndarray, c: np.ndarray, start=None) -> SpectralDecom
         coupled = np.flatnonzero(mod)
         cc, cm = c[coupled], mod[coupled]
         # numpy divides by |c| through its reciprocal, which overflows for a
-        # subnormal |c|: such a c is first scaled by 2^600, exactly
+        # subnormal |c| (one tiny beside the rest): such a c is first scaled
+        # by 2^600, exactly
         tiny = cm < np.finfo(float).tiny
         cc[tiny] *= 2.0**600
         cm[tiny] = np.abs(cc[tiny])
         phase[1 + coupled] = cc / cm
-    return SpectralDecomposition(*_arrowhead_eigh(diagonal[0], diagonal[1:], mod, start, phase))
+    vals, vectors, weights = _arrowhead_eigh(diagonal[0], diagonal[1:], mod, start, phase)
+    return SpectralDecomposition(np.ldexp(vals, e), vectors, weights)
 
 
 def _is_star(m: np.ndarray) -> bool:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._numtext import svg_polylines
+from ._numtext import svg_points
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
@@ -58,9 +58,8 @@ def render_line_chart(curves, title: str = "", width: int = 860, height: int = 5
     1e-6 of a rounding tie is formatted by ``%`` itself, and a curve with
     a non-finite coordinate (which prints ``nan`` or ``inf``) goes through
     the per-point template, so the bytes never depend on which path ran.
-    Curves that share one x array (the same object) format its points
-    once. The axes span the finite coordinates of all curves, whatever
-    their order; the y axis always covers [0, 1]. The axes are labelled
+    The axes span the finite coordinates of all curves, whatever their
+    order; the y axis always covers [0, 1]. The axes are labelled
     ``t`` and ``P``; ``&``, ``<`` and ``>`` in the title and the curve
     labels are escaped.
     """
@@ -71,8 +70,6 @@ def render_line_chart(curves, title: str = "", width: int = 860, height: int = 5
     y_min, y_max = min(0.0, y_min), max(1.0, y_max)
     if x_max == x_min:
         x_max = x_min + 1.0
-    if y_max == y_min:
-        y_max = y_min + 1.0
 
     plot_w = width - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = height - _MARGIN_TOP - _MARGIN_BOTTOM
@@ -134,23 +131,15 @@ def render_line_chart(curves, title: str = "", width: int = 860, height: int = 5
         f'transform="rotate(-90 16 {_fmt(_MARGIN_TOP + plot_h / 2)})">P</text>'
     )
 
-    # curves that share one x array (by identity) format its points once
-    sharing = {}
-    for k, (_, xs, _) in enumerate(curves):
-        sharing.setdefault(id(xs), (xs, []))[1].append(k)
-    points = {}
-    for xs, ks in sharing.values():
-        ys = (sy(np.asarray(curves[k][2], dtype=float)) for k in ks)
-        points.update(zip(ks, svg_polylines(sx(np.asarray(xs, dtype=float)), ys)))
-
     # the points go into the document as they are, not through an f-string
     pieces = ["\n".join(parts), "\n"]
-    for k, (label, _, _) in enumerate(curves):
+    for k, (label, xs, ys) in enumerate(curves):
         color = PALETTE[k % len(PALETTE)]
         ly = _MARGIN_TOP + 16 + 16 * k
         lx = _MARGIN_LEFT + plot_w - 130
         pieces += [
-            '<polyline points="', points.pop(k),
+            '<polyline points="',
+            svg_points(sx(np.asarray(xs, dtype=float)), sy(np.asarray(ys, dtype=float))),
             f'" fill="none" stroke="{color}" stroke-width="1.3"/>\n',
             f'<line x1="{_fmt(lx)}" y1="{_fmt(ly - 4)}" x2="{_fmt(lx + 24)}" '
             f'y2="{_fmt(ly - 4)}" stroke="{color}" stroke-width="2"/>\n',

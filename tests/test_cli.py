@@ -130,6 +130,28 @@ def test_non_finite_result_exits_2_and_writes_nothing(argv, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, missing",
+    [
+        (["two-level", "--samples", "11", "--out", "a.csv", "--svg", "nodir/x.svg"], "nodir/x.svg"),
+        (["figure1", "--m-list", "1,2", "--samples", "101", "--out", "figs",
+          "--svg", "nodir/c.svg"], "nodir/c.svg"),
+        (["inverse", "--flat", "--m", "3", "--out", "nodir/m.json"], "nodir/m.json"),
+    ],
+    ids=["two-level", "figure1", "inverse"],
+)
+def test_missing_output_directory_exits_2_and_writes_nothing(argv, missing, tmp_path, capsys,
+                                                             monkeypatch):
+    # checked before any work: no other file of the run, no --out directory
+    # and no summary line, and the error names the path as given
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: cannot write {missing}: no directory nodir\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
     "argv",
     [["two-level"], ["identical-modes", "--n", "4"], ["inverse", "--m", "3", "--flat"]],
     ids=["two-level", "identical-modes", "inverse"],

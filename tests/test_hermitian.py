@@ -537,6 +537,22 @@ def test_eigh_subnormal_couplings_take_finite_phases(dim, c):
     _lapack_agrees(eigh(h), h)
 
 
+@pytest.mark.parametrize("dim", [2, 3, 5, 9, 20, 50])
+def test_eigh_star_near_the_subnormal_range_keeps_its_moduli(dim):
+    # every entry near the subnormal range: the star is scaled by a power of
+    # two before |c| is taken, so it agrees with LAPACK on the matrix scaled
+    # by 2^1000 (exactly) as a star of normal numbers does
+    c = complex(3e-320, -7e-321)
+    model = StarModel(eps=4 * abs(c) * np.arange(dim), alpha=np.full(dim - 1, c))
+    h = build_hamiltonian(model)
+    w, v = np.linalg.eigh(np.ldexp(h.view(float), 1000).view(complex))
+    d, dense = eigh(model), eigh(h)
+    for field in ("eigenvalues", "eigenvectors", "zero_overlaps"):
+        assert getattr(d, field).tobytes() == getattr(dense, field).tobytes()
+    assert np.abs(d.eigenvalues - np.ldexp(w, -1000)).max() <= 1e-13 * np.abs(h).max()
+    assert np.abs(np.abs(d.eigenvectors) - np.abs(v)).max() <= 1e-13
+
+
 @pytest.mark.parametrize(
     "seed, dim, rows",
     [

@@ -16,13 +16,9 @@ from staremit._numtext import (
     csv_table,
     csv_table_reference,
     json_table,
+    svg_points,
     svg_points_reference,
 )
-
-
-def svg_points(x, y):
-    # one curve through the whole-array SVG writer
-    return _numtext.svg_polylines(x, [y])[0]
 
 
 _SIGN = st.sampled_from([1.0, -1.0])
@@ -194,8 +190,7 @@ def test_svg_points_rounding_ties_and_empty():
 
 def _reference_chart(monkeypatch, curves, **kwargs):
     with monkeypatch.context() as m:
-        m.setattr(svgplot, "svg_polylines",
-                  lambda x, ys: [svg_points_reference(x, y) for y in ys])
+        m.setattr(svgplot, "svg_points", svg_points_reference)
         return svgplot.render_line_chart(curves, **kwargs)
 
 
@@ -421,8 +416,9 @@ def test_svg_points_match_template_at_scale():
         assert svg_points(x, y) == expected[0]
         assert svg_points(x3, x3[::-1]) == expected[2]
         assert svg_points(x4, x4[::-1]) == expected[3]
-        # one x array shared by a curve and a shorter one
-        assert _numtext.svg_polylines(cx, [cy, x4[:1000]]) == [expected[1], expected[4]]
+        # one x array for a curve and a shorter one
+        assert svg_points(cx, cy) == expected[1]
+        assert svg_points(cx, x4[:1000]) == expected[4]
     y[-1] = np.inf
     with mock.patch.object(_numtext, "svg_points_reference", return_value="fallback") as reference:
         assert svg_points(x, y) == "fallback"
@@ -438,27 +434,20 @@ def test_svg_points_outside_the_layout_match_template_at_scale():
     assert svg_points(x, y) == svg_points_reference(x, y)
     assert svg_points(wide, cy) == svg_points_reference(wide, cy)
     assert svg_points(cy, wide) == svg_points_reference(cy, wide)
-    # an all-negative x array shared by a curve and a shorter one
-    assert _numtext.svg_polylines(-cx, [y, cy[:1000]]) == [
-        svg_points_reference(-cx, y), svg_points_reference(-cx[:1000], cy[:1000])]
+    # an all-negative x array for a curve and a shorter one
+    assert svg_points(-cx, y) == svg_points_reference(-cx, y)
+    assert svg_points(-cx, cy[:1000]) == svg_points_reference(-cx[:1000], cy[:1000])
 
 
-def test_render_line_chart_formats_a_shared_x_array_once(monkeypatch):
+def test_render_line_chart_bytes_do_not_depend_on_sharing_x(monkeypatch):
+    # one x array for several curves, an equal copy of it, and the
+    # per-point reference give the same bytes
     t = np.linspace(0.0, 30.0, 20_001)
     p, q = np.cos(t) ** 2, 1.0 - 0.5 * np.sin(t) ** 2
     shared = svgplot.render_line_chart([("P", t, p), ("Q", t, q)])
     distinct = svgplot.render_line_chart([("P", t, p), ("Q", t.copy(), q)])
     assert shared == distinct
     assert shared == _reference_chart(monkeypatch, [("P", t, p), ("Q", t, q)])
-    calls = []
-
-    def counting(x, ys):
-        ys = list(ys)
-        calls.append(len(ys))
-        return _numtext.svg_polylines(x, ys)
-
-    with monkeypatch.context() as m:
-        m.setattr(svgplot, "svg_polylines", counting)
-        three = svgplot.render_line_chart([("P", t, p), ("Q", t, q), ("R", t.copy(), q)])
-    assert sorted(calls) == [1, 2]  # one call per distinct x array
+    three = svgplot.render_line_chart([("P", t, p), ("Q", t, q), ("R", t.copy(), q)])
     assert three == svgplot.render_line_chart([("P", t, p), ("Q", t.copy(), q), ("R", t, q)])
+    assert three == _reference_chart(monkeypatch, [("P", t, p), ("Q", t, q), ("R", t, q)])
