@@ -11,79 +11,24 @@ per-mode gauge: a diagonal unitary turns them into real arrowheads
 ``[[a, z^T], [z, diag(p)]]`` with ``z >= 0``, whose eigenvalues are the
 roots of the model's secular equation
 ``g(E) = E - a - sum_k z_k^2 / (E - p_k)``. :func:`eigh` solves them in
-O(n^2) time (Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 16, 1995;
-Jakovčević Stor, Slapničar & Barlow, Linear Algebra Appl. 464, 2015):
+O(n^2) time with the solver of :mod:`staremit._arrowhead`, whose docstring
+gives its steps and costs. A :class:`~staremit.model.StarModel` goes to
+the same solver from its ``eps`` and ``alpha``, with no dense matrix
+formed. Any other Hermitian matrix goes to LAPACK's complex solver, after
+one O(n^2) count that tells it from a star.
 
-1. Scale by a power of two, so the largest entry lies in [1/2, 1), and
-   deflate. A star's diagonal and the real and imaginary parts of its
-   couplings are scaled before the couplings' moduli are taken, so that
-   none loses digits to the subnormal range; the moduli then move the
-   exponent by 0 or 1 at most. A coupling at or below ``8 eps ||H||``
-   leaves its mode as a dark eigenvector; poles within that distance of a
-   group's first pole are rotated by one Householder reflection into one
-   bright mode and dark modes.
-2. Find each root of ``g`` in its interval between poles, kept as its
-   nearer pole plus an offset, so every distance ``E - p_k`` has full
-   relative accuracy. Each root starts at its interval's midpoint, where
-   the sign of ``g`` tells which half, and so which pole, is its own. A
-   bracketed rational step with one pole at each end of the interval (the
-   middle way) updates only the roots that have not converged, in row
-   blocks that keep temporaries at O(block n). Round-trip verification
-   knows where the roots should be: a pre-pass evaluates each root at its
-   target level, where exactly one lies strictly inside its interval, and
-   the root is done there when the convergence test accepts the start, or
-   when the step from it is below 1e-10 of its offset and stays in its
-   half: the step converges quadratically, so the error left is of order
-   1e-20 of the offset. A root not accepted at its start restarts from its
-   midpoint, exactly as :func:`eigh` solves it.
-3. Recompute the couplings from the roots by Löwner's formula, so the
-   computed roots are exact eigenvalues of a nearby arrowhead, and take the
-   eigenvectors ``[1, zhat_k / (E - p_k)]``, normalized: they come out
-   orthogonal to working precision. The solve keeps the column norms,
-   whose inverses give the weights, and ``zhat``: the eigenvectors are
-   built from these and the roots on their first read, by the same
-   operations.
-4. Merge the dark and bright eigenpairs in ascending order.
-
-A :class:`~staremit.model.StarModel` goes to the same solver from its
-``eps`` and ``alpha``, with no dense matrix formed. Any other Hermitian
-matrix goes to LAPACK's complex solver.
-
-Costs. A matrix that is not a star pays an O(n^2) count before LAPACK.
-The O(n^2) work is the row blocks of steps 2 and 3: about 2^15
-entries each, whose pole sums are BLAS products. Rows from 128 entries up
-to numpy's buffer size (8192 by default) run in numpy buffers of one row
-(``_RowBuffers``), so the broadcast differences that fill a block cost what
-contiguous ones do. Each sweep also pays a fixed cost of about 80 numpy
-calls on arrays of one entry per active root, which is most of a solve
-below a few dozen levels: a dim-19 star takes about 7 times as long as
-LAPACK on its dense matrix (0.88 against 0.12 ms, 2 vCPUs, numpy 2.4).
-Reading a star's eigenvectors costs one more row pass of step 3; until
-then its decomposition takes O(n) memory. They are its only n x n array:
-8 bytes a cell when every coupling is real and non-negative, else 16,
-complex, built in the result's own memory and multiplied by their phases
-a row block at a time. A dim whose arrays would exceed ``_EIGH_BUDGET``
-(8 GiB) is refused, as a ``ValueError`` naming the dim and before any
-n x n array exists: a star's eigenvectors, 8 or 16 bytes a cell, at their
-first read, and LAPACK's, about 48 with its work arrays, in :func:`eigh`.
-
-The inverse direction, from eigenvalues ``lam`` and first-row weights
-``w`` to an arrowhead, is the same secular equation with the roles of
-roots and poles swapped. Its mode energies are the roots of
-``sum_m w_m / (lam_m - x)``, found by the same root finder without the
-linear term, and its couplings come from Löwner's formula with the roots
-as poles. So one root finder serves both directions, and neither forms a
-dense matrix.
+A star's eigenvectors are built on their first read, from O(n) state the
+solve keeps; until then its decomposition takes O(n) memory.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
+from ._arrowhead import check_dim, solve_star
 from .errors import NonConvergence
 from .model import StarModel
 
@@ -92,63 +37,6 @@ HERMITICITY_RTOL = 1e-12
 
 # Eigenvalues closer than this are treated as one degenerate level.
 DEGENERACY_TOL = 1e-9
-
-_EPS = np.finfo(float).eps
-
-# A star coupling at or below _DEFLATION * eps * ||H|| leaves its mode as a
-# dark eigenvector, and mode energies that close merge into one bright mode.
-_DEFLATION = 8.0
-
-# Iteration cap of the secular root finder; reaching it raises NonConvergence.
-_MAX_ITER = 50
-
-# A secular root started near where it should be (round-trip verification
-# starts each at its target level) is done after its one evaluation when the
-# step from its start is at most this fraction of its offset and stays in
-# the start's half. The step converges quadratically: from a start whose
-# error is a fraction rho of the offset, it leaves an error of order rho^2
-# of the offset, here 1e-20, far below the offset's own rounding (eps / 2).
-_START_STEP = 1e-10
-
-# Matrix entries per row block of the star solver's temporaries.
-_BLOCK_CELLS = 1 << 15
-
-# eigh refuses a dim whose eigenvector matrix and work arrays would exceed
-# this many bytes, before it allocates them: 8 bytes a cell for a star with
-# real non-negative couplings, 16 for another star (its complex
-# eigenvectors) and 48 for LAPACK's complex solver (the eigenvectors and
-# its two work arrays of about n^2 entries, one complex and one real pair).
-_EIGH_BUDGET = 8 << 30
-
-# Rows of at least this many entries are run in buffers of one row (_RowBuffers).
-_ROW_BUFFERS = 128
-
-
-class _RowBuffers:
-    """Context in which numpy runs elementwise operations in buffers of one row.
-
-    numpy applies an operation whose operands are broadcast across a row
-    block in buffers of ``np.getbufsize()`` entries, 8192 by default, and a
-    buffer that spans several rows copies the broadcast operands: on rows of
-    200 to 4000 entries that made ``d - d_origin[:, None]`` 2-4 times as
-    slow as its contiguous form. Buffers of at most one row use the operands
-    in place. Below ``_ROW_BUFFERS`` entries a row, short buffers cost more
-    than the copies, and a row at least ``np.getbufsize()`` long already
-    holds a whole buffer: the buffer size in force stays. Buffers are only
-    ever shrunk. Each entry is computed by the same operation either way.
-    Reductions run inside too: their bits do not depend on the buffer size.
-    """
-
-    def __init__(self, row: int):
-        self.size = row // 16 * 16 if _ROW_BUFFERS <= row < np.getbufsize() else 0
-
-    def __enter__(self):
-        if self.size:
-            self.old = np.setbufsize(self.size)
-
-    def __exit__(self, *exc):
-        if self.size:
-            np.setbufsize(self.old)
 
 
 def _as_square_matrix(mat) -> np.ndarray:
@@ -226,593 +114,6 @@ class SpectralDecomposition:
         return self.eigenvalues.size
 
 
-def _pick_root(coef, lo, hi):
-    # the root of qa x^2 - qb x + qc = 0, for the rows qc, qb, qa of coef,
-    # that lies inside (lo, hi), NaN where neither does; coef is overwritten.
-    # A zero q or qa gives a quotient that is not inside.
-    qc, qb, qa = coef[0], coef[1], coef[2]
-    disc = qb * qb
-    disc -= 4.0 * qa * qc
-    np.sqrt(np.abs(disc, out=disc), out=disc)
-    qb += np.copysign(disc, qb, out=disc)
-    qb *= 0.5  # q, in place of qb
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x = coef[:2] / coef[1:]  # qc / q and q / qa: the small and the large root
-    inside = (x > lo) & (x < hi)
-    root = x[1]
-    np.copyto(root, np.nan, where=~inside[1])
-    np.copyto(root, x[0], where=inside[0])
-    return root
-
-
-class _Secular:
-    """Roots of ``g(l) = l - a - sum_k zeta2_k / (l - d_k)`` for increasing ``d``.
-
-    Root ``i`` lies between poles ``i - 1`` and ``i`` (the first and last
-    beyond the outer poles) and is kept as its nearer pole ``d[origin[i]]``
-    plus the offset ``tau[i]``, so its distance to every pole has full
-    relative accuracy. With ``linear=False`` the term ``l - a`` is left
-    out, and only the ``r - 1`` roots between the poles exist.
-    """
-
-    def __init__(self, a: float, d: np.ndarray, zeta2: np.ndarray, linear: bool = True):
-        self.a, self.d, self.zeta2, self.linear = a, d, zeta2, linear
-        r = d.size
-        self.gap = np.zeros(r + 1)
-        np.subtract(d[1:], d[:-1], out=self.gap[1:r])
-        self.rows = max(1, _BLOCK_CELLS // r)
-        self.buf = np.empty((2, min(self.rows, r + 1), r))
-        # the band of columns each row block masks, laid out as np.where
-        # would return it
-        self.masked = np.empty(self.buf.size)
-        self.columns = np.arange(r)
-
-    def _block(self, i, d_origin, tau, out):
-        # the pole sums of the roots i at d_origin + tau, into the rows of
-        # ``out``: over the poles left of each root, psi and its slope, and
-        # over those right of it, its slope and phi
-        d, zeta2 = self.d, self.zeta2
-        both = self.buf[:, : tau.size]
-        square, rec = both[0], both[1]
-        np.subtract(d, d_origin[:, None], out=rec)
-        rec -= tau[:, None]  # d_k - lambda, exactly -tau at k == origin
-        np.divide(1.0, rec, out=rec)
-        np.square(rec, out=square)
-        # row j's left poles are the columns k < i[j]; the rows are sorted,
-        # so only the columns between the first and the last row's split
-        # need a mask
-        c0, c1 = i[0], i[-1]
-        band, zb = both[..., c0:c1], zeta2[c0:c1]
-        masked = self.masked[: band.size].reshape(band.shape)
-        masked.fill(0.0)
-        np.copyto(masked, band, where=self.columns[c0:c1] < i[:, None])
-        mixed = masked @ zb
-        np.add(both[..., :c0] @ zeta2[:c0], mixed, out=out[1::-1])
-        np.subtract(band @ zb, mixed, out=mixed)
-        np.add(both[..., c1:] @ zeta2[c1:], mixed, out=out[2:])
-
-    def evaluate(self, i, origin, tau):
-        # The rows g at d[origin] + tau, its slopes from the poles left and
-        # right of each root (the linear term acts as a pole at -inf, on the
-        # left), and a bound on the rounding error of g: the pole sums in
-        # row blocks, the rest elementwise over all the roots at once.
-        d_origin = self.d[origin]
-        out = np.empty((4, i.size))
-        for s in range(0, i.size, self.rows):
-            e = s + self.rows
-            self._block(i[s:e], d_origin[s:e], tau[s:e], out[:, s:e])
-        # psi and phi, the sums over the left and right poles, sit in the
-        # rows of g and err until those are formed
-        g, slope_l, slope_r, err = out[0], out[1], out[2], out[3]
-        psi, phi = g, err
-        lin = d_origin - self.a if self.linear else 0.0
-        if self.linear:
-            lin += tau
-            slope_l += 1.0
-        bound = phi - psi
-        bound += np.abs(lin)
-        bound *= 8.0
-        np.add(lin, psi, out=g)
-        g += phi
-        slopes = slope_l + slope_r
-        slopes *= np.abs(tau)
-        np.add(bound, slopes, out=err)
-        return out
-
-    def _frame(self, i, right, frame):
-        # The rows of ``frame`` that step reads, fixed once each root's
-        # origin is: its interval's width signed toward the far pole, and
-        # the offsets of the interval's left and right poles from the
-        # origin, which is the right pole where ``right``. Returns whether
-        # the origin is the left pole. An outer root's rows are not used.
-        gap = self.gap[i]
-        frame[0] = gap
-        frame[1] = 0.0
-        frame[2] = gap
-        np.copyto(frame[:2], -gap, where=right)
-        np.copyto(frame[2], 0.0, where=right)
-        return ~right
-
-    def step(self, i, at_left, frame, t, lo, hi, out):
-        # Interior roots take the middle way: a model with one pole at each
-        # end of the interval, weighted to match g and g' at the current
-        # point. The outer roots keep the linear term exact and lump all
-        # poles into the one next to them. The new offset is solved for in
-        # the origin's frame, so a root close to its pole keeps its digits.
-        # ``out`` holds evaluate's rows at the offsets t.
-        g, slopes = out[0], out[1:3]
-        span = frame[0]
-        dist = frame[1:] - t  # dl and dr, from the root to its interval's poles
-        coef = np.empty((3, t.size))
-        qc, qb, qa = coef[0], coef[1], coef[2]
-        prod = dist * slopes
-        np.subtract(g, prod[0], out=qa)
-        qa -= prod[1]  # c = g - dl slope_l - dr slope_r
-        dist *= dist
-        dist *= slopes  # s_l and s_r
-        np.multiply(qa, span, out=qb)
-        qb += dist[0]
-        qb += dist[1]
-        np.multiply(np.where(at_left, dist[0], dist[1]), span, out=qc)
-        # the outer roots, first and last among the rows when present
-        if i[0] == 0:
-            self._outer(coef, 0, t, g, slopes[1, 0])
-        if i[-1] == self.d.size:
-            self._outer(coef, -1, t, g, slopes[0, -1] - 1.0)
-        return _pick_root(coef, lo, hi)
-
-    @staticmethod
-    def _outer(coef, j, t, g, slope):
-        # qc, qb, qa of the outer root in row j, whose poles act as one at
-        # its origin with the weight ``slope t^2``
-        tj, slope = float(t[j]), float(slope)
-        coef[0, j] = -tj * tj * slope
-        coef[1, j] = tj - float(g[j]) - tj * slope
-        coef[2, j] = 1.0
-
-    def _warm(self, start, origin, offsets, bracket):
-        # The pre-pass from the ascending ``start``. A root starts at a point
-        # of it where its interval holds exactly one, strictly inside (the
-        # outer roots' inside Weyl's bracket) and not within rounding of its
-        # origin, the pole on the point's side of the midpoint: both callers
-        # scale the entries below 1, so that is 4 eps of 1 or of the largest
-        # point. Its bracket is that half, or Weyl's bracket. The started
-        # roots are evaluated in one sweep; those the convergence test
-        # accepts, or whose step is at most _START_STEP of the offset and
-        # stays in the half (else it is NaN), take that step and are done.
-        # Their origins and offsets are written; returns which roots are not.
-        d, r = self.d, self.d.size
-        # the points strictly inside interval k are first[k] .. end[k] - 1
-        first, end = np.empty((2, r + 1), dtype=np.intp)
-        first[0], end[r] = 0, start.size
-        first[1:] = np.searchsorted(start, d, side="right")
-        end[:r] = np.searchsorted(start, d, side="left")
-        end -= first
-        k = np.flatnonzero(end == 1)
-        point = start[first[k]]
-        o = origin[k]
-        t = point - d[o]
-        lo, hi = bracket[:, k]
-        use = t > lo
-        use &= (k < r) | (t < hi)
-        # a point right of an inner interval's midpoint is kept as an offset
-        # from the right pole
-        flip = (k > 0) & (k < r) & (t > hi)
-        np.copyto(o, k, where=flip)
-        np.copyto(t, point - d[np.minimum(k, r - 1)], where=flip)
-        use &= np.abs(t) > 4.0 * _EPS * max(1.0, -start[0], start[-1])
-        pending = np.ones(r + 1, dtype=bool)
-        if not np.count_nonzero(use):
-            return pending
-        k, o, t, flip, lo, hi = k[use], o[use], t[use], flip[use], lo[use], hi[use]
-        np.negative(hi, out=lo, where=flip)
-        np.copyto(hi, 0.0, where=flip)
-        out = self.evaluate(k, o, t)
-        frame = np.empty((3, k.size))
-        new = self.step(k, self._frame(k, flip, frame), frame, t, lo, hi, out)
-        done = np.abs(out[0]) <= _EPS * out[3]
-        done |= np.abs(new - t) <= _START_STEP * np.abs(new)
-        np.copyto(new, t, where=np.isnan(new))
-        k = k[done]
-        origin[k] = o[done]
-        offsets[k] = new[done]
-        pending[k] = False
-        return pending
-
-    def _cold(self, i, origin, offsets, bracket):
-        # The roots ``i`` from their intervals' midpoints: g there tells
-        # which half holds each root, and so its nearer pole. Their origins
-        # and offsets are written.
-        r = self.d.size
-        # From here on each root is a column: of ``ints``, its index and
-        # origin; of ``state``, its offset, bracket, the relative size of
-        # its last step and, once the first sweep has fixed its origin, its
-        # _frame rows.
-        ints = np.empty((2, i.size), dtype=np.intp)
-        ints[0] = i
-        i, o = ints[0], ints[1]
-        np.take(origin, i, out=o)
-        state = np.empty((7, i.size))
-        np.take(bracket, i, axis=1, out=state[1:3])
-        tau, lo, hi, last, frame = state[0], state[1], state[2], state[3], state[4:]
-        # an inner root starts at its interval's midpoint, hi from its left
-        # pole; an outer one at the middle of Weyl's bracket
-        np.copyto(tau, hi)
-        outer = ([0] if i[0] == 0 else []) + ([-1] if i[-1] == r else [])
-        for j in outer:
-            tau[j] = 0.5 * (lo[j] + hi[j])
-        out = self.evaluate(i, o, tau)
-        g, err = out[0], out[3]
-        # an inner root right of its midpoint takes the right pole for its
-        # origin, and the midpoint for its offset; an outer root halves its
-        # bracket
-        right = g < 0
-        for j in outer:
-            right[j] = False
-            if g[j] > 0:
-                hi[j] = tau[j]
-            elif g[j] < 0:
-                lo[j] = tau[j]
-        np.copyto(o, i, where=right)
-        np.negative(hi, out=lo, where=right)
-        np.copyto(tau, lo, where=right)
-        np.copyto(hi, 0.0, where=right)
-        at_left = self._frame(i, right, frame)
-        new = self.step(i, at_left, frame, tau, lo, hi, out)
-        # a root within rounding of its midpoint (as the middle level of a
-        # symmetric spectrum is) has converged: model steps from inside its
-        # half land just beyond the midpoint, and bisection took ~28 sweeps
-        # to close the bracket
-        done = np.abs(g) <= _EPS * err
-        new = np.where(np.isnan(new), np.where(done, tau, 0.5 * (lo + hi)), new)
-        np.divide(np.abs(new - tau), np.abs(new), out=last)  # relative size of each root's last step
-        np.copyto(tau, new)
-        origin[i], offsets[i] = o, new
-        # only the roots not done stay in the columns
-        keep = ~done
-        ints, state, at_left = ints.compress(keep, 1), state.compress(keep, 1), at_left[keep]
-        for _ in range(_MAX_ITER):
-            if not ints.shape[1]:
-                break
-            i, o = ints[0], ints[1]
-            t, lo, hi, last, frame = state[0], state[1], state[2], state[3], state[4:]
-            out = self.evaluate(i, o, t)
-            g, err = out[0], out[3]
-            above = g > 0
-            np.copyto(hi, t, where=above)
-            np.copyto(lo, t, where=~above)
-            new = self.step(i, at_left, frame, t, lo, hi, out)
-            # a converged root still takes the step its last evaluation
-            # offers, if that stays in the bracket; the others bisect
-            # where the step leaves it
-            done = np.abs(g) <= _EPS * err
-            done |= hi - lo <= 2.0 * _EPS * np.maximum(-lo, hi)
-            bisect = np.isnan(new)
-            bisected = np.count_nonzero(bisect)
-            if bisected:
-                np.copyto(new, np.where(done, t, 0.5 * (lo + hi)), where=bisect)
-            # the step converges quadratically: after steps of relative size
-            # last and rho, the error left is near rho^3 / last^2, and a
-            # root whose error that puts below eps / 8 needs no further
-            # sweep. A bisection tells nothing of the error left. rho goes
-            # into the row of last once last^2 is formed.
-            bound = 0.125 * _EPS * last**2
-            rho = np.divide(np.abs(new - t), np.abs(new), out=last)
-            small = (rho <= 1e-6) & (rho**3 <= bound)
-            if bisected:
-                small &= ~bisect
-            done |= small
-            np.copyto(t, new)
-            offsets[i] = new
-            if np.count_nonzero(done):
-                keep = ~done
-                ints, state, at_left = ints.compress(keep, 1), state.compress(keep, 1), at_left[keep]
-        if ints.shape[1]:
-            raise NonConvergence(
-                f"eigensolver did not converge: {ints.shape[1]} secular roots "
-                f"after {_MAX_ITER} iterations"
-            )
-
-    def solve(self, start=None):
-        """Nearer poles and offsets of the roots ``0..r``, or ``1..r-1`` without the linear term.
-
-        With ``start``, a pre-pass (``_warm``) evaluates the roots at their
-        usable points of the ascending ``start``, in one sweep, and ends
-        those whose start it accepts. Every other root starts at its
-        interval's midpoint, exactly as without ``start``, and goes on in
-        sweeps over compacted columns of the roots still active (``_cold``).
-        """
-        a, d, zeta2 = self.a, self.d, self.zeta2
-        r = d.size
-        origin = np.arange(-1, r)
-        origin[0] = 0
-        offsets = np.empty(r + 1)
-        bracket = np.zeros((2, r + 1))
-        np.multiply(0.5, self.gap, out=bracket[1])
-        if self.linear:
-            # Weyl's bounds place the outer roots within |zeta| of the diagonal
-            znorm = np.sqrt(zeta2.sum())
-            bracket[0, 0] = (min(a - d[0], 0.0) - znorm) * (1.0 + 4.0 * _EPS)
-            bracket[1, r] = (max(a - d[-1], 0.0) + znorm) * (1.0 + 4.0 * _EPS)
-            i = np.arange(r + 1)
-        else:
-            i = np.arange(1, r)
-        with _RowBuffers(r):
-            if start is not None:
-                i = i[self._warm(start, origin, offsets, bracket)[i]]
-            if i.size:
-                self._cold(i, origin, offsets, bracket)
-        if self.linear:
-            return origin, offsets
-        return origin[1:r], offsets[1:r]
-
-
-def _lowner(diff, d, k, dk, ratio):
-    # Löwner's formula
-    #   zhat_k^2 = -(lambda_k - d_k)(lambda_r - d_k) prod_{i != k, i < r}
-    #              (lambda_i - d_k) / (d_i - d_k)
-    # for the poles dk = d[k], from diff[j, i] = lambda_i - d[k_j] over the
-    # r + 1 roots lambda of the r poles d: the couplings for which those
-    # roots are exact. ``ratio`` is a work array shaped like diff[:, :r].
-    r = d.size
-    np.subtract(d, dk[:, None], out=ratio)
-    ratio[np.arange(k.size), k] = -1.0 / diff[:, r]
-    np.divide(diff[:, :r], ratio, out=ratio)
-    return np.sqrt(np.prod(ratio, axis=1))
-
-
-def _lowner_vectors(d, origin, tau, rank):
-    # The rows zhat_k / (lambda_i - d[rank_k]), lambda = d[origin] + tau,
-    # with zhat from Löwner's formula, so the vectors come out orthogonal,
-    # a row block at a time in one scratch block. Returns zhat, by row, and
-    # the column norms of [1; rows], from which _star_vectors rebuilds them.
-    r = d.size
-    d_origin = d[origin]
-    zhat, norm2 = np.empty(r), np.ones(r + 1)
-    rows = max(1, _BLOCK_CELLS // r)
-    ratio = np.empty((min(rows, r), r))
-    scratch = np.empty((min(rows, r), r + 1))
-    with _RowBuffers(r):
-        for s in range(0, r, rows):
-            k = rank[s : s + rows]
-            dk = d[k]
-            diff = scratch[: k.size]
-            np.subtract(d_origin, dk[:, None], out=diff)
-            diff += tau  # lambda_i - d_k, exactly tau_i where origin[i] == k
-            z = zhat[s : s + k.size] = _lowner(diff, d, k, dk, ratio[: k.size])
-            np.divide(z[:, None], diff, out=diff)
-            norm2 += np.einsum("ij,ij->j", diff, diff)
-    return zhat, np.sqrt(norm2)
-
-
-def _arrowhead_from_spectrum(lam: np.ndarray, w: np.ndarray):
-    # mode energies p and couplings z >= 0 of the arrowhead whose
-    # eigenvalues are the strictly increasing lam and whose eigenvectors
-    # have squared first components w (summing to one). The p are the
-    # roots of sum_m w_m / (lam_m - x), interlaced with lam; the z follow
-    # from Löwner's formula with the roles swapped (lam the roots, p the
-    # poles), evaluated on the rounded p, so the arrowhead that is returned
-    # has eigenvalues lam to working precision. lam is scaled by a power
-    # of two, so the largest |lam| lies in [1/2, 1), and scaled back.
-    e = math.frexp(max(-lam[0], lam[-1]))[1]
-    lam = np.ldexp(lam, -e)
-    origin, tau = _Secular(0.0, lam, w, linear=False).solve()
-    p = lam[origin] + tau
-    r = p.size
-    z = np.empty(r)
-    rows = max(1, _BLOCK_CELLS // (r + 1))
-    diff, ratio = np.empty((min(rows, r), r + 1)), np.empty((min(rows, r), r))
-    # a root rounded onto lam[-1] gives -1/0 in Löwner's formula, and
-    # coupling 0, which is exact for it
-    with np.errstate(divide="ignore"), _RowBuffers(r):
-        for s in range(0, r, rows):
-            k = np.arange(s, min(s + rows, r))
-            pk, blk = p[k], diff[: k.size]
-            np.subtract(lam, pk[:, None], out=blk)
-            z[s : s + k.size] = _lowner(blk, p, k, pk, ratio[: k.size])
-    return np.ldexp(p, e), np.ldexp(z, e)
-
-
-def _pole_groups(sorted_poles: np.ndarray, tol: float):
-    # starts of the runs in which every pole lies within tol of the run's
-    # first one
-    if not np.count_nonzero(np.diff(sorted_poles) <= tol):
-        return np.arange(sorted_poles.size)
-    starts, anchor = [0], sorted_poles[0]
-    for j, x in enumerate(sorted_poles.tolist()):
-        if x - anchor > tol:
-            starts.append(j)
-            anchor = x
-    return np.array(starts)
-
-
-def _check_dim(n: int, cell_bytes: int) -> None:
-    # refuse, before they exist, n x n arrays of cell_bytes bytes a cell in
-    # all that would exceed _EIGH_BUDGET
-    need = n * n * cell_bytes
-    if need > _EIGH_BUDGET:
-        raise ValueError(
-            f"dim {n} is too large for eigh: its eigenvectors and work arrays would take "
-            f"{need / 2**30:.1f} GiB, above the budget of {_EIGH_BUDGET / 2**30:g} GiB"
-        )
-
-
-def _arrowhead_eigh(a: float, p: np.ndarray, z: np.ndarray, start=None, phase=None):
-    # ascending eigenvalues, a function that builds their orthonormal
-    # eigenvectors from O(n) saved state (_star_vectors), and their weights
-    # (the eigenvectors' squared first components) of the arrowhead [[a,
-    # z^T], [z, diag(p)]] with z >= 0, or with the complex ``phase`` of
-    # diag(phase) times it. The secular roots start at the ascending
-    # ``start`` where _Secular can use it.
-    m = p.size
-    n = m + 1
-    pa = max(abs(a), np.abs(p).max(initial=0.0))
-    top = max(pa, z.max(initial=0.0))
-    if top == 0.0:
-        a, p = 0.0, np.zeros(m)  # the zero matrix: eigenvalues +0.0, vectors I
-    # an exact power-of-two scale puts the largest entry in [1/2, 1): no
-    # z_k^2 overflows, and none above the deflation threshold underflows.
-    # The scale is exact, so the largest scaled |a|, |p_k| is pa's scaled.
-    e = math.frexp(top)[1]
-    a, p, z = math.ldexp(a, -e), np.ldexp(p, -e), np.ldexp(z, -e)
-    tol = _DEFLATION * _EPS * (math.ldexp(pa, -e) + np.sqrt(z @ z))
-    bright = np.flatnonzero(z > tol)
-    bright = bright[np.argsort(p[bright], kind="stable")]
-    starts = _pole_groups(p[bright], tol)
-    ends = np.append(starts[1:], bright.size)
-    reps = bright[starts]
-    d, zeta = p[reps], z[reps]
-    # one Householder reflection per group of equal poles turns its
-    # couplings into one bright direction u, of coupling |z| over the
-    # group, and size - 1 dark ones; |z| is scaled by the largest coupling,
-    # which makes it exact for equal couplings
-    groups = []
-    for j in np.flatnonzero(ends - starts > 1):
-        members = bright[starts[j] : ends[j]]
-        big = z[members].max()
-        zeta[j] = big * np.sqrt(np.sum((z[members] / big) ** 2))
-        groups.append((members, z[members] / zeta[j]))
-    r = reps.size
-    lowner = None
-    if r:
-        scaled_start = None
-        if start is not None:
-            # a start beyond the float range becomes inf, which no root uses
-            with np.errstate(over="ignore"):
-                scaled_start = np.ldexp(start, -e)
-        origin, tau = _Secular(a, d, zeta * zeta).solve(scaled_start)
-        vals = d[origin] + tau
-        # rows in mode order, so that with nothing deflated they are final
-        by_mode = np.argsort(reps)
-        zhat, norms = _lowner_vectors(d, origin, tau, by_mode)
-        lowner = d, origin, tau, by_mode, zhat, norms
-        head = 1.0 / norms
-        if r == m:
-            return np.ldexp(vals, e), partial(_star_vectors, n, phase, lowner), head**2
-        reps = reps[by_mode]
-    else:
-        vals, head = np.full(1, a), np.ones(1)
-    lone = np.flatnonzero(z <= tol)
-    dark_vals = [np.full(members.size - 1, p[members[0]]) for members, _ in groups]
-    all_vals = np.concatenate([vals, *dark_vals, p[lone]])
-    order = np.argsort(all_vals, kind="stable")
-    col = np.empty(n, dtype=int)
-    col[order] = np.arange(n)
-    weights = np.zeros(n)
-    weights[col[: r + 1]] = head**2
-    vectors = partial(_star_vectors, n, phase, lowner, (reps, col, groups, lone))
-    return np.ldexp(all_vals[order], e), vectors, weights
-
-
-def _star_vectors(n, phase, lowner, deflated=None):
-    # The eigenvectors of _arrowhead_eigh from the state it keeps: ``lowner``
-    # (None when no coupling is bright) and, unless nothing deflated, the
-    # arguments of _place_deflated. The real vectors are built in the
-    # result's own memory, for a complex result the first half of each row,
-    # until the rows are multiplied by their phases through one row block.
-    _check_dim(n, 8 if phase is None else 16)
-    out = (np.empty if deflated is None else np.zeros)((n, n), float if phase is None else complex)
-    vecs = out if phase is None else out.view(float)[:, :n]
-    if lowner is None:
-        vecs[0, 0] = 1.0
-    else:
-        # the rows of _lowner_vectors, by the same operations on the same
-        # operands, divided by the norms
-        d, origin, tau, rank, zhat, norms = lowner
-        r = d.size
-        d_origin, block = d[origin], vecs[1 : r + 1, : r + 1]
-        rows = max(1, _BLOCK_CELLS // r)
-        with _RowBuffers(r):
-            for s in range(0, r, rows):
-                diff = block[s : s + rows]
-                np.subtract(d_origin, d[rank[s : s + rows]][:, None], out=diff)
-                diff += tau
-                np.divide(zhat[s : s + rows, None], diff, out=diff)
-                diff /= norms
-        np.divide(1.0, norms, out=vecs[0, : r + 1])
-    if deflated is not None:
-        _place_deflated(vecs, *deflated)
-    if phase is not None:
-        rows = max(1, _BLOCK_CELLS // n)
-        scratch = np.empty((min(rows, n), n))
-        for s in range(0, n, rows):
-            blk = scratch[: min(rows, n - s)]
-            np.copyto(blk, vecs[s : s + rows])
-            np.multiply(phase[s : s + rows, None], blk, out=out[s : s + rows])
-    return out
-
-
-def _place_deflated(vecs, reps, col, groups, lone):
-    # The bright block moves from the top left corner to the rows of the
-    # head and the bright modes ``reps`` and the columns ``col[:r + 1]`` of
-    # their eigenvalues, both ascending and at or beyond where it is now,
-    # so moving it a row block at a time from the bottom up leaves the rows
-    # still to move in place. The Householder groups' and the lone dark
-    # modes' vectors take the columns after them.
-    r = reps.size
-    bright_cols = col[: r + 1]
-    rows = max(1, _BLOCK_CELLS // (r + 1))
-    target = np.append(0, 1 + reps)
-    for s in range(r // rows * rows, -1, -rows):
-        stop = min(s + rows, r + 1)
-        moved = vecs[s:stop, : r + 1].copy()
-        vecs[s:stop, : r + 1] = 0.0
-        vecs[np.ix_(target[s:stop], bright_cols)] = moved
-    c = r + 1
-    for members, u in groups:
-        # the group's share of each bright vector, then its dark vectors
-        # H e_j (j >= 1) of H = I - w w^T / (1 + u_0), w = u + e_0, in row
-        # blocks of the group
-        share = vecs[1 + members[0], bright_cols]
-        w = u.copy()
-        w[0] += 1.0
-        coef = u[1:] / -w[0]
-        dark = col[c : c + members.size - 1]
-        step = max(1, _BLOCK_CELLS // members.size)
-        for s in range(0, members.size, step):
-            block_rows = 1 + members[s : s + step]
-            vecs[np.ix_(block_rows, bright_cols)] = np.outer(u[s : s + step], share)
-            h = np.outer(w[s : s + step], coef)
-            k = np.arange(max(s, 1), min(s + step, members.size))
-            h[k - s, k - 1] += 1.0
-            vecs[np.ix_(block_rows, dark)] = h
-        c += members.size - 1
-    vecs[1 + lone, col[c:]] = 1.0
-
-
-def _eigh_star(diagonal: np.ndarray, c: np.ndarray, start=None) -> SpectralDecomposition:
-    # the star with real diagonal `diagonal` and couplings c in column 0:
-    # D^H H D with D = diag(1, c/|c|) is the real arrowhead with couplings
-    # |c|, whose eigenvectors V_real give D V_real. When every c is already
-    # real and non-negative, D = I and V_real is returned as it is. D leaves
-    # row 0 alone, so the weights are the arrowhead's. The secular roots
-    # start at the ascending ``start`` where they can (see _Secular._warm);
-    # without it, or when no start is accepted, the result is eigh's.
-    # One exact power-of-two scale first puts the largest |diagonal|, |Re c|
-    # and |Im c| in [1/2, 1), so that no |c| loses digits to the subnormal
-    # range; _arrowhead_eigh's own scale then moves by 0 or 1. The parts of
-    # c are scaled through its float view, so signed zeros keep their sign.
-    parts = np.ascontiguousarray(c).view(float)
-    e = math.frexp(max(np.abs(diagonal).max(), np.abs(parts).max(initial=0.0)))[1]
-    diagonal, c = np.ldexp(diagonal, -e), np.ldexp(parts, -e).view(complex)
-    if start is not None:
-        with np.errstate(over="ignore"):  # inf, which no root uses
-            start = np.ldexp(start, -e)
-    mod = np.abs(c)
-    phase = None
-    if not np.array_equal(c, mod):
-        phase = np.ones(diagonal.size, dtype=complex)
-        coupled = np.flatnonzero(mod)
-        cc, cm = c[coupled], mod[coupled]
-        # numpy divides by |c| through its reciprocal, which overflows for a
-        # subnormal |c| (one tiny beside the rest): such a c is first scaled
-        # by 2^600, exactly
-        tiny = cm < np.finfo(float).tiny
-        cc[tiny] *= 2.0**600
-        cm[tiny] = np.abs(cc[tiny])
-        phase[1 + coupled] = cc / cm
-    vals, vectors, weights = _arrowhead_eigh(diagonal[0], diagonal[1:], mod, start, phase)
-    return SpectralDecomposition(np.ldexp(vals, e), vectors, weights)
 
 
 def _is_star(m: np.ndarray) -> bool:
@@ -848,7 +149,7 @@ def eigh(mat) -> SpectralDecomposition:
     deflated (negligible couplings and equal mode energies give dark
     levels), its other eigenvalues are the roots of the secular equation,
     each kept as an offset from its nearer pole, and its eigenvectors come
-    from Löwner's formula, all in O(n^2) time (see the module docstring).
+    from Löwner's formula, all in O(n^2) time (see :mod:`staremit._arrowhead`).
     Other Hermitian matrices go to LAPACK's complex solver.
 
     Parameters
@@ -879,10 +180,10 @@ def eigh(mat) -> SpectralDecomposition:
         raises it instead).
     NonConvergence
         If the underlying iteration fails to converge: the secular root
-        finder within ``_MAX_ITER`` steps, or LAPACK.
+        finder within its iteration cap (50 sweeps), or LAPACK.
     """
     if isinstance(mat, StarModel):
-        return _eigh_star(mat.eps, mat.alpha)
+        return SpectralDecomposition(*solve_star(mat.eps, mat.alpha))
     m = _as_square_matrix(mat)
     # a star: away from row and column 0, only the diagonal is nonzero (NaN
     # and inf count as nonzero), so every other entry is an exact zero and
@@ -901,8 +202,8 @@ def eigh(mat) -> SpectralDecomposition:
     if not defect <= HERMITICITY_RTOL * scale:
         raise ValueError("matrix is not Hermitian within tolerance")
     if star:
-        return _eigh_star(m.diagonal().real, m[1:, 0])
-    _check_dim(m.shape[0], 48)
+        return SpectralDecomposition(*solve_star(m.diagonal().real, m[1:, 0]))
+    check_dim(m.shape[0], 48)
     try:
         eigenvalues, eigenvectors = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
@@ -938,11 +239,6 @@ def aggregate_degenerate(eigenvalues, overlaps, tol: float = DEGENERACY_TOL):
         raise ValueError("eigenvalues and overlaps must be matching 1-d arrays")
     if np.count_nonzero(np.diff(e) < 0):
         raise ValueError("eigenvalues must be sorted ascending")
-    return _merge_levels(e, w, tol)
-
-
-def _merge_levels(e, w, tol):
-    # aggregate_degenerate of sorted float arrays, unchecked
     starts = np.concatenate(([0], np.flatnonzero(np.diff(e) > tol) + 1))
     counts = np.diff(np.append(starts, e.size))
     return np.add.reduceat(e, starts) / counts, np.add.reduceat(w, starts)

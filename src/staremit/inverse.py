@@ -7,7 +7,7 @@ the forward one: the mode energies are the zeros of
 ``sum_m w_m / (z - E_m)``, one between each pair of neighbouring levels,
 and the couplings follow from them in closed form (Löwner's formula). It
 is solved in O(n^2) by the star eigensolver's root finder
-(:mod:`staremit.hermitian`), and the round trip is verified by the same
+(:mod:`staremit._arrowhead`), and the round trip is verified by the same
 solver, started at the target levels, so no dense matrix is formed.
 Weights below ``MIN_WEIGHT`` are refused, wherever they sit on the ladder.
 """
@@ -18,15 +18,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from ._arrowhead import arrowhead_from_spectrum, solve_star
 from .errors import DegenerateProfile, DimensionMismatch
-from .hermitian import (  # noqa: F401 (eigh and aggregate_degenerate stay importable from here)
-    DEGENERACY_TOL,
-    _arrowhead_from_spectrum,
-    _eigh_star,
-    _merge_levels,
-    aggregate_degenerate,
-    eigh,
-)
+from .hermitian import DEGENERACY_TOL, aggregate_degenerate, eigh  # noqa: F401 (eigh is re-exported)
 from .model import StarModel, _json_number, _json_numbers
 
 # Overlap weights must sum to one within this tolerance.
@@ -195,7 +189,7 @@ def construct_hamiltonian(profile: SpectralProfile) -> StarModel:
         )
     w = weights / weights.sum()
     offsets = equally_spaced_spectrum(j, 0.0, profile.d_width)
-    modes, couplings = _arrowhead_from_spectrum(offsets, w)
+    modes, couplings = arrowhead_from_spectrum(offsets, w)
     mode_energies = profile.eps0 + modes
     order = np.lexsort((mode_energies, -couplings))
     return StarModel(
@@ -264,15 +258,14 @@ def verify_round_trip(
         raise DimensionMismatch(
             f"model dimension {model.dim} != profile dimension {profile.dim}"
         )
-    solved = _eigh_star(model.eps, model.alpha, target_e)
-    eigenvalues, weights = solved.eigenvalues, solved.zero_overlaps
+    eigenvalues, _, weights = solve_star(model.eps, model.alpha, target_e)
     eig_err = float(np.abs(eigenvalues - target_e).max())
 
     # the ladder ascends, so its largest |E_m| is at one end
     rounding = ROUNDING_EPS * _EPS * max(-target_e[0], target_e[-1])
     merge = DEGENERACY_TOL * profile.d_width + rounding
-    got_levels, got_weights = _merge_levels(eigenvalues, weights, merge)
-    want_levels, want_weights = _merge_levels(target_e, profile.overlaps, merge)
+    got_levels, got_weights = aggregate_degenerate(eigenvalues, weights, merge)
+    want_levels, want_weights = aggregate_degenerate(target_e, profile.overlaps, merge)
     window = 0.5 * np.diff(want_levels).min() if want_levels.size > 1 else np.inf
     # nearest target level, the lower one on equal distances
     hi = np.minimum(np.searchsorted(want_levels, got_levels), want_levels.size - 1)

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 
-from staremit import StarModel, hermitian
+from staremit import StarModel, _arrowhead
 
 
 def random_star_model(rng: np.random.Generator, dim: int | None = None, max_dim: int = 9) -> StarModel:
@@ -26,12 +26,12 @@ def solver_rows(fn, *args):
     Returns that list and the call's result.
     """
     rows = []
-    evaluate = hermitian._Secular.evaluate
+    evaluate = _arrowhead._Secular.evaluate
 
     def counted(self, i, origin, tau):
         rows.append(i.size)
         return evaluate(self, i, origin, tau)
 
-    with mock.patch.object(hermitian._Secular, "evaluate", counted):
+    with mock.patch.object(_arrowhead._Secular, "evaluate", counted):
         result = fn(*args)
     return rows, result

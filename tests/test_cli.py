@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from staremit import _numtext, cli, dirichlet_survival, hermitian, revival_period
+from staremit import _arrowhead, _numtext, cli, dirichlet_survival, revival_period
 from staremit._numtext import CSV_FIELD_BYTES, JSON_FIELD_BYTES, SVG_POINT_BYTES
 from staremit.cli import main
 
@@ -158,7 +158,7 @@ def test_missing_output_directory_exits_2_and_writes_nothing(argv, missing, tmp_
 )
 def test_eigensolver_failure_exits_3_and_writes_nothing(argv, tmp_path, capsys, monkeypatch):
     # every subcommand solves its secular equation with one root finder
-    monkeypatch.setattr("staremit.hermitian._MAX_ITER", 0)
+    monkeypatch.setattr("staremit._arrowhead._MAX_ITER", 0)
     out = tmp_path / "out.txt"
     assert main(argv + ["--out", str(out)]) == 3
     assert capsys.readouterr().err.startswith("error: ")
@@ -187,7 +187,7 @@ def test_series_commands_store_no_eigenvector_rows(tmp_path, capsys, monkeypatch
     def fail(*args):
         raise AssertionError("eigenvectors built")
 
-    monkeypatch.setattr(hermitian, "_star_vectors", fail)
+    monkeypatch.setattr(_arrowhead, "_star_vectors", fail)
     out, svg = tmp_path / "series.txt", str(tmp_path / "chart.svg")
     for argv in (["two-level"], ["two-level", "--eps1", "0.4", "--format", "json"],
                  ["two-level", "--alpha", "0.3", "--svg", svg],

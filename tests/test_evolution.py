@@ -22,7 +22,7 @@ from staremit import (
     two_level_survival,
 )
 
-from staremit import cli, hermitian
+from staremit import _arrowhead, cli
 from staremit.evolution import _grid_amplitude
 
 from helpers import random_hermitian, random_star_model
@@ -129,7 +129,7 @@ def test_survival_of_a_star_never_builds_its_eigenvectors(monkeypatch):
     def fail(*args):
         raise AssertionError("eigenvectors built")
 
-    monkeypatch.setattr(hermitian, "_star_vectors", fail)
+    monkeypatch.setattr(_arrowhead, "_star_vectors", fail)
     ts = np.linspace(0.0, 8.0, 301)
     for model in (random_star_model(np.random.default_rng(2), 40),
                   StarModel(eps=np.full(9, 0.2), alpha=np.full(8, 0.5j))):

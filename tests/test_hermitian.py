@@ -18,7 +18,7 @@ from staremit import (
     reconstruct,
 )
 
-from staremit import hermitian
+from staremit import _arrowhead, hermitian
 from staremit.hermitian import DEGENERACY_TOL, HERMITICITY_RTOL
 
 from helpers import random_hermitian, random_star_model, solver_rows
@@ -597,7 +597,7 @@ def test_secular_block_masks_like_where(r):
     # Each call evaluates one row block: _block's pole sums, then the rest.
     rng = np.random.default_rng(r)
     d = np.sort(rng.uniform(-0.9, 0.9, r))
-    sec = hermitian._Secular(0.1, d, rng.uniform(0.01, 0.5, r) ** 2)
+    sec = _arrowhead._Secular(0.1, d, rng.uniform(0.01, 0.5, r) ** 2)
     origin = np.maximum(np.arange(r + 1) - 1, 0)
     tau = np.where(np.arange(r + 1) % 2, 0.3, 0.45) * sec.gap
     tau[0], tau[r] = -0.05, 0.05
@@ -614,19 +614,19 @@ def test_secular_sweeps_keep_the_callers_error_settings(monkeypatch):
     # only _pick_root's quotients are silenced: every evaluation, with and
     # without a start, runs under the caller's settings
     seen = []
-    evaluate = hermitian._Secular.evaluate
+    evaluate = _arrowhead._Secular.evaluate
 
     def spy(self, *args):
         seen.append(np.geterr())
         return evaluate(self, *args)
 
-    monkeypatch.setattr(hermitian._Secular, "evaluate", spy)
+    monkeypatch.setattr(_arrowhead._Secular, "evaluate", spy)
     rng = np.random.default_rng(5)
     d = np.sort(rng.uniform(-0.9, 0.9, 40))
     zeta2 = rng.uniform(0.01, 0.5, 40) ** 2
     with np.errstate(divide="raise", invalid="raise"):
-        _, offsets = hermitian._Secular(0.1, d, zeta2).solve()
-        hermitian._Secular(0.1, d, zeta2).solve(d[np.maximum(np.arange(41) - 1, 0)] + offsets)
+        _, offsets = _arrowhead._Secular(0.1, d, zeta2).solve()
+        _arrowhead._Secular(0.1, d, zeta2).solve(d[np.maximum(np.arange(41) - 1, 0)] + offsets)
     assert len(seen) > 2
     assert all(e["divide"] == "raise" and e["invalid"] == "raise" for e in seen)
 
@@ -637,7 +637,7 @@ def test_row_buffers_only_shrink_the_callers_buffers():
         for size, row, inside in ((1 << 16, 10000, 10000), (1 << 16, 1000, 992),
                                   (4096, 5000, 4096), (4096, 1000, 992), (4096, 100, 4096)):
             np.setbufsize(size)
-            with hermitian._RowBuffers(row):
+            with _arrowhead._RowBuffers(row):
                 assert np.getbufsize() == inside
             assert np.getbufsize() == size
     finally:
@@ -707,7 +707,7 @@ def test_eigh_star_weak_mode_between_close_strong_ones(weak):
 def test_eigh_star_root_at_interval_midpoint(model, monkeypatch):
     # a mirror-symmetric star has a root at the midpoint of its interval;
     # it converges at the first sweep, not after ~28 bisections
-    monkeypatch.setattr("staremit.hermitian._MAX_ITER", 8)
+    monkeypatch.setattr("staremit._arrowhead._MAX_ITER", 8)
     _check_against_lapack(build_hamiltonian(model), DEGENERACY_TOL)
 
 
@@ -763,9 +763,9 @@ def test_eigh_refuses_a_dim_beyond_its_budget(monkeypatch):
     complex_ = StarModel(eps=np.linspace(0, 1, dim), alpha=np.full(dim - 1, 0.1j))
     dense = random_hermitian(np.random.default_rng(1), dim)
     for mat, cell in ((real, 8), (complex_, 16), (build_hamiltonian(complex_), 16), (dense, 48)):
-        monkeypatch.setattr(hermitian, "_EIGH_BUDGET", cell * dim**2)
+        monkeypatch.setattr(_arrowhead, "_EIGH_BUDGET", cell * dim**2)
         eigh(mat).eigenvectors
-        monkeypatch.setattr(hermitian, "_EIGH_BUDGET", cell * dim**2 - 1)
+        monkeypatch.setattr(_arrowhead, "_EIGH_BUDGET", cell * dim**2 - 1)
         with pytest.raises(ValueError, match=f"dim {dim} is too large"):
             eigh(mat).eigenvectors
         if cell == 48:
