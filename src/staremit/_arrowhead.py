@@ -457,41 +457,51 @@ class _Secular:
         return origin[1:r], offsets[1:r]
 
 
-def _lowner(diff, d, k, dk, ratio):
+def _lowner(diff, d, k, ratio):
     # Löwner's formula
     #   zhat_k^2 = -(lambda_k - d_k)(lambda_r - d_k) prod_{i != k, i < r}
     #              (lambda_i - d_k) / (d_i - d_k)
-    # for the poles dk = d[k], from diff[j, i] = lambda_i - d[k_j] over the
+    # for the poles d[k], from diff[j, i] = lambda_i - d[k_j] over the
     # r + 1 roots lambda of the r poles d: the couplings for which those
     # roots are exact. ``ratio`` is a work array shaped like diff[:, :r].
     r = d.size
-    np.subtract(d, dk[:, None], out=ratio)
+    np.subtract(d, d[k][:, None], out=ratio)
     ratio[np.arange(k.size), k] = -1.0 / diff[:, r]
     np.divide(diff[:, :r], ratio, out=ratio)
     return np.sqrt(np.prod(ratio, axis=1))
 
 
-def _lowner_vectors(d, origin, tau, rank):
-    # The rows zhat_k / (lambda_i - d[rank_k]), lambda = d[origin] + tau,
-    # with zhat from Löwner's formula, so the vectors come out orthogonal,
-    # a row block at a time in one scratch block. Returns zhat, by row, and
-    # the column norms of [1; rows], from which _star_vectors rebuilds them.
+def _root_rows(d, origin, tau, rank, out=None):
+    # The rows lambda_i - d[rank_k] over the r + 1 roots lambda = d[origin]
+    # + tau of the r poles d, exactly tau_i where origin[i] == rank_k, a row
+    # block at a time: in place in the r rows of ``out`` when given, else in
+    # one scratch block. Yields each block's first row and the block.
     r = d.size
     d_origin = d[origin]
-    zhat, norm2 = np.empty(r), np.ones(r + 1)
     rows = max(1, _BLOCK_CELLS // r)
-    ratio = np.empty((min(rows, r), r))
-    scratch = np.empty((min(rows, r), r + 1))
+    scratch = np.empty((min(rows, r), r + 1)) if out is None else None
     with _RowBuffers(r):
         for s in range(0, r, rows):
             k = rank[s : s + rows]
-            dk = d[k]
-            diff = scratch[: k.size]
-            np.subtract(d_origin, dk[:, None], out=diff)
-            diff += tau  # lambda_i - d_k, exactly tau_i where origin[i] == k
-            z = zhat[s : s + k.size] = _lowner(diff, d, k, dk, ratio[: k.size])
-            np.divide(z[:, None], diff, out=diff)
-            norm2 += np.einsum("ij,ij->j", diff, diff)
+            diff = scratch[: k.size] if out is None else out[s : s + rows]
+            np.subtract(d_origin, d[k][:, None], out=diff)
+            diff += tau
+            yield s, diff
+
+
+def _lowner_vectors(d, origin, tau, rank):
+    # The rows zhat_k / (lambda_i - d[rank_k]) of _root_rows, with zhat from
+    # Löwner's formula, so the vectors come out orthogonal. Returns zhat, by
+    # row, and the column norms of [1; rows], from which _star_vectors
+    # rebuilds them.
+    r = d.size
+    zhat, norm2 = np.empty(r), np.ones(r + 1)
+    ratio = np.empty((min(max(1, _BLOCK_CELLS // r), r), r))
+    for s, diff in _root_rows(d, origin, tau, rank):
+        k = rank[s : s + len(diff)]
+        z = zhat[s : s + k.size] = _lowner(diff, d, k, ratio[: k.size])
+        np.divide(z[:, None], diff, out=diff)
+        norm2 += np.einsum("ij,ij->j", diff, diff)
     return zhat, np.sqrt(norm2)
 
 
@@ -519,7 +529,7 @@ def arrowhead_from_spectrum(lam: np.ndarray, w: np.ndarray):
             k = np.arange(s, min(s + rows, r))
             pk, blk = p[k], diff[: k.size]
             np.subtract(lam, pk[:, None], out=blk)
-            z[s : s + k.size] = _lowner(blk, p, k, pk, ratio[: k.size])
+            z[s : s + k.size] = _lowner(blk, p, k, ratio[: k.size])
     return np.ldexp(p, e), np.ldexp(z, e)
 
 
@@ -617,31 +627,31 @@ def _arrowhead_eigh(a: float, p: np.ndarray, z: np.ndarray, start=None, phase=No
 def _star_vectors(n, phase, lowner, deflated=None):
     # The eigenvectors of _arrowhead_eigh from the state it keeps: ``lowner``
     # (None when no coupling is bright) and, unless nothing deflated, the
-    # arguments of _place_deflated. The real vectors are built in the
-    # result's own memory, for a complex result the first half of each row,
-    # until the rows are multiplied by their phases through one row block.
+    # bright modes ``reps`` in mode order, the column ``col`` of each
+    # eigenvalue, and the arguments of _place_dark. The real vectors are
+    # built in the result's own memory, for a complex result the first half
+    # of each row, until the rows are multiplied by their phases through one
+    # row block.
     check_dim(n, 8 if phase is None else 16)
     out = (np.empty if deflated is None else np.zeros)((n, n), float if phase is None else complex)
     vecs = out if phase is None else out.view(float)[:, :n]
-    if lowner is None:
-        vecs[0, 0] = 1.0
-    else:
-        # the rows of _lowner_vectors, by the same operations on the same
-        # operands, divided by the norms
+    head = np.ones(1)
+    if lowner is not None:
+        # the rows of _lowner_vectors, divided by the norms: in their final
+        # place when nothing deflated, else from a row block straight to the
+        # rows of the bright modes and the columns of their eigenvalues
         d, origin, tau, rank, zhat, norms = lowner
-        r = d.size
-        d_origin, block = d[origin], vecs[1 : r + 1, : r + 1]
-        rows = max(1, _BLOCK_CELLS // r)
-        with _RowBuffers(r):
-            for s in range(0, r, rows):
-                diff = block[s : s + rows]
-                np.subtract(d_origin, d[rank[s : s + rows]][:, None], out=diff)
-                diff += tau
-                np.divide(zhat[s : s + rows, None], diff, out=diff)
-                diff /= norms
-        np.divide(1.0, norms, out=vecs[0, : r + 1])
-    if deflated is not None:
-        _place_deflated(vecs, *deflated)
+        head = 1.0 / norms
+        for s, diff in _root_rows(d, origin, tau, rank, None if deflated else vecs[1:]):
+            np.divide(zhat[s : s + len(diff), None], diff, out=diff)
+            diff /= norms
+            if deflated:
+                reps, col = deflated[:2]
+                vecs[np.ix_(1 + reps[s : s + len(diff)], col[: d.size + 1])] = diff
+    if deflated:
+        _place_dark(vecs, head, *deflated)
+    else:
+        vecs[0] = head
     if phase is not None:
         rows = max(1, _BLOCK_CELLS // n)
         scratch = np.empty((min(rows, n), n))
@@ -652,22 +662,14 @@ def _star_vectors(n, phase, lowner, deflated=None):
     return out
 
 
-def _place_deflated(vecs, reps, col, groups, lone):
-    # The bright block moves from the top left corner to the rows of the
-    # head and the bright modes ``reps`` and the columns ``col[:r + 1]`` of
-    # their eigenvalues, both ascending and at or beyond where it is now,
-    # so moving it a row block at a time from the bottom up leaves the rows
-    # still to move in place. The Householder groups' and the lone dark
-    # modes' vectors take the columns after them.
+def _place_dark(vecs, head, reps, col, groups, lone):
+    # The head's entries go to the columns ``col[:r + 1]`` of the bright
+    # eigenvalues, whose rows of the bright modes ``reps`` are in place; the
+    # Householder groups' and the lone dark modes' vectors take the columns
+    # after them.
     r = reps.size
     bright_cols = col[: r + 1]
-    rows = max(1, _BLOCK_CELLS // (r + 1))
-    target = np.append(0, 1 + reps)
-    for s in range(r // rows * rows, -1, -rows):
-        stop = min(s + rows, r + 1)
-        moved = vecs[s:stop, : r + 1].copy()
-        vecs[s:stop, : r + 1] = 0.0
-        vecs[np.ix_(target[s:stop], bright_cols)] = moved
+    vecs[0, bright_cols] = head
     c = r + 1
     for members, u in groups:
         # the group's share of each bright vector, then its dark vectors
