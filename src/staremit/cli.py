@@ -73,25 +73,33 @@ def _check_output_size(rows: int, row_bytes: int) -> None:
 
 # Memory the survival series of one model may take: _LEVEL_BYTES a level for
 # its arrays of one entry per level (solving an identical-modes star peaks
-# at about 100 bytes a level) and the survival kernel's four complex arrays
-# of levels x ceil(sqrt(samples)), on either of its paths. Larger --n and
-# --m-list values are refused up front.
+# at about 100 bytes a level), the survival kernel's four complex arrays of
+# levels x ceil(sqrt(samples)), on either of its paths, and _SAMPLE_BYTES a
+# sample for the kernel's arrays of one entry per sample: 72 bytes on the
+# grid path (the residual, the product's two rows, the amplitude and one
+# complex temporary) and 32 on the direct sum (the blocks' amplitudes and
+# their concatenation), so 80 covers either path with a margin. Larger --n,
+# --m-list and --samples values are refused up front.
 _SERIES_BUDGET_BYTES = 1 << 30
 _LEVEL_BYTES = 512
+_SAMPLE_BYTES = 80
 
 
 def _series_bytes(levels: int, samples: int) -> int:
     # the memory the budget counts for a series of this many levels and samples
-    return levels * (_LEVEL_BYTES + 4 * 16 * (math.isqrt(samples - 1) + 1))
+    kernel_blocks = 4 * 16 * (math.isqrt(samples - 1) + 1)
+    return levels * (_LEVEL_BYTES + kernel_blocks) + _SAMPLE_BYTES * samples
 
 
-def _check_series_memory(levels: int, samples: int, flag: str) -> None:
-    # runs before the model or any per-level array is allocated
+def _check_series_memory(levels: int, samples: int, flag: str | None = None) -> None:
+    # runs before the model or any per-level array is allocated; without a
+    # flag, --samples alone is to blame
     size = _series_bytes(levels, samples)
     if size > _SERIES_BUDGET_BYTES:
+        what = flag or f"--samples {samples}"
         raise ValueError(
-            f"{flag} would take about {size} bytes of memory, above the budget of "
-            f"{_SERIES_BUDGET_BYTES} bytes; lower it or --samples"
+            f"{what} would take about {size} bytes of memory, above the budget of "
+            f"{_SERIES_BUDGET_BYTES} bytes; lower it{' or --samples' if flag else ''}"
         )
 
 
@@ -109,17 +117,20 @@ _WRITE_CHUNK = 1 << 15
 
 
 def _write_text(path, text: str) -> None:
-    # temp file + rename so concurrent runs never interleave partial output
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent) or ".", prefix=f".{path.name}.")
+    # temp file + rename so concurrent runs never interleave partial output;
+    # a failed write removes the temp file and names only the user's path
+    target, tmp = Path(path), None
     try:
+        fd, tmp = tempfile.mkstemp(dir=str(target.parent) or ".", prefix=f".{target.name}.")
         with os.fdopen(fd, "w", newline="") as fh:
             for start in range(0, len(text), _WRITE_CHUNK):
                 fh.write(text[start : start + _WRITE_CHUNK])
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+        os.replace(tmp, target)
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(f"cannot write {path}: {exc.strerror or exc}") from exc
         raise
 
 
@@ -162,6 +173,9 @@ def _run_series(args, model: StarModel, analytic, svg_title: str) -> int:
     _check_output_dirs(args.out, args.svg)
     field_bytes = CSV_FIELD_BYTES if args.format == "csv" else JSON_FIELD_BYTES
     _check_output_size(args.samples, 3 * field_bytes + (2 * SVG_POINT_BYTES if args.svg else 0))
+    # two-level's series check; identical-modes passed the same count before
+    # its model existed
+    _check_series_memory(model.dim, args.samples)
     ts = np.linspace(0.0, args.t_max, args.samples)
     tau = ts / args.hbar
     # the survival reads only the eigenvalues and weights; the eigenvectors

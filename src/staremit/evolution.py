@@ -22,10 +22,11 @@ four ``dim x nb`` complex arrays at once, beside numpy's ufunc buffers (two
 of ``np.getbufsize()`` complex entries, 256 KiB, for the strided conjugate
 and the broadcast weight products) and arrays of one entry per sample: the
 residual ``r``, the ``2 S`` complex entries of the product and the result,
-about 72 bytes a sample in all. ``cli._series_bytes`` counts the four
-arrays and a per-level slack, which covers the buffers from about 500
-levels up (2.46 MB against a count of 2.53 MB at 501 levels and 5000
-samples), but not the per-sample arrays.
+about 72 bytes a sample in all; the direct sum holds about 32 (its blocks'
+amplitudes and their concatenation). ``cli._series_bytes`` counts the four
+arrays, a per-level slack, which covers the buffers from about 500 levels
+up (2.46 MB against a count of 2.93 MB at 501 levels and 5000 samples),
+and 80 bytes a sample, which covers the per-sample arrays of either path.
 """
 
 from __future__ import annotations

@@ -1,5 +1,7 @@
+import errno
 import json
 import math
+import os
 import re
 import tracemalloc
 import warnings
@@ -149,6 +151,28 @@ def test_missing_output_directory_exits_2_and_writes_nothing(argv, missing, tmp_
     assert out == ""
     assert err == f"error: cannot write {missing}: no directory nodir\n"
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("failing", [1, 2], ids=["csv", "svg"])
+def test_late_write_failure_names_the_users_path(failing, tmp_path, capsys, monkeypatch):
+    # a rename that fails once the output directories passed their check (a
+    # full disk) removes its temp file and names the path as given, not the
+    # temp file beside it; a file renamed before it stays
+    replace, calls = os.replace, []
+
+    def full_disk(src, dst):
+        calls.append(dst)
+        if len(calls) == failing:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), src, dst)
+        replace(src, dst)
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(os, "replace", full_disk)
+    assert main(["two-level", "--samples", "11", "--out", "a.csv", "--svg", "x.svg"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: cannot write {['a.csv', 'x.svg'][failing - 1]}: No space left on device\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv"][: failing - 1]
 
 
 @pytest.mark.parametrize(
@@ -460,7 +484,8 @@ def test_series_memory_guard_refuses_before_any_allocation(argv, levels, flag,
     # four complex arrays of levels x ceil(sqrt(samples)), under a patched
     # budget: the refusal comes before the model or the profile exists
     samples = int(argv[argv.index("--samples") + 1])
-    size = levels * (cli._LEVEL_BYTES + 4 * 16 * (math.isqrt(samples - 1) + 1))
+    size = (levels * (cli._LEVEL_BYTES + 4 * 16 * (math.isqrt(samples - 1) + 1))
+            + cli._SAMPLE_BYTES * samples)
     argv = [str(tmp_path / a) if a == "c.svg" else a for a in argv]
     out = tmp_path / "out"
     argv += ["--out", str(out)]
@@ -486,6 +511,25 @@ def test_series_memory_budget_admits_the_largest_documented_runs():
     cli._check_series_memory(401, 100_000, "--m-list value 200")
     with pytest.raises(ValueError, match="--n 1000000 would take about"):
         cli._check_series_memory(1_000_001, 1000, "--n 1000000")
+
+
+def test_two_level_samples_are_held_to_the_series_budget(tmp_path, capsys, monkeypatch):
+    # two levels cost little beyond the kernel's arrays of one entry per
+    # sample, so --samples alone is named; the check runs before any of them
+    size = cli._series_bytes(2, 101)
+    out = tmp_path / "out.csv"
+    monkeypatch.setattr(cli, "_SERIES_BUDGET_BYTES", size - 1)
+    monkeypatch.setattr(np, "linspace", pytest.fail)
+    assert main(["two-level", "--samples", "101", "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", (
+        f"error: --samples 101 would take about {size} bytes of memory, above the budget "
+        f"of {size - 1} bytes; lower it\n"))
+    assert list(tmp_path.iterdir()) == []
+    monkeypatch.undo()
+    # at the real budget: 80 bytes a sample put the limit near 1.34e7 samples
+    cli._check_series_memory(2, 13_415_899)
+    with pytest.raises(ValueError, match="^--samples 13415900 would take about"):
+        cli._check_series_memory(2, 13_415_900)
 
 
 @pytest.mark.parametrize("argv, files", [

@@ -180,7 +180,8 @@ def test_survival_on_non_uniform_times_holds_the_grid_paths_memory():
     ts = np.sort(rng.uniform(0.0, 50.0, samples))
     peak, p = _kernel_peak(d, ts)
     # the kernel's term of the guard: four complex levels x ceil(sqrt(S)) arrays
-    assert peak < cli._series_bytes(levels, samples) - levels * cli._LEVEL_BYTES, peak / 2**20
+    kernel_blocks = cli._series_bytes(levels, samples) - levels * cli._LEVEL_BYTES
+    assert peak < kernel_blocks - cli._SAMPLE_BYTES * samples, peak / 2**20
     assert _grid_amplitude(d.eigenvalues, d.zero_overlaps, ts) is None
     assert np.abs(p[::97] - _scalar_calls(d, ts[::97])).max() < 1e-12
 
@@ -199,6 +200,21 @@ def test_survival_on_a_uniform_grid_holds_the_cli_guards_memory():
     assert peak < cli._series_bytes(levels, samples), peak / 2**20
     assert _grid_amplitude(d.eigenvalues, d.zero_overlaps, ts) is not None
     assert np.abs(p[::97] - _scalar_calls(d, ts[::97])).max() < 1e-12
+
+
+@pytest.mark.parametrize("levels, samples, eps0", [(3, 10**6, 0.0), (3, 10**5, 1e12), (501, 5000, 0.0)],
+                         ids=["grid", "direct", "many-levels"])
+def test_series_count_covers_the_per_sample_arrays(levels, samples, eps0):
+    # the grid path holds about 72 bytes a sample (68.8 MiB at 3 levels and
+    # 1e6 samples) and the direct sum, which levels near 1e12 take, about 32
+    # (3.1 MiB at 1e5 samples): the CLI's count covers either, and the many
+    # levels whose per-level terms dominate
+    model = random_star_model(np.random.default_rng(levels), levels)
+    d = eigh(StarModel(eps=model.eps + eps0, alpha=model.alpha))
+    ts = np.linspace(0.0, 50.0, samples)
+    peak, _ = _kernel_peak(d, ts)
+    assert peak <= cli._series_bytes(levels, samples), peak / 2**20
+    assert (_grid_amplitude(d.eigenvalues, d.zero_overlaps, ts) is None) == (eps0 != 0)
 
 
 def test_survival_series_constant_for_decoupled_model():

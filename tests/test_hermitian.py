@@ -1,5 +1,7 @@
+import ast
 import pickle
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from staremit import (
     reconstruct,
 )
 
-from staremit import _arrowhead, hermitian
+from staremit import _arrowhead, hermitian, inverse
 from staremit.hermitian import DEGENERACY_TOL, HERMITICITY_RTOL
 
 from helpers import random_hermitian, random_star_model, solver_rows
@@ -804,3 +806,31 @@ def test_decompositions_pickle_before_and_after_the_first_read(kind):
     assert explicit.eigenvectors is v
     with pytest.raises(AttributeError):
         explicit.eigenvalues = want.eigenvalues
+
+
+def test_the_solver_sits_behind_hermitian_and_inverse():
+    # the arrowhead solver is one private module: only hermitian and inverse
+    # import it, and no module imports an underscore name from it or from
+    # hermitian. The names inverse re-exports are hermitian's own objects.
+    package = Path(hermitian.__file__).parent
+    importers, private = set(), []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                # "from . import m" and "from staremit import m" import modules
+                module = (node.module or "").removeprefix("staremit").strip(".")
+                names = [alias.name for alias in node.names]
+                sources = [(module, names)] if module else [(name, []) for name in names]
+            elif isinstance(node, ast.Import):
+                sources = [(alias.name.removeprefix("staremit."), []) for alias in node.names]
+            else:
+                continue
+            for module, names in sources:
+                if module == "_arrowhead":
+                    importers.add(path.stem)
+                if module in ("_arrowhead", "hermitian"):
+                    private += [(path.stem, module, n) for n in names if n.startswith("_")]
+    assert importers == {"hermitian", "inverse"}
+    assert private == []
+    assert inverse.eigh is hermitian.eigh
+    assert inverse.aggregate_degenerate is hermitian.aggregate_degenerate
