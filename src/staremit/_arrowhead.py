@@ -34,8 +34,9 @@ Jakovčević Stor, Slapničar & Barlow, Linear Algebra Appl. 464, 2015):
    eigenvectors ``[1, zhat_k / (E - p_k)]``, normalized: they come out
    orthogonal to working precision. The solve keeps the column norms,
    whose inverses give the weights, and ``zhat``: the eigenvectors are
-   built from these and the roots on their first read, by the same
-   operations.
+   built from these and the roots on their first read, from the same
+   ``E - p_k`` rows, which one generator (``_root_rows``) forms for both
+   passes.
 4. Merge the dark and bright eigenpairs in ascending order.
 
 Costs. The O(n^2) work is the row blocks of steps 2 and 3: about 2^15
