@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import tempfile
@@ -38,7 +37,7 @@ from .analysis import (
     revival_period,
 )
 from .errors import DegenerateProfile, NonConvergence
-from .evolution import SurvivalSeries, TimeGrid, survival_probability
+from .evolution import SurvivalSeries, TimeGrid, _series_bytes, survival_probability
 from .hermitian import eigh
 from .inverse import (
     SpectralProfile,
@@ -57,58 +56,38 @@ from .svgplot import render_line_chart
 
 
 # Output text a command may write, counted as rows times the widest CSV or
-# JSON row plus the widest SVG points; larger --samples are refused up front.
+# JSON row plus the widest SVG points, and memory the survival series of a
+# run may take, counted by evolution._series_bytes; larger --samples, --n and
+# --m-list values are refused up front.
 OUTPUT_BUDGET_BYTES = 1 << 30
-
-
-def _check_output_size(rows: int, row_bytes: int) -> None:
-    # runs before the time grid or any per-sample array is allocated
-    size = rows * row_bytes
-    if size > OUTPUT_BUDGET_BYTES:
-        raise ValueError(
-            f"the output would take up to {size} bytes of text, above the budget of "
-            f"{OUTPUT_BUDGET_BYTES} bytes; lower --samples"
-        )
-
-
-# Memory the survival series of one model may take: _LEVEL_BYTES a level for
-# its arrays of one entry per level (solving an identical-modes star peaks
-# at about 100 bytes a level), the survival kernel's four complex arrays of
-# levels x ceil(sqrt(samples)), on either of its paths, and _SAMPLE_BYTES a
-# sample for the kernel's arrays of one entry per sample: 72 bytes on the
-# grid path (the residual, the product's two rows, the amplitude and one
-# complex temporary) and 32 on the direct sum (the blocks' amplitudes and
-# their concatenation), so 80 covers either path with a margin. Larger --n,
-# --m-list and --samples values are refused up front.
 _SERIES_BUDGET_BYTES = 1 << 30
-_LEVEL_BYTES = 512
-_SAMPLE_BYTES = 80
 
 
-def _series_bytes(levels: int, samples: int) -> int:
-    # the memory the budget counts for a series of this many levels and samples
-    kernel_blocks = 4 * 16 * (math.isqrt(samples - 1) + 1)
-    return levels * (_LEVEL_BYTES + kernel_blocks) + _SAMPLE_BYTES * samples
-
-
-def _check_series_memory(levels: int, samples: int, flag: str | None = None) -> None:
-    # runs before the model or any per-level array is allocated; without a
-    # flag, --samples alone is to blame
-    size = _series_bytes(levels, samples)
-    if size > _SERIES_BUDGET_BYTES:
-        what = flag or f"--samples {samples}"
-        raise ValueError(
-            f"{what} would take about {size} bytes of memory, above the budget of "
-            f"{_SERIES_BUDGET_BYTES} bytes; lower it{' or --samples' if flag else ''}"
-        )
-
-
-def _check_output_dirs(*paths) -> None:
-    # runs before any work: a file whose directory is missing would fail
-    # only once the output is written, and after other files of the run
+def _preflight(paths, text_bytes=0, series_bytes=0, flag=None, samples=0, outdir=None) -> None:
+    # runs once, before any model, profile, time grid or per-sample array
+    # exists, in a fixed order: output directories (a file whose directory is
+    # missing would fail only once the output is written, and after other
+    # files of the run), output text, series memory. Without a flag,
+    # --samples alone is to blame for the memory
     for path in paths:
         if path and not Path(path).parent.is_dir():
             raise ValueError(f"cannot write {path}: no directory {Path(path).parent}")
+    if outdir:
+        # figure1 makes its --out directory: the nearest existing ancestor must be one
+        ancestor = next(p for p in (Path(outdir), *Path(outdir).parents) if p.exists())
+        if not ancestor.is_dir():
+            raise ValueError(f"cannot write {outdir}: {ancestor} is not a directory")
+    if text_bytes > OUTPUT_BUDGET_BYTES:
+        raise ValueError(
+            f"the output would take up to {text_bytes} bytes of text, above the budget of "
+            f"{OUTPUT_BUDGET_BYTES} bytes; lower --samples"
+        )
+    if series_bytes > _SERIES_BUDGET_BYTES:
+        what = flag or f"--samples {samples}"
+        raise ValueError(
+            f"{what} would take about {series_bytes} bytes of memory, above the budget of "
+            f"{_SERIES_BUDGET_BYTES} bytes; lower it{' or --samples' if flag else ''}"
+        )
 
 
 # Text is written in slices of this many characters, so that encoding it
@@ -168,14 +147,16 @@ def _require_finite(*columns) -> None:
         raise ValueError("result is not finite; the inputs overflow double precision")
 
 
-def _run_series(args, model: StarModel, analytic, svg_title: str) -> int:
-    # exact survival of `model` with the closed form `analytic(tau)` overlaid
-    _check_output_dirs(args.out, args.svg)
+def _run_series(args, n: int, eps1: float, analytic, svg_title: str, flag=None) -> int:
+    # exact survival of the emitter at --eps0 coupled by --alpha to n modes
+    # at eps1, with the closed form `analytic(tau)` overlaid
     field_bytes = CSV_FIELD_BYTES if args.format == "csv" else JSON_FIELD_BYTES
-    _check_output_size(args.samples, 3 * field_bytes + (2 * SVG_POINT_BYTES if args.svg else 0))
-    # two-level's series check; identical-modes passed the same count before
-    # its model existed
-    _check_series_memory(model.dim, args.samples)
+    _preflight([args.out, args.svg],
+               args.samples * (3 * field_bytes + (2 * SVG_POINT_BYTES if args.svg else 0)),
+               _series_bytes(n + 1, args.samples), flag, args.samples)
+    eps = np.full(n + 1, eps1)
+    eps[0] = args.eps0
+    model = StarModel(eps=eps, alpha=np.full(n, args.alpha, dtype=complex))
     ts = np.linspace(0.0, args.t_max, args.samples)
     tau = ts / args.hbar
     # the survival reads only the eigenvalues and weights; the eigenvectors
@@ -195,28 +176,17 @@ def _run_series(args, model: StarModel, analytic, svg_title: str) -> int:
 
 def _cmd_two_level(args) -> int:
     eps1 = args.eps0 if args.eps1 is None else args.eps1
-    model = StarModel(
-        eps=np.array([args.eps0, eps1]), alpha=np.array([args.alpha], dtype=complex)
-    )
     if eps1 == args.eps0:
         analytic = partial(two_level_survival, abs(args.alpha))
     else:
         analytic = partial(detuned_two_level_survival, args.eps0, eps1, args.alpha)
-    return _run_series(args, model, analytic, "two-level survival")
+    return _run_series(args, 1, eps1, analytic, "two-level survival")
 
 
 def _cmd_identical_modes(args) -> int:
-    _check_series_memory(args.n + 1, args.samples, f"--n {args.n}")
-    model = StarModel(
-        eps=np.full(args.n + 1, args.eps0),
-        alpha=np.full(args.n, args.alpha, dtype=complex),
-    )
-    return _run_series(
-        args,
-        model,
-        partial(identical_modes_survival, args.n, abs(args.alpha)),
-        f"identical modes, n={args.n}",
-    )
+    analytic = partial(identical_modes_survival, args.n, abs(args.alpha))
+    return _run_series(args, args.n, args.eps0, analytic, f"identical modes, n={args.n}",
+                       f"--n {args.n}")
 
 
 def _load_profile(path: str) -> SpectralProfile:
@@ -233,13 +203,12 @@ def _load_profile(path: str) -> SpectralProfile:
 
 
 def _cmd_inverse(args) -> int:
-    _check_output_dirs(args.out)
+    _preflight([args.out])
     if args.profile is not None:
         profile = _load_profile(args.profile)
     elif args.flat or args.seed is not None:
         if args.m is None:
-            print("error: --m is required with --flat or --seed", file=sys.stderr)
-            return 2
+            raise ValueError("--m is required with --flat or --seed")
         if args.flat:
             profile = flat_profile(args.m, args.eps0, args.d)
         else:
@@ -251,8 +220,7 @@ def _cmd_inverse(args) -> int:
                 symmetric=args.symmetric,
             )
     else:
-        print("error: need one of --profile, --flat, --seed", file=sys.stderr)
-        return 2
+        raise ValueError("need one of --profile, --flat, --seed")
 
     model = construct_hamiltonian(profile)
     report = verify_round_trip(model, profile, args.tol)
@@ -268,12 +236,14 @@ def _cmd_inverse(args) -> int:
 def _cmd_figure1(args) -> int:
     # compute every trace and its metrics before writing anything, so a
     # bad input (say, a threshold outside (0, 1)) leaves no partial output;
-    # --out is a directory, made once everything else has passed
-    _check_output_dirs(args.svg)
-    _check_output_size(args.samples * len(args.m_list),
-                       2 * CSV_FIELD_BYTES + (SVG_POINT_BYTES if args.svg else 0))
-    m_max = max(args.m_list)
-    _check_series_memory(2 * m_max + 1, args.samples, f"--m-list value {m_max}")
+    # --out is a directory, made once everything else has passed. The memory
+    # counted is the largest M's series, and every M's times and values,
+    # which are kept until the files are written
+    kept, m_max = len(args.m_list), max(args.m_list)
+    _preflight([args.svg],
+               args.samples * kept * (2 * CSV_FIELD_BYTES + (SVG_POINT_BYTES if args.svg else 0)),
+               _series_bytes(2 * m_max + 1, args.samples, kept),
+               f"--m-list value {m_max}", outdir=args.out)
     runs = []
     for m_half in args.m_list:
         period = revival_period(m_half, args.d) * args.hbar

@@ -23,10 +23,11 @@ of ``np.getbufsize()`` complex entries, 256 KiB, for the strided conjugate
 and the broadcast weight products) and arrays of one entry per sample: the
 residual ``r``, the ``2 S`` complex entries of the product and the result,
 about 72 bytes a sample in all; the direct sum holds about 32 (its blocks'
-amplitudes and their concatenation). ``cli._series_bytes`` counts the four
+amplitudes and their concatenation). ``_series_bytes`` counts the four
 arrays, a per-level slack, which covers the buffers from about 500 levels
 up (2.46 MB against a count of 2.93 MB at 501 levels and 5000 samples),
-and 80 bytes a sample, which covers the per-sample arrays of either path.
+and 80 bytes a sample, which covers the per-sample arrays of either path;
+a test holds the ``tracemalloc`` peak of ``survival_probability`` under it.
 """
 
 from __future__ import annotations
@@ -134,6 +135,16 @@ def _survival(levels, weights, t):
         ])
     p = np.clip(np.abs(amp) ** 2, 0.0, 1.0)
     return float(p[0]) if t.ndim == 0 else p.reshape(t.shape)
+
+
+def _series_bytes(levels: int, samples: int, kept: int = 0) -> int:
+    # the memory a survival series of this many levels and samples may hold:
+    # 512 bytes a level for the arrays of one entry per level (solving an
+    # identical-modes star peaks at about 100), the kernel's four complex
+    # levels x ceil(sqrt(samples)) arrays and 80 bytes a sample for its
+    # per-sample arrays (see the module docstring), plus `kept` finished
+    # series of as many samples, whose times and values take 16 bytes a sample
+    return levels * (512 + 64 * (math.isqrt(samples - 1) + 1)) + (80 + 16 * kept) * samples
 
 
 def _grid_amplitude(levels, weights, tt):

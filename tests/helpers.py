@@ -1,5 +1,7 @@
-"""Shared generators for randomized tests, and a secular solver row counter."""
+"""Shared generators for randomized tests, a secular solver row counter and a
+``tracemalloc`` peak reader."""
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -35,3 +37,13 @@ def solver_rows(fn, *args):
     with mock.patch.object(_arrowhead._Secular, "evaluate", counted):
         result = fn(*args)
     return rows, result
+
+
+def traced_peak(fn, *args):
+    """The ``tracemalloc`` peak while ``fn(*args)`` runs, and the call's result."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +22,8 @@ from staremit import (
     sqrt_survival_from_fourier,
     survival_probability,
 )
+
+from helpers import traced_peak
 
 
 def _flat_series(m_half, d_width, periods, samples, threshold=0.01):
@@ -175,12 +175,7 @@ def test_profile_survival_memory_is_bounded():
     # dim 201 x 20001 samples: the phasor table alone would be 64 MB
     profile = flat_profile(100, 0.0, 1.0)
     ts = np.linspace(0.0, 2.0 * revival_period(100, 1.0), 20001)
-    tracemalloc.start()
-    try:
-        profile_survival(profile, ts)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, _ = traced_peak(profile_survival, profile, ts)
     assert peak < 8 * 2**20
 
 

@@ -3,7 +3,6 @@ import json
 import math
 import os
 import re
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,6 +11,9 @@ import pytest
 from staremit import _arrowhead, _numtext, cli, dirichlet_survival, revival_period
 from staremit._numtext import CSV_FIELD_BYTES, JSON_FIELD_BYTES, SVG_POINT_BYTES
 from staremit.cli import main
+from staremit.evolution import _series_bytes
+
+from helpers import traced_peak
 
 INV_SQRT3 = 1.0 / np.sqrt(3.0)
 
@@ -153,6 +155,19 @@ def test_missing_output_directory_exits_2_and_writes_nothing(argv, missing, tmp_
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("out", ["afile", "afile/sub"], ids=["file", "below-a-file"])
+def test_figure1_out_below_a_file_exits_2_before_any_work(out, tmp_path, capsys, monkeypatch):
+    # figure1 makes its --out directory, so an existing file there or above
+    # it is refused before any series is computed, and nothing is written
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").write_text("kept\n")
+    monkeypatch.setattr(cli, "profile_survival", pytest.fail)
+    assert main(["figure1", "--m-list", "1", "--samples", "11", "--out", out]) == 2
+    assert capsys.readouterr() == ("", f"error: cannot write {out}: afile is not a directory\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["afile"]
+    assert (tmp_path / "afile").read_text() == "kept\n"
+
+
 @pytest.mark.parametrize("failing", [1, 2], ids=["csv", "svg"])
 def test_late_write_failure_names_the_users_path(failing, tmp_path, capsys, monkeypatch):
     # a rename that fails once the output directories passed their check (a
@@ -231,12 +246,8 @@ def test_identical_modes_memory_is_linear_in_n(tmp_path):
     n, samples = 100_000, 101
     out = tmp_path / "x.csv"
     budget = 5 * 16 * (n + 1) * (math.isqrt(samples - 1) + 1)
-    tracemalloc.start()
-    try:
-        rc = main(["identical-modes", "--n", str(n), "--samples", str(samples), "--out", str(out)])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, rc = traced_peak(main, ["identical-modes", "--n", str(n), "--samples", str(samples),
+                                  "--out", str(out)])
     assert rc == 0
     header, body = _read_csv(out)
     assert body.shape == (samples, 3)
@@ -335,6 +346,9 @@ def test_inverse_profile_field_of_the_wrong_type_exits_2(field, value, tmp_path,
 
 def test_inverse_missing_source_flag(capsys):
     assert main(["inverse"]) == 2
+    assert capsys.readouterr() == ("", "error: need one of --profile, --flat, --seed\n")
+    assert main(["inverse", "--flat"]) == 2
+    assert capsys.readouterr() == ("", "error: --m is required with --flat or --seed\n")
 
 
 def test_inverse_random_profile_passes(capsys):
@@ -470,22 +484,21 @@ def test_output_budget_default_refuses_huge_sample_counts(tmp_path, capsys, monk
 
 
 @pytest.mark.parametrize(
-    "argv, levels, flag",
+    "argv, levels, kept, flag",
     [
-        (["identical-modes", "--n", "50", "--samples", "101"], 51, "--n 50"),
-        (["identical-modes", "--n", "7", "--samples", "10", "--svg", "c.svg"], 8, "--n 7"),
-        (["figure1", "--m-list", "3,20,2", "--samples", "40"], 41, "--m-list value 20"),
+        (["identical-modes", "--n", "50", "--samples", "101"], 51, 0, "--n 50"),
+        (["identical-modes", "--n", "7", "--samples", "10", "--svg", "c.svg"], 8, 0, "--n 7"),
+        (["figure1", "--m-list", "3,20,2", "--samples", "40"], 41, 3, "--m-list value 20"),
     ],
     ids=["identical-modes", "identical-modes-svg", "figure1"],
 )
-def test_series_memory_guard_refuses_before_any_allocation(argv, levels, flag,
+def test_series_memory_guard_refuses_before_any_allocation(argv, levels, kept, flag,
                                                             tmp_path, capsys, monkeypatch):
-    # the model's arrays of one entry per level and the survival kernel's
-    # four complex arrays of levels x ceil(sqrt(samples)), under a patched
-    # budget: the refusal comes before the model or the profile exists
+    # the series count of the largest model, and figure1's kept series of
+    # every M value, under a patched budget: the refusal comes before the
+    # model or the profile exists
     samples = int(argv[argv.index("--samples") + 1])
-    size = (levels * (cli._LEVEL_BYTES + 4 * 16 * (math.isqrt(samples - 1) + 1))
-            + cli._SAMPLE_BYTES * samples)
+    size = _series_bytes(levels, samples, kept)
     argv = [str(tmp_path / a) if a == "c.svg" else a for a in argv]
     out = tmp_path / "out"
     argv += ["--out", str(out)]
@@ -507,16 +520,16 @@ def test_series_memory_budget_admits_the_largest_documented_runs():
     # identical-modes --n 100000 --samples 101 (70 MB of kernel arrays) and
     # every benchmark input (n and M up to 200, up to 1e5 samples), checked
     # without running them
-    cli._check_series_memory(100_001, 101, "--n 100000")
-    cli._check_series_memory(401, 100_000, "--m-list value 200")
+    cli._preflight([], 0, _series_bytes(100_001, 101), "--n 100000")
+    cli._preflight([], 0, _series_bytes(401, 100_000, 1), "--m-list value 200")
     with pytest.raises(ValueError, match="--n 1000000 would take about"):
-        cli._check_series_memory(1_000_001, 1000, "--n 1000000")
+        cli._preflight([], 0, _series_bytes(1_000_001, 1000), "--n 1000000")
 
 
 def test_two_level_samples_are_held_to_the_series_budget(tmp_path, capsys, monkeypatch):
     # two levels cost little beyond the kernel's arrays of one entry per
     # sample, so --samples alone is named; the check runs before any of them
-    size = cli._series_bytes(2, 101)
+    size = _series_bytes(2, 101)
     out = tmp_path / "out.csv"
     monkeypatch.setattr(cli, "_SERIES_BUDGET_BYTES", size - 1)
     monkeypatch.setattr(np, "linspace", pytest.fail)
@@ -527,9 +540,9 @@ def test_two_level_samples_are_held_to_the_series_budget(tmp_path, capsys, monke
     assert list(tmp_path.iterdir()) == []
     monkeypatch.undo()
     # at the real budget: 80 bytes a sample put the limit near 1.34e7 samples
-    cli._check_series_memory(2, 13_415_899)
+    cli._preflight([], 0, _series_bytes(2, 13_415_899), samples=13_415_899)
     with pytest.raises(ValueError, match="^--samples 13415900 would take about"):
-        cli._check_series_memory(2, 13_415_900)
+        cli._preflight([], 0, _series_bytes(2, 13_415_900), samples=13_415_900)
 
 
 @pytest.mark.parametrize("argv, files", [
@@ -590,6 +603,22 @@ def test_figure1_svg(tmp_path):
     text = svg.read_text()
     assert text.startswith("<svg")
     assert text.count("<polyline") == 3
+
+
+def test_figure1_count_covers_every_kept_series(tmp_path):
+    # figure1 keeps every M value's times and values, 16 bytes a sample
+    # each, until its files are written, and its series count holds them:
+    # at 200001 samples eight M values peak at 38.2 MiB, 21.4 MiB above one,
+    # against counts of 39.8 and 18.4 MiB. A count of the largest M's series
+    # alone (15.3 MiB for both) falls short. The few KB of Python objects a
+    # kept series also holds come out of the slack of its kernel's count
+    samples = 200_001
+    for m_list in ("1", "1,1,1,1,1,1,1,1"):
+        argv = ["figure1", "--m-list", m_list, "--samples", str(samples), "--out", str(tmp_path)]
+        peak, rc = traced_peak(main, argv)
+        assert rc == 0
+        kept = len(m_list.split(","))
+        assert peak <= _series_bytes(3, samples, kept), (kept, peak / 2**20)
 
 
 def test_figure1_bad_threshold_writes_nothing(tmp_path, capsys):

@@ -1,10 +1,9 @@
 import math
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from staremit import (
@@ -22,10 +21,10 @@ from staremit import (
     two_level_survival,
 )
 
-from staremit import _arrowhead, cli
-from staremit.evolution import _grid_amplitude
+from staremit import _arrowhead
+from staremit.evolution import _grid_amplitude, _series_bytes
 
-from helpers import random_hermitian, random_star_model
+from helpers import random_hermitian, random_star_model, traced_peak
 
 
 def _basis_state(dim, k=0):
@@ -149,39 +148,22 @@ def test_survival_of_a_large_star_is_linear_in_n():
     model = StarModel(eps=np.zeros(n + 1), alpha=np.full(n, 1.0, dtype=complex))
     ts = np.linspace(0.0, 20.0, samples)
     budget = 5 * 16 * (n + 1) * (math.isqrt(samples - 1) + 1)
-    tracemalloc.start()
-    try:
-        p = survival_probability(eigh(model), ts)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, p = traced_peak(lambda: survival_probability(eigh(model), ts))
     assert np.abs(p - np.cos(math.sqrt(n) * ts) ** 2).max() < 1e-10
     assert peak <= budget, peak / 2**20
 
 
-def _kernel_peak(d, ts):
-    # the tracemalloc peak of survival_probability(d, ts), and its values
-    tracemalloc.start()
-    try:
-        p = survival_probability(d, ts)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return peak, p
-
-
 def test_survival_on_non_uniform_times_holds_the_grid_paths_memory():
     # sorted non-uniform times take the direct sum, which runs in blocks of
-    # ceil(sqrt(S)) samples like the grid path, so the kernel term that the
-    # CLI's memory guard counts holds for it too (about 2.2 MiB here)
+    # ceil(sqrt(S)) samples like the grid path, so it holds no more than the
+    # grid path's four complex levels x ceil(sqrt(S)) arrays (about 2.2 MiB
+    # here), without the per-level and per-sample terms of the series count
     levels, samples = 501, 5000
     rng = np.random.default_rng(5)
     d = eigh(random_star_model(rng, levels))
     ts = np.sort(rng.uniform(0.0, 50.0, samples))
-    peak, p = _kernel_peak(d, ts)
-    # the kernel's term of the guard: four complex levels x ceil(sqrt(S)) arrays
-    kernel_blocks = cli._series_bytes(levels, samples) - levels * cli._LEVEL_BYTES
-    assert peak < kernel_blocks - cli._SAMPLE_BYTES * samples, peak / 2**20
+    peak, p = traced_peak(survival_probability, d, ts)
+    assert peak < 4 * 16 * levels * (math.isqrt(samples - 1) + 1), peak / 2**20
     assert _grid_amplitude(d.eigenvalues, d.zero_overlaps, ts) is None
     assert np.abs(p[::97] - _scalar_calls(d, ts[::97])).max() < 1e-12
 
@@ -192,29 +174,65 @@ def test_survival_on_a_uniform_grid_holds_the_cli_guards_memory():
     # buffers (two of np.getbufsize() complex entries, 256 KiB, when an
     # operand is broadcast or strided) and the S-length residual, which at
     # this size take it 8 % past the kernel term (2.46 against 2.28 MB)
-    # but not past the whole count that the CLI refuses by
+    # but not past the whole series count that the CLI refuses by
     levels, samples = 501, 5000
     d = eigh(random_star_model(np.random.default_rng(5), levels))
     ts = np.linspace(0.0, 50.0, samples)
-    peak, p = _kernel_peak(d, ts)
-    assert peak < cli._series_bytes(levels, samples), peak / 2**20
+    peak, p = traced_peak(survival_probability, d, ts)
+    assert peak < _series_bytes(levels, samples), peak / 2**20
     assert _grid_amplitude(d.eigenvalues, d.zero_overlaps, ts) is not None
     assert np.abs(p[::97] - _scalar_calls(d, ts[::97])).max() < 1e-12
 
 
-@pytest.mark.parametrize("levels, samples, eps0", [(3, 10**6, 0.0), (3, 10**5, 1e12), (501, 5000, 0.0)],
-                         ids=["grid", "direct", "many-levels"])
-def test_series_count_covers_the_per_sample_arrays(levels, samples, eps0):
-    # the grid path holds about 72 bytes a sample (68.8 MiB at 3 levels and
-    # 1e6 samples) and the direct sum, which levels near 1e12 take, about 32
-    # (3.1 MiB at 1e5 samples): the CLI's count covers either, and the many
-    # levels whose per-level terms dominate
-    model = random_star_model(np.random.default_rng(levels), levels)
-    d = eigh(StarModel(eps=model.eps + eps0, alpha=model.alpha))
-    ts = np.linspace(0.0, 50.0, samples)
-    peak, _ = _kernel_peak(d, ts)
-    assert peak <= cli._series_bytes(levels, samples), peak / 2**20
-    assert (_grid_amplitude(d.eigenvalues, d.zero_overlaps, ts) is None) == (eps0 != 0)
+# The largest count / peak measured from 4 MB of count up was 3.48, at 160
+# levels and 100592 non-uniform samples: the direct sum holds 32 bytes a
+# sample where 80 are counted, beside its levels x ceil(sqrt(S)) blocks.
+_LOOSENESS = 4.0
+
+
+@st.composite
+def _series_sizes(draw):
+    # (levels, samples, grid) with levels in 2..2001 and samples spread
+    # evenly in log over 2..1e6; the direct sum costs levels x samples
+    # exponentials and the grid path about 2 levels x samples multiply-adds,
+    # so their product is capped to keep each example under about a second
+    grid = draw(st.sampled_from(["uniform", "non-uniform", "direct"]))
+    levels = draw(st.integers(2, 2001))
+    cap = min(10**6, (2 * 10**8 if grid == "uniform" else 2 * 10**7) // levels)
+    return levels, round(cap ** draw(st.floats(math.log(2, cap), 1.0))), grid
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(_series_sizes())
+@example((3, 10**6, "uniform"))
+@example((3, 10**5, "direct"))
+@example((501, 5000, "uniform"))
+def test_series_count_bounds_the_kernels_peak(size):
+    # the count that the CLI refuses by is never short of the tracemalloc
+    # peak of survival_probability, on either path: the grid path holds
+    # about 72 bytes a sample and the direct sum, which non-uniform times
+    # and levels near 1e12 take, about 32, so 80 cover both. Below 16 KiB
+    # of count a few KB of fixed overhead dominate. From 4 MB up the count
+    # is also at most _LOOSENESS times the peak, so it cannot drift loose
+    levels, samples, grid = size
+    rng = np.random.default_rng(levels)
+    model = random_star_model(rng, levels)
+    d = eigh(StarModel(eps=model.eps + (1e12 if grid == "direct" else 0.0), alpha=model.alpha))
+    if grid == "non-uniform":
+        ts = np.sort(rng.uniform(0.0, 50.0, samples))
+    else:
+        # from 1/3, no time splits exactly into coarse and fine, as some
+        # from 0 do (at 3, 5 or 4097 samples): levels near 1e12 then always
+        # fail the grid path's residual test
+        ts = np.linspace(1 / 3, 50.0, samples)
+    peak, _ = traced_peak(survival_probability, d, ts)
+    count = _series_bytes(levels, samples)
+    if count >= 16 * 2**10:
+        assert peak <= count, (peak, count)
+    if count >= 4 * 10**6:
+        assert count <= _LOOSENESS * peak, count / peak
+    direct = grid != "uniform" or samples < 3
+    assert (_grid_amplitude(d.eigenvalues, d.zero_overlaps, ts) is None) == direct
 
 
 def test_survival_series_constant_for_decoupled_model():

@@ -1,6 +1,5 @@
 import ast
 import pickle
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +22,7 @@ from staremit import (
 from staremit import _arrowhead, hermitian, inverse
 from staremit.hermitian import DEGENERACY_TOL, HERMITICITY_RTOL
 
-from helpers import random_hermitian, random_star_model, solver_rows
+from helpers import random_hermitian, random_star_model, solver_rows, traced_peak
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -746,12 +745,7 @@ def test_complex_star_eigenvectors_hold_no_real_copy(kind):
         model = StarModel(eps=np.full(dim, 0.3), alpha=np.full(n, 0.7 * np.exp(0.4j) / np.sqrt(n)))
     else:
         model = random_star_model(np.random.default_rng(dim), dim)
-    tracemalloc.start()
-    try:
-        v = eigh(model).eigenvectors
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, v = traced_peak(lambda: eigh(model).eigenvectors)
     assert v.dtype == complex
     assert peak <= 17 * dim**2, peak / dim**2
 

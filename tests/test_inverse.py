@@ -1,5 +1,4 @@
 import json
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -23,7 +22,7 @@ from staremit import (
 from staremit import _arrowhead, inverse
 from staremit.cli import main
 
-from helpers import solver_rows
+from helpers import solver_rows, traced_peak
 
 INV_SQRT3 = 1.0 / np.sqrt(3.0)
 
@@ -611,11 +610,6 @@ def test_verify_round_trip_memory_is_linear():
     # it measured 2.4 MiB. The budget is 8 MiB.
     p = random_profile(2000, 0.3, 1.5, np.random.default_rng(4))
     model = construct_hamiltonian(p)
-    tracemalloc.start()
-    try:
-        report = verify_round_trip(model, p, 1e-8)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, report = traced_peak(verify_round_trip, model, p, 1e-8)
     assert report.passed
     assert peak <= 8 * 2**20, peak / 2**20
