@@ -235,6 +235,21 @@ def test_series_count_bounds_the_kernels_peak(size):
     assert (_grid_amplitude(d.eigenvalues, d.zero_overlaps, ts) is None) == direct
 
 
+@pytest.mark.parametrize("levels, samples, eps0", [(3, 10**6, 0.0), (3, 10**5, 1e12), (501, 5000, 0.0)],
+                         ids=["grid", "direct", "many-levels"])
+def test_series_count_covers_the_per_sample_arrays(levels, samples, eps0):
+    # the grid path holds about 72 bytes a sample (68.8 MiB at 3 levels and
+    # 1e6 samples) and the direct sum, which levels near 1e12 take, about 32
+    # (3.1 MiB at 1e5 samples): the count covers either, and the many
+    # levels whose per-level terms dominate
+    model = random_star_model(np.random.default_rng(levels), levels)
+    d = eigh(StarModel(eps=model.eps + eps0, alpha=model.alpha))
+    ts = np.linspace(0.0, 50.0, samples)
+    peak, _ = traced_peak(survival_probability, d, ts)
+    assert peak <= _series_bytes(levels, samples), peak / 2**20
+    assert (_grid_amplitude(d.eigenvalues, d.zero_overlaps, ts) is None) == (eps0 != 0)
+
+
 def test_survival_series_constant_for_decoupled_model():
     m = StarModel(eps=np.array([1.0, -1.0, 0.5]), alpha=np.zeros(2))
     s = survival_series(eigh(build_hamiltonian(m)), TimeGrid(0.0, 10.0, 101))
