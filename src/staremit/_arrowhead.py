@@ -7,28 +7,46 @@ roots of the secular equation ``g(E) = E - a - sum_k z_k^2 / (E - p_k)``,
 found in O(n^2) time (Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 16, 1995;
 Jakovčević Stor, Slapničar & Barlow, Linear Algebra Appl. 464, 2015):
 
-1. Scale by a power of two, so the largest entry lies in [1/2, 1), and
+1. Scale by one power of two, so the largest entry lies in [1/2, 1), and
    deflate. A star's diagonal and the real and imaginary parts of its
    couplings are scaled before the couplings' moduli are taken, so that
-   none loses digits to the subnormal range; the moduli then move the
-   exponent by 0 or 1 at most. A coupling at or below ``8 eps ||H||``
+   none loses digits to the subnormal range; every modulus is then below
+   sqrt(2), so no squared coupling overflows and none above the deflation
+   threshold underflows. A coupling at or below ``8 eps ||H||``
    leaves its mode as a dark eigenvector; poles within that distance of a
    group's first pole are rotated by one Householder reflection into one
    bright mode and dark modes.
 2. Find each root of ``g`` in its interval between poles, kept as its
    nearer pole plus an offset, so every distance ``E - p_k`` has full
-   relative accuracy. Each root starts at its interval's midpoint, where
-   the sign of ``g`` tells which half, and so which pole, is its own. A
-   bracketed rational step with one pole at each end of the interval (the
-   middle way) updates only the roots that have not converged, in row
-   blocks that keep temporaries at O(block n). Round-trip verification
-   knows where the roots should be: a pre-pass evaluates each root at its
-   target level, where exactly one lies strictly inside its interval, and
-   the root is done there when the convergence test accepts the start, or
-   when the step from it is below 1e-10 of its offset and stays in its
-   half: the step converges quadratically, so the error left is of order
-   1e-20 of the offset. A root not accepted at its start restarts from its
-   midpoint, exactly as :func:`~staremit.hermitian.eigh` solves it.
+   relative accuracy. Each root starts at its interval's midpoint (an
+   outer root, beyond an outer pole, at the middle of Weyl's bracket),
+   where the sign of ``g`` tells which half, and so which pole, is its
+   own; an outer root halves its bracket there. A bracketed rational step
+   with one pole at each end of the interval (the middle way) updates only
+   the roots that have not converged, in sweeps over row blocks that keep
+   temporaries at O(block n).
+
+   Round-trip verification knows where the roots should be, and a
+   pre-pass starts them there. In one sweep it evaluates each root at its
+   target level, where exactly one target lies strictly inside the root's
+   interval (an outer root's inside Weyl's bracket) and not within
+   rounding of a pole; the root's origin is then the pole on the target's
+   side of the midpoint, and its bracket that half. The root is done at
+   its start, and takes the step from it, when the convergence test
+   ``|g| <= eps err`` accepts the start, or when that step is at most
+   1e-10 of its offset and stays in the half. The step converges
+   quadratically, so the error it leaves is of order 1e-20 of the offset,
+   far below the offset's own rounding. A faithful model's targets are
+   off by their own rounding only, at the spacing of the largest level,
+   far below 1e-10 of their offsets, so it is verified in one evaluation
+   per root, centred or not; its eigenvalue errors read the step plus the
+   rounding of pole plus offset, often exactly 0 and within a few ulps of
+   the level. Any other root restarts from its midpoint, exactly as
+   :func:`~staremit.hermitian.eigh` solves it: far off the centre (eps0 =
+   1e6 with d = 1e-3), where a target's rounding is a larger share of its
+   offset, within a few thousand ulps of a pole, or in a model whose
+   levels miss their targets. When no start is accepted, the eigenvalues
+   and weights are ``eigh``'s to the bit.
 3. Recompute the couplings from the roots by Löwner's formula, so the
    computed roots are exact eigenvalues of a nearby arrowhead, and take the
    eigenvectors ``[1, zhat_k / (E - p_k)]``, normalized: they come out
@@ -88,12 +106,8 @@ _DEFLATION = 8.0
 # Iteration cap of the secular root finder; reaching it raises NonConvergence.
 _MAX_ITER = 50
 
-# A secular root started near where it should be (round-trip verification
-# starts each at its target level) is done after its one evaluation when the
-# step from its start is at most this fraction of its offset and stays in
-# the start's half. The step converges quadratically: from a start whose
-# error is a fraction rho of the offset, it leaves an error of order rho^2
-# of the offset, here 1e-20, far below the offset's own rounding (eps / 2).
+# The largest step, as a fraction of its offset, with which the round-trip
+# verification pre-pass accepts a secular root at its start (step 2 above).
 _START_STEP = 1e-10
 
 # Matrix entries per row block of the star solver's temporaries.
@@ -282,16 +296,12 @@ class _Secular:
         coef[2, j] = 1.0
 
     def _warm(self, start, origin, offsets, bracket):
-        # The pre-pass from the ascending ``start``. A root starts at a point
-        # of it where its interval holds exactly one, strictly inside (the
-        # outer roots' inside Weyl's bracket) and not within rounding of its
-        # origin, the pole on the point's side of the midpoint: both callers
-        # scale the entries below 1, so that is 4 eps of 1 or of the largest
-        # point. Its bracket is that half, or Weyl's bracket. The started
-        # roots are evaluated in one sweep; those the convergence test
-        # accepts, or whose step is at most _START_STEP of the offset and
-        # stays in the half (else it is NaN), take that step and are done.
-        # Their origins and offsets are written; returns which roots are not.
+        # The pre-pass of step 2 above, from the ascending ``start``. The
+        # poles are scaled below 1, so within rounding of a pole is within
+        # 4 eps of 1 or of the largest point. A root done here takes the
+        # step from its start, or keeps the start where the step is NaN (it
+        # leaves the bracket). Their origins and offsets are written;
+        # returns which roots are not.
         d, r = self.d, self.d.size
         # the points strictly inside interval k are first[k] .. end[k] - 1
         first, end = np.empty((2, r + 1), dtype=np.intp)
@@ -331,71 +341,58 @@ class _Secular:
         return pending
 
     def _cold(self, i, origin, offsets, bracket):
-        # The roots ``i`` from their intervals' midpoints: g there tells
-        # which half holds each root, and so its nearer pole. Their origins
-        # and offsets are written.
+        # The roots ``i`` from their intervals' midpoints, in sweeps over
+        # compacted columns of the roots still active. Their origins and
+        # offsets are written.
         r = self.d.size
         # From here on each root is a column: of ``ints``, its index and
         # origin; of ``state``, its offset, bracket, the relative size of
-        # its last step and, once the first sweep has fixed its origin, its
-        # _frame rows.
+        # its last step (none before the first sweep) and, once the first
+        # sweep has fixed its origin, its _frame rows.
         ints = np.empty((2, i.size), dtype=np.intp)
         ints[0] = i
-        i, o = ints[0], ints[1]
-        np.take(origin, i, out=o)
+        np.take(origin, i, out=ints[1])
         state = np.empty((7, i.size))
         np.take(bracket, i, axis=1, out=state[1:3])
-        tau, lo, hi, last, frame = state[0], state[1], state[2], state[3], state[4:]
+        state[3] = np.nan
+        tau, lo, hi = state[0], state[1], state[2]
         # an inner root starts at its interval's midpoint, hi from its left
         # pole; an outer one at the middle of Weyl's bracket
         np.copyto(tau, hi)
         outer = ([0] if i[0] == 0 else []) + ([-1] if i[-1] == r else [])
         for j in outer:
             tau[j] = 0.5 * (lo[j] + hi[j])
-        out = self.evaluate(i, o, tau)
-        g, err = out[0], out[3]
-        # an inner root right of its midpoint takes the right pole for its
-        # origin, and the midpoint for its offset; an outer root halves its
-        # bracket
-        right = g < 0
-        for j in outer:
-            right[j] = False
-            if g[j] > 0:
-                hi[j] = tau[j]
-            elif g[j] < 0:
-                lo[j] = tau[j]
-        np.copyto(o, i, where=right)
-        np.negative(hi, out=lo, where=right)
-        np.copyto(tau, lo, where=right)
-        np.copyto(hi, 0.0, where=right)
-        at_left = self._frame(i, right, frame)
-        new = self.step(i, at_left, frame, tau, lo, hi, out)
-        # a root within rounding of its midpoint (as the middle level of a
-        # symmetric spectrum is) has converged: model steps from inside its
-        # half land just beyond the midpoint, and bisection took ~28 sweeps
-        # to close the bracket
-        done = np.abs(g) <= _EPS * err
-        new = np.where(np.isnan(new), np.where(done, tau, 0.5 * (lo + hi)), new)
-        np.divide(np.abs(new - tau), np.abs(new), out=last)  # relative size of each root's last step
-        np.copyto(tau, new)
-        origin[i], offsets[i] = o, new
-        # only the roots not done stay in the columns
-        keep = ~done
-        ints, state, at_left = ints.compress(keep, 1), state.compress(keep, 1), at_left[keep]
-        for _ in range(_MAX_ITER):
-            if not ints.shape[1]:
-                break
+        for sweep in range(_MAX_ITER + 1):
             i, o = ints[0], ints[1]
             t, lo, hi, last, frame = state[0], state[1], state[2], state[3], state[4:]
             out = self.evaluate(i, o, t)
             g, err = out[0], out[3]
             above = g > 0
+            below = ~above if sweep else g < 0
+            if not sweep:
+                # g at the midpoint tells which half holds each root: an
+                # inner root right of it takes the right pole for its
+                # origin, and the midpoint for its offset, and its half
+                # for its bracket. An outer root halves its bracket below,
+                # on strict signs only: a zero g moves neither end.
+                right = below.copy()
+                right[outer] = False
+                np.copyto(o, i, where=right)
+                np.negative(hi, out=lo, where=right)
+                np.copyto(t, lo, where=right)
+                np.copyto(hi, 0.0, where=right)
+                at_left = self._frame(i, right, frame)
+                origin[i] = o
             np.copyto(hi, t, where=above)
-            np.copyto(lo, t, where=~above)
+            np.copyto(lo, t, where=below)
             new = self.step(i, at_left, frame, t, lo, hi, out)
             # a converged root still takes the step its last evaluation
             # offers, if that stays in the bracket; the others bisect
-            # where the step leaves it
+            # where the step leaves it. A root within rounding of its
+            # midpoint (as the middle level of a symmetric spectrum is) is
+            # done at the first sweep: model steps from inside its half
+            # land just beyond the midpoint, and bisection took ~28 sweeps
+            # to close the bracket
             done = np.abs(g) <= _EPS * err
             done |= hi - lo <= 2.0 * _EPS * np.maximum(-lo, hi)
             bisect = np.isnan(new)
@@ -405,8 +402,9 @@ class _Secular:
             # the step converges quadratically: after steps of relative size
             # last and rho, the error left is near rho^3 / last^2, and a
             # root whose error that puts below eps / 8 needs no further
-            # sweep. A bisection tells nothing of the error left. rho goes
-            # into the row of last once last^2 is formed.
+            # sweep. A bisection tells nothing of the error left, nor does a
+            # first step, whose last is NaN. rho goes into the row of last
+            # once last^2 is formed.
             bound = 0.125 * _EPS * last**2
             rho = np.divide(np.abs(new - t), np.abs(new), out=last)
             small = (rho <= 1e-6) & (rho**3 <= bound)
@@ -418,11 +416,12 @@ class _Secular:
             if np.count_nonzero(done):
                 keep = ~done
                 ints, state, at_left = ints.compress(keep, 1), state.compress(keep, 1), at_left[keep]
-        if ints.shape[1]:
-            raise NonConvergence(
-                f"eigensolver did not converge: {ints.shape[1]} secular roots "
-                f"after {_MAX_ITER} iterations"
-            )
+            if not ints.shape[1]:
+                return
+        raise NonConvergence(
+            f"eigensolver did not converge: {ints.shape[1]} secular roots "
+            f"after {_MAX_ITER} iterations"
+        )
 
     def solve(self, start=None):
         """Nearer poles and offsets of the roots ``0..r``, or ``1..r-1`` without the linear term.
@@ -558,75 +557,8 @@ def check_dim(n: int, cell_bytes: int) -> None:
         )
 
 
-def _arrowhead_eigh(a: float, p: np.ndarray, z: np.ndarray, start=None, phase=None):
-    # ascending eigenvalues, a function that builds their orthonormal
-    # eigenvectors from O(n) saved state (_star_vectors), and their weights
-    # (the eigenvectors' squared first components) of the arrowhead [[a,
-    # z^T], [z, diag(p)]] with z >= 0, or with the complex ``phase`` of
-    # diag(phase) times it. The secular roots start at the ascending
-    # ``start`` where _Secular can use it.
-    m = p.size
-    n = m + 1
-    pa = max(abs(a), np.abs(p).max(initial=0.0))
-    top = max(pa, z.max(initial=0.0))
-    if top == 0.0:
-        a, p = 0.0, np.zeros(m)  # the zero matrix: eigenvalues +0.0, vectors I
-    # an exact power-of-two scale puts the largest entry in [1/2, 1): no
-    # z_k^2 overflows, and none above the deflation threshold underflows.
-    # The scale is exact, so the largest scaled |a|, |p_k| is pa's scaled.
-    e = math.frexp(top)[1]
-    a, p, z = math.ldexp(a, -e), np.ldexp(p, -e), np.ldexp(z, -e)
-    tol = _DEFLATION * _EPS * (math.ldexp(pa, -e) + np.sqrt(z @ z))
-    bright = np.flatnonzero(z > tol)
-    bright = bright[np.argsort(p[bright], kind="stable")]
-    starts = _pole_groups(p[bright], tol)
-    ends = np.append(starts[1:], bright.size)
-    reps = bright[starts]
-    d, zeta = p[reps], z[reps]
-    # one Householder reflection per group of equal poles turns its
-    # couplings into one bright direction u, of coupling |z| over the
-    # group, and size - 1 dark ones; |z| is scaled by the largest coupling,
-    # which makes it exact for equal couplings
-    groups = []
-    for j in np.flatnonzero(ends - starts > 1):
-        members = bright[starts[j] : ends[j]]
-        big = z[members].max()
-        zeta[j] = big * np.sqrt(np.sum((z[members] / big) ** 2))
-        groups.append((members, z[members] / zeta[j]))
-    r = reps.size
-    lowner = None
-    if r:
-        scaled_start = None
-        if start is not None:
-            # a start beyond the float range becomes inf, which no root uses
-            with np.errstate(over="ignore"):
-                scaled_start = np.ldexp(start, -e)
-        origin, tau = _Secular(a, d, zeta * zeta).solve(scaled_start)
-        vals = d[origin] + tau
-        # rows in mode order, so that with nothing deflated they are final
-        by_mode = np.argsort(reps)
-        zhat, norms = _lowner_vectors(d, origin, tau, by_mode)
-        lowner = d, origin, tau, by_mode, zhat, norms
-        head = 1.0 / norms
-        if r == m:
-            return np.ldexp(vals, e), partial(_star_vectors, n, phase, lowner), head**2
-        reps = reps[by_mode]
-    else:
-        vals, head = np.full(1, a), np.ones(1)
-    lone = np.flatnonzero(z <= tol)
-    dark_vals = [np.full(members.size - 1, p[members[0]]) for members, _ in groups]
-    all_vals = np.concatenate([vals, *dark_vals, p[lone]])
-    order = np.argsort(all_vals, kind="stable")
-    col = np.empty(n, dtype=int)
-    col[order] = np.arange(n)
-    weights = np.zeros(n)
-    weights[col[: r + 1]] = head**2
-    vectors = partial(_star_vectors, n, phase, lowner, (reps, col, groups, lone))
-    return np.ldexp(all_vals[order], e), vectors, weights
-
-
 def _star_vectors(n, phase, lowner, deflated=None):
-    # The eigenvectors of _arrowhead_eigh from the state it keeps: ``lowner``
+    # The eigenvectors of solve_star from the state it keeps: ``lowner``
     # (None when no coupling is bright) and, unless nothing deflated, the
     # bright modes ``reps`` in mode order, the column ``col`` of each
     # eigenvalue, and the arguments of _place_dark. The real vectors are
@@ -695,30 +627,38 @@ def _place_dark(vecs, head, reps, col, groups, lone):
 
 def solve_star(diagonal: np.ndarray, c: np.ndarray, start=None):
     # The ascending eigenvalues, a function of no arguments that builds the
-    # eigenvectors, and the weights of the star with real diagonal
-    # `diagonal` and couplings c in column 0:
-    # D^H H D with D = diag(1, c/|c|) is the real arrowhead with couplings
-    # |c|, whose eigenvectors V_real give D V_real. When every c is already
-    # real and non-negative, D = I and V_real is returned as it is. D leaves
-    # row 0 alone, so the weights are the arrowhead's. The secular roots
-    # start at the ascending ``start`` where they can (see _Secular._warm);
-    # without it, or when no start is accepted, the result is eigh's.
-    # One exact power-of-two scale first puts the largest |diagonal|, |Re c|
-    # and |Im c| in [1/2, 1), so that no |c| loses digits to the subnormal
-    # range; _arrowhead_eigh's own scale then moves by 0 or 1. The parts of
-    # c are scaled through its float view, so signed zeros keep their sign.
+    # eigenvectors from O(n) saved state (_star_vectors), and the weights
+    # (the eigenvectors' squared first components) of the star with real
+    # diagonal `diagonal` and couplings c in column 0:
+    # D^H H D with D = diag(1, c/|c|) is the real arrowhead [[a, z^T], [z,
+    # diag(p)]] with z = |c|, whose eigenvectors V_real give D V_real. When
+    # every c is already real and non-negative, D = I and V_real is returned
+    # as it is. D leaves row 0 alone, so the weights are the arrowhead's.
+    # The secular roots start at the ascending ``start`` where they can (see
+    # _Secular._warm); without it, or when no start is accepted, the result
+    # is eigh's.
+    # One exact power-of-two scale puts the largest |diagonal|, |Re c| and
+    # |Im c| in [1/2, 1) before the moduli are taken, so that none loses
+    # digits to the subnormal range. Every z_k is then below sqrt(2): no
+    # z_k^2 overflows, and none above the deflation threshold underflows.
+    # The parts of c are scaled through its float view, so signed zeros
+    # keep their sign.
     parts = np.ascontiguousarray(c).view(float)
-    e = math.frexp(max(np.abs(diagonal).max(), np.abs(parts).max(initial=0.0)))[1]
+    top = max(np.abs(diagonal).max(), np.abs(parts).max(initial=0.0))
+    if top == 0.0:
+        diagonal = np.zeros(diagonal.size)  # the zero matrix: eigenvalues +0.0, vectors I
+    e = math.frexp(top)[1]
     diagonal, c = np.ldexp(diagonal, -e), np.ldexp(parts, -e).view(complex)
     if start is not None:
         with np.errstate(over="ignore"):  # inf, which no root uses
             start = np.ldexp(start, -e)
-    mod = np.abs(c)
+    z = np.abs(c)
+    n, m = diagonal.size, c.size
     phase = None
-    if not np.array_equal(c, mod):
-        phase = np.ones(diagonal.size, dtype=complex)
-        coupled = np.flatnonzero(mod)
-        cc, cm = c[coupled], mod[coupled]
+    if not np.array_equal(c, z):
+        phase = np.ones(n, dtype=complex)
+        coupled = np.flatnonzero(z)
+        cc, cm = c[coupled], z[coupled]
         # numpy divides by |c| through its reciprocal, which overflows for a
         # subnormal |c| (one tiny beside the rest): such a c is first scaled
         # by 2^600, exactly
@@ -726,5 +666,46 @@ def solve_star(diagonal: np.ndarray, c: np.ndarray, start=None):
         cc[tiny] *= 2.0**600
         cm[tiny] = np.abs(cc[tiny])
         phase[1 + coupled] = cc / cm
-    vals, vectors, weights = _arrowhead_eigh(diagonal[0], diagonal[1:], mod, start, phase)
-    return np.ldexp(vals, e), vectors, weights
+    a, p = diagonal[0], diagonal[1:]
+    tol = _DEFLATION * _EPS * (np.abs(diagonal).max() + np.sqrt(z @ z))
+    bright = np.flatnonzero(z > tol)
+    bright = bright[np.argsort(p[bright], kind="stable")]
+    starts = _pole_groups(p[bright], tol)
+    ends = np.append(starts[1:], bright.size)
+    reps = bright[starts]
+    d, zeta = p[reps], z[reps]
+    # one Householder reflection per group of equal poles turns its
+    # couplings into one bright direction u, of coupling |z| over the
+    # group, and size - 1 dark ones; |z| is scaled by the largest coupling,
+    # which makes it exact for equal couplings
+    groups = []
+    for j in np.flatnonzero(ends - starts > 1):
+        members = bright[starts[j] : ends[j]]
+        big = z[members].max()
+        zeta[j] = big * np.sqrt(np.sum((z[members] / big) ** 2))
+        groups.append((members, z[members] / zeta[j]))
+    r = reps.size
+    lowner = None
+    if r:
+        origin, tau = _Secular(a, d, zeta * zeta).solve(start)
+        vals = d[origin] + tau
+        # rows in mode order, so that with nothing deflated they are final
+        by_mode = np.argsort(reps)
+        zhat, norms = _lowner_vectors(d, origin, tau, by_mode)
+        lowner = d, origin, tau, by_mode, zhat, norms
+        head = 1.0 / norms
+        if r == m:
+            return np.ldexp(vals, e), partial(_star_vectors, n, phase, lowner), head**2
+        reps = reps[by_mode]
+    else:
+        vals, head = np.full(1, a), np.ones(1)
+    lone = np.flatnonzero(z <= tol)
+    dark_vals = [np.full(members.size - 1, p[members[0]]) for members, _ in groups]
+    all_vals = np.concatenate([vals, *dark_vals, p[lone]])
+    order = np.argsort(all_vals, kind="stable")
+    col = np.empty(n, dtype=int)
+    col[order] = np.arange(n)
+    weights = np.zeros(n)
+    weights[col[: r + 1]] = head**2
+    vectors = partial(_star_vectors, n, phase, lowner, (reps, col, groups, lone))
+    return np.ldexp(all_vals[order], e), vectors, weights

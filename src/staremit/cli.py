@@ -243,7 +243,7 @@ def _cmd_figure1(args) -> int:
     _preflight([args.svg],
                args.samples * kept * (2 * CSV_FIELD_BYTES + (SVG_POINT_BYTES if args.svg else 0)),
                _series_bytes(2 * m_max + 1, args.samples, kept),
-               f"--m-list value {m_max}", outdir=args.out)
+               f"--m-list {','.join(map(str, args.m_list))}", outdir=args.out)
     runs = []
     for m_half in args.m_list:
         period = revival_period(m_half, args.d) * args.hbar

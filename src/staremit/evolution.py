@@ -70,10 +70,19 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class SurvivalSeries:
-    """Sampled survival-probability trace over a uniform time grid."""
+    """Sampled survival-probability trace over a uniform time grid.
+
+    ``values`` holds one value per sample of ``grid``; any other shape
+    raises ``ValueError``.
+    """
 
     grid: TimeGrid
     values: np.ndarray
+
+    def __post_init__(self):
+        shape, want = np.shape(self.values), (self.grid.samples,)
+        if shape != want:
+            raise ValueError(f"values of shape {shape} do not match the grid's shape {want}")
 
     @cached_property
     def times(self) -> np.ndarray:

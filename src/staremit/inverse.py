@@ -220,25 +220,12 @@ def verify_round_trip(
     coupling gauge. Only its eigenvalues and weights are read, never its
     eigenvectors, so no eigenvector matrix is built and memory stays O(n).
 
-    A pre-pass of the solver evaluates each secular root at its target
-    level, in one sweep, where exactly one target lies strictly inside its
-    interval between poles and not within rounding of a pole (for the two
-    outer roots: beyond the outer pole, inside Weyl's bracket); any other
-    root starts at its interval's midpoint, as in ``eigh``. A started root
-    is done after its one evaluation when the solver's convergence test,
-    ``|g| <= eps * err``, accepts the start, or when the solver's step from
-    the start is below 1e-10 of the root's offset from its pole and stays
-    in the start's half. The step converges quadratically, so it leaves an error of order
-    1e-20 of the offset; the ladder's own rounding, at the spacing of the
-    largest level, is far below 1e-10 of the offsets of a faithful model,
-    which is therefore verified in one evaluation per root, centred or
-    not. A root not accepted at its start restarts from its midpoint,
-    exactly as ``eigh`` solves it, so a model whose levels miss their
-    targets is solved as by ``eigh``: when no start is accepted, its
-    eigenvalues and weights are ``eigh``'s to the bit. A root done at its
-    start takes that step, so its eigenvalue error reads the step plus the
-    rounding of pole plus offset: often exactly 0, and within a few ulps
-    of the level.
+    The solver starts each secular root at its target level, so a faithful
+    model is verified in one evaluation per root. A root whose start is not
+    accepted restarts from its interval's midpoint, exactly as ``eigh``
+    solves it: when no start is accepted, the eigenvalues and weights are
+    ``eigh``'s to the bit. The rule for accepting a start is step 2 of the
+    :mod:`staremit._arrowhead` docstring.
 
     Eigenvalues are compared sorted, elementwise. Overlap weights are
     summed per distinct level on both sides first, so basis choices inside

@@ -488,9 +488,11 @@ def test_output_budget_default_refuses_huge_sample_counts(tmp_path, capsys, monk
     [
         (["identical-modes", "--n", "50", "--samples", "101"], 51, 0, "--n 50"),
         (["identical-modes", "--n", "7", "--samples", "10", "--svg", "c.svg"], 8, 0, "--n 7"),
-        (["figure1", "--m-list", "3,20,2", "--samples", "40"], 41, 3, "--m-list value 20"),
+        (["figure1", "--m-list", "3,20,2", "--samples", "40"], 41, 3, "--m-list 3,20,2"),
+        # the number of M values, not a value, crosses the budget
+        (["figure1", "--m-list", "1,1", "--samples", "40"], 3, 2, "--m-list 1,1"),
     ],
-    ids=["identical-modes", "identical-modes-svg", "figure1"],
+    ids=["identical-modes", "identical-modes-svg", "figure1", "figure1-repeated"],
 )
 def test_series_memory_guard_refuses_before_any_allocation(argv, levels, kept, flag,
                                                             tmp_path, capsys, monkeypatch):
@@ -521,7 +523,7 @@ def test_series_memory_budget_admits_the_largest_documented_runs():
     # every benchmark input (n and M up to 200, up to 1e5 samples), checked
     # without running them
     cli._preflight([], 0, _series_bytes(100_001, 101), "--n 100000")
-    cli._preflight([], 0, _series_bytes(401, 100_000, 1), "--m-list value 200")
+    cli._preflight([], 0, _series_bytes(401, 100_000, 1), "--m-list 200")
     with pytest.raises(ValueError, match="--n 1000000 would take about"):
         cli._preflight([], 0, _series_bytes(1_000_001, 1000), "--n 1000000")
 

@@ -42,6 +42,14 @@ def test_time_grid_validation():
         TimeGrid(0.0, np.inf, 10)
 
 
+@pytest.mark.parametrize("values", [[1.0, 0.5, 0.0], np.ones(6), np.ones((5, 1)), 0.5],
+                         ids=["short", "long", "column", "scalar"])
+def test_survival_series_refuses_values_off_its_grid(values):
+    # 3 of 5 values once wrote a 3-row CSV and made emission_metrics raise IndexError
+    with pytest.raises(ValueError, match=rf"shape {re.escape(str(np.shape(values)))} .*\(5,\)"):
+        SurvivalSeries(TimeGrid(0.0, 1.0, 5), values)
+
+
 def test_evolve_state_at_zero_time_is_identity():
     d = eigh(random_hermitian(np.random.default_rng(1), 5))
     psi = _basis_state(5)

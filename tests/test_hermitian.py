@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from staremit import (
@@ -455,6 +455,34 @@ def test_eigh_star_gauge_and_shift_covariance(h, seed, shift):
         o_levels, o_weights = aggregate_degenerate(o.eigenvalues, o.zero_overlaps)
         assert o_levels.shape == levels.shape
         assert np.abs(o_weights - weights).max() <= 1e-12
+
+
+# A coupling whose real and imaginary parts both lie in [2.83, 3.99] is the
+# largest entry of any _star_matrices draw: after the solver's scale its
+# parts lie in [1/sqrt(2), 1) and its modulus in [1, sqrt(2)).
+_BAND_COUPLING = st.builds(
+    lambda re, im, q: complex(re, im) * 1j**q, st.floats(2.83, 3.99), st.floats(2.83, 3.99),
+    st.integers(0, 3),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_star_matrices(), st.integers(-60, 60), st.none() | st.tuples(st.integers(0, 38), _BAND_COUPLING))
+def test_eigh_star_scale_covariance(h, k, band):
+    # 2^k h scales every entry exactly, so the solver's own power-of-two
+    # scale meets the same entries: the eigenvalues scale bit for bit, and
+    # the weights and eigenvectors do not move
+    if band is not None and h.shape[0] > 1:
+        j, c = 1 + band[0] % (h.shape[0] - 1), band[1]
+        h[j, 0], h[0, j] = c, np.conj(c)
+        assert 1.0 <= abs(c) / 4.0 < np.sqrt(2.0)
+    scaled = np.ldexp(h.view(float), k).view(complex)
+    parts = np.abs(np.concatenate([h.view(float), scaled.view(float)]))
+    assume(np.all((parts == 0.0) | (parts >= np.finfo(float).tiny)))
+    d, s = eigh(h), eigh(scaled)
+    assert np.array_equal(s.eigenvalues, np.ldexp(d.eigenvalues, k))
+    assert np.array_equal(s.zero_overlaps, d.zero_overlaps)
+    assert np.array_equal(s.eigenvectors, d.eigenvectors)
 
 
 def test_star_input_never_reaches_lapack(monkeypatch):

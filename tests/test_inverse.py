@@ -519,6 +519,33 @@ def test_verify_round_trip_of_a_model_at_another_scale(model_scale, d_width):
     assert report == _cold_report(model, p, 1e-8)[0]
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(m_half=st.integers(1, 20), seed=st.integers(0, 2**32 - 1), k=st.integers(-60, 60),
+       outer=st.booleans(), shift=st.sampled_from([0.0, 0.25]))
+def test_verify_round_trip_scale_covariance(m_half, seed, k, outer, shift):
+    # A constructed model in a gauge of 45-degree phases, whose couplings'
+    # real and imaginary parts are equal, faithful or shifted a quarter
+    # spacing off its targets; weight on the outer levels makes its
+    # couplings its largest entries. The model and its profile scaled by
+    # 2^k give the same verdict and overlap error, and an eigenvalue error
+    # scaled by 2^k, bit for bit.
+    rng = np.random.default_rng(seed)
+    w = 10.0 ** rng.uniform(-12.0, 0.0, 2 * m_half + 1)
+    if outer:
+        w[[0, -1]] = 20.0 * w.sum()
+    p = SpectralProfile(m_half, 0.0, 1.0, w / w.sum())
+    built = construct_hamiltonian(p)
+    phase = np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j])[rng.integers(0, 4, built.n_modes)] / np.sqrt(2)
+    model = StarModel(eps=built.eps + shift / m_half, alpha=built.alpha * phase)
+    scaled = StarModel(eps=np.ldexp(model.eps, k),
+                       alpha=np.ldexp(model.alpha.view(float), k).view(complex))
+    scaled_p = SpectralProfile(m_half, 0.0, np.ldexp(1.0, k), p.overlaps)
+    report, scaled_report = verify_round_trip(model, p, 1e-8), verify_round_trip(scaled, scaled_p, 1e-8)
+    assert scaled_report.passed == report.passed
+    assert scaled_report.max_overlap_error == report.max_overlap_error
+    assert scaled_report.max_eigenvalue_error == np.ldexp(report.max_eigenvalue_error, k)
+
+
 def _sweeps(model, p):
     # roots evaluated in each solver sweep of verify_round_trip
     rows, report = solver_rows(verify_round_trip, model, p, 1e-8)
