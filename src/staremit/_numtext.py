@@ -1,7 +1,7 @@
 """Numbers as text: the CSV, JSON and SVG-point writers.
 
-Every writer formats whole arrays at once and produces exactly the bytes
-of a per-value Python reference:
+Every writer formats arrays, not single values, and produces exactly the
+bytes of a per-value Python reference:
 
 - CSV fields are ``"%.11e" % v``;
 - JSON tables are ``json.dumps(..., indent=2)`` of the columns as lists;
@@ -21,17 +21,25 @@ value or a three-digit exponent, and an SVG curve with a coordinate
 outside the one point layout below, do not fit the fixed width and are
 written by the per-value reference instead.
 
-Buffer layout. A CSV table is one preallocated ``uint8`` buffer: the
-header, then a ``(rows, columns, 18)`` array, filled 4096 rows at a time
-so that a block's temporaries stay in cache. Each field is the 12
-mantissa digits and ``e±dd`` copied as one 16-byte block of four words
-(three 4-digit groups and an exponent word from a 199-entry table) one
-byte to the right, after which the first digit moves left and ``.``
-takes its place, then the separator. That is the only layout the
-program's tables take: their times run from 0 and their probabilities
-lie in [0, 1], so every field is unsigned. A table with any set sign
-bit (a negative value, or ``-0.0``) goes whole to the per-value
-reference, so the buffer is decoded as it stands.
+Streaming. Each writer hands its bytes to a binary sink (an open file, or
+an ``io.BytesIO`` behind the ``str`` functions) one block of up to
+``_BLOCK`` rows at a time, so no writer holds a whole output: ``csv_table``,
+``svg_points`` and ``svgplot.render_line_chart`` are joins over the same
+writers.
+
+Block layout. A CSV table is its header, then one reused ``uint8`` block
+buffer of ``(rows, columns, 18)``, filled and written 4096 rows at a time.
+Each field is the 12 mantissa digits and ``e±dd`` copied as one 16-byte
+block of four words (three 4-digit groups and an exponent word from a
+199-entry table) one byte to the right, after which the first digit moves
+left and ``.`` takes its place, then the separator. That is the only
+layout the program's tables take: their times run from 0 and their
+probabilities lie in [0, 1], so every field is unsigned. A table with any
+set sign bit (a negative value, or ``-0.0``) goes whole to the per-value
+reference. A value past the first block that does not fit (inf, NaN or a
+three-digit exponent) is found only after earlier blocks were written:
+the writer then seeks the sink back to the table's start, truncates it
+and writes the reference, so no table mixes the two.
 
 An SVG point is a row of four words, two per coordinate: the integer
 part right-aligned in one word with NUL in place of leading zeros, then
@@ -40,12 +48,14 @@ a chart produces: ``render_line_chart`` maps every finite point into its
 plot box, so a coordinate is unsigned with at most four integer digits
 while the chart is under 10000 px. A curve with any other coordinate (a
 set sign bit, which ``-0.0`` prints as ``-0.00``, NaN, inf, or 9999.995
-and up) goes whole to the per-point reference. Each block of rows is one
+and up) goes whole to the per-point reference; the check runs over the
+whole curve before any of it is written. Each block of rows is one
 contiguous buffer, and one ``bytes.translate`` pass drops its NUL bytes.
 """
 
 from __future__ import annotations
 
+import io
 import json
 
 import numpy as np
@@ -84,8 +94,9 @@ _SVG_TIE = 1e-6
 
 _DOT = ord(".")
 
-# rows formatted at a time: a block's temporaries stay in cache, and below
-# the sizes at which the allocator hands memory back to the system
+# rows formatted and written at a time: a block's temporaries and its
+# buffer stay in cache, and below the sizes at which the allocator maps
+# fresh pages from the system
 _BLOCK = 1 << 12
 
 CSV_TEMPLATE = "%.11e"
@@ -154,45 +165,67 @@ def _e_words(v: np.ndarray, out: np.ndarray) -> bool:
     return True
 
 
-def csv_table(ts, columns: dict) -> str:
-    """Render ``t`` and named columns as CSV: header ``t,<names>``, then one
-    row of ``"%.11e"`` fields per sample, LF line endings.
+def as_text(write, *args) -> str:
+    """What ``write(sink, *args)`` writes to a binary sink, as ``str``."""
+    sink = io.BytesIO()
+    write(sink, *args)
+    return sink.getvalue().decode()
 
-    The output is byte for byte that of :func:`csv_table_reference`. Each
-    column is formatted as a whole array into its fields of one byte
-    buffer, every field ``d.ddddddddddde±dd`` and its separator: the
-    values are scaled to 12-digit integers, and an element within 1e-3 of
-    a last digit of a rounding tie is formatted by ``%`` instead (see the
-    module docstring). A table with a value that does not fit that field
-    (a set sign bit, ``-0.0`` included, inf, NaN or a three-digit
-    exponent) is written by the reference template.
+
+def write_csv(sink, ts, columns: dict) -> None:
+    """Write :func:`csv_table` ``(ts, columns)`` to the binary ``sink``.
+
+    Rows go out a block of up to ``_BLOCK`` at a time from one reused byte
+    buffer. A value past the first block that does not fit the field makes
+    the writer seek ``sink`` back to where the table began, truncate it and
+    write the reference instead, so ``sink`` must be seekable.
     """
     cols = [np.asarray(c, dtype=float).ravel() for c in (ts, *columns.values())]
     n = min(c.size for c in cols)  # rows stop at the shortest column, as zip does
     cols = [c[:n] for c in cols]
-    header = "t," + ",".join(columns) + "\n"
+    header = ("t," + ",".join(columns) + "\n").encode()
     if n == 0:
-        return header
+        sink.write(header)
+        return
     if any(np.signbit(c).any() for c in cols):
-        return csv_table_reference(ts, columns)
-    head = np.frombuffer(header.encode(), dtype=np.uint8)
-    buf = np.empty(head.size + n * len(cols) * 18, dtype=np.uint8)
-    buf[: head.size] = head
-    table = buf[head.size :].reshape(n, len(cols), 18)
-    table[:, :, 17] = np.frombuffer(b"," * (len(cols) - 1) + b"\n", dtype=np.uint8)
-    words = np.empty((min(n, _BLOCK), 4), dtype=np.uint32)
+        sink.write(csv_table_reference(ts, columns).encode())
+        return
+    origin = sink.tell()
+    sink.write(header)
+    buf = np.empty((min(n, _BLOCK), len(cols), 18), dtype=np.uint8)
+    buf[:, :, 17] = np.frombuffer(b"," * (len(cols) - 1) + b"\n", dtype=np.uint8)
+    words = np.empty((buf.shape[0], 4), dtype=np.uint32)
     for start in range(0, n, _BLOCK):
-        rows = table[start : start + _BLOCK]
+        rows = buf[: min(_BLOCK, n - start)]
         block = words[: rows.shape[0]]
         for j, c in enumerate(cols):
             if not _e_words(c[start : start + _BLOCK], block):
-                return csv_table_reference(ts, columns)
+                sink.seek(origin)
+                sink.truncate()
+                sink.write(csv_table_reference(ts, columns).encode())
+                return
             # one 16-byte item per row copies faster than 16 byte columns
             field = rows[:, j]
             field[:, 1:17].view("V16")[:, 0] = block.view("V16")[:, 0]
             field[:, 0] = field[:, 1]
             field[:, 1] = _DOT
-    return str(buf, "utf-8")
+        sink.write(rows)
+
+
+def csv_table(ts, columns: dict) -> str:
+    """Render ``t`` and named columns as CSV: header ``t,<names>``, then one
+    row of ``"%.11e"`` fields per sample, LF line endings.
+
+    The output is byte for byte that of :func:`csv_table_reference`, and
+    is what :func:`write_csv` writes. Each column is formatted a block of
+    rows at a time into its fields, every field ``d.ddddddddddde±dd`` and
+    its separator: the values are scaled to 12-digit integers, and an
+    element within 1e-3 of a last digit of a rounding tie is formatted by
+    ``%`` instead (see the module docstring). A table with a value that
+    does not fit that field (a set sign bit, ``-0.0`` included, inf, NaN
+    or a three-digit exponent) is written by the reference template.
+    """
+    return as_text(write_csv, ts, columns)
 
 
 def csv_table_reference(ts, columns: dict) -> str:
@@ -222,6 +255,31 @@ def _f_words(v: np.ndarray, fractions: np.ndarray, out: np.ndarray) -> None:
     np.take(fractions, cents - whole * 100, out=out[:, 1], mode="wrap")
 
 
+def write_svg_points(sink, x, y) -> None:
+    """Write :func:`svg_points` ``(x, y)`` to the binary ``sink``, a block of
+    up to ``_BLOCK`` points at a time; the fit check covers the whole curve
+    before any of it is written."""
+    x = np.asarray(x, dtype=float).ravel()
+    y = np.asarray(y, dtype=float).ravel()
+    n = min(x.size, y.size)  # points stop at the shorter array, as zip does
+    x, y = x[:n], y[:n]
+    if n == 0:
+        return
+    if not (_f_fits(x) and _f_fits(y)):
+        sink.write(svg_points_reference(x, y).encode())
+        return
+    words = np.empty((min(n, _BLOCK), 4), dtype=np.uint32)
+    for start in range(0, n, _BLOCK):
+        block = words[: min(_BLOCK, n - start)]
+        _f_words(x[start : start + _BLOCK], _COMMA_FRACTIONS, block[:, :2])
+        _f_words(y[start : start + _BLOCK], _SPACE_FRACTIONS, block[:, 2:])
+        points = block.view(np.uint8).ravel()
+        if start + _BLOCK >= n:
+            points = points[:-1]  # no space after the last point
+        # drop every NUL byte in one pass
+        sink.write(points.tobytes().translate(None, b"\0"))
+
+
 def svg_points(x, y) -> str:
     """``" ".join("%.2f,%.2f" % p for p in zip(x, y))``, byte for byte.
 
@@ -231,26 +289,7 @@ def svg_points(x, y) -> str:
     with its sign bit set, not finite, or from 9999.995 up sends the whole
     curve to :func:`svg_points_reference`.
     """
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    n = min(x.size, y.size)  # points stop at the shorter array, as zip does
-    x, y = x[:n], y[:n]
-    if n == 0:
-        return ""
-    if not (_f_fits(x) and _f_fits(y)):
-        return svg_points_reference(x, y)
-    words = np.empty((min(n, _BLOCK), 4), dtype=np.uint32)
-    pieces = []
-    for start in range(0, n, _BLOCK):
-        block = words[: min(_BLOCK, n - start)]
-        _f_words(x[start : start + _BLOCK], _COMMA_FRACTIONS, block[:, :2])
-        _f_words(y[start : start + _BLOCK], _SPACE_FRACTIONS, block[:, 2:])
-        text = block.view(np.uint8).ravel()
-        if start + _BLOCK >= n:
-            text = text[:-1]  # no space after the last point
-        # drop every NUL byte in one pass
-        pieces.append(text.tobytes().translate(None, b"\0").decode("ascii"))
-    return "".join(pieces)
+    return as_text(write_svg_points, x, y)
 
 
 def svg_points_reference(x, y) -> str:

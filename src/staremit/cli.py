@@ -25,11 +25,13 @@ from pathlib import Path
 import numpy as np
 
 from ._numtext import (
+    _BLOCK,
     CSV_FIELD_BYTES,
     JSON_FIELD_BYTES,
     SVG_POINT_BYTES,
     csv_table,
     json_table,
+    write_csv,
 )
 from .analysis import (
     emission_metrics,
@@ -52,15 +54,29 @@ from .model import (
     identical_modes_survival,
     two_level_survival,
 )
-from .svgplot import render_line_chart
+from .svgplot import write_line_chart
 
 
 # Output text a command may write, counted as rows times the widest CSV or
 # JSON row plus the widest SVG points, and memory the survival series of a
-# run may take, counted by evolution._series_bytes; larger --samples, --n and
-# --m-list values are refused up front.
+# run may take, counted by evolution._series_bytes plus what the series
+# commands hold beside it; larger --samples, --n and --m-list values are
+# refused up front.
 OUTPUT_BUDGET_BYTES = 1 << 30
 _SERIES_BUDGET_BYTES = 1 << 30
+
+# What two-level and identical-modes hold beside the series count: bytes a
+# sample per --format, and the text writers' block buffers and temporaries
+# (about 100 bytes a row of a block, whatever the sample count). A sample
+# takes its time, tau and closed form (8 bytes each; P is the kernel's own
+# result); a CSV file and a chart are written a block at a time and hold no
+# whole text. A JSON table holds a float object and its list slot for each
+# of its three values (32 bytes), and up to three copies of its text at the
+# widest field (a column's value strings, its join and the document).
+# Measured at 1e6 samples: 64 bytes a sample in all for CSV with --svg and
+# 345 for JSON, against counts of 104 and 470.
+_HELD_BYTES = {"csv": 24, "json": 24 + 3 * (32 + 3 * JSON_FIELD_BYTES)}
+_WRITER_BYTES = 128 * _BLOCK
 
 
 def _preflight(paths, text_bytes=0, series_bytes=0, flag=None, samples=0, outdir=None) -> None:
@@ -90,20 +106,20 @@ def _preflight(paths, text_bytes=0, series_bytes=0, flag=None, samples=0, outdir
         )
 
 
-# Text is written in slices of this many characters, so that encoding it
-# reuses a small buffer instead of copying the whole output at once.
+# JSON text is encoded and written in slices of this many characters, so
+# that no encoded copy of the whole output is made at once.
 _WRITE_CHUNK = 1 << 15
 
 
-def _write_text(path, text: str) -> None:
-    # temp file + rename so concurrent runs never interleave partial output;
-    # a failed write removes the temp file and names only the user's path
+def _write_text(path, write, *args) -> None:
+    # write(fh, *args) writes the output to a binary temp file, renamed over
+    # the target so concurrent runs never interleave partial output; a failed
+    # write removes the temp file and names only the user's path
     target, tmp = Path(path), None
     try:
         fd, tmp = tempfile.mkstemp(dir=str(target.parent) or ".", prefix=f".{target.name}.")
-        with os.fdopen(fd, "w", newline="") as fh:
-            for start in range(0, len(text), _WRITE_CHUNK):
-                fh.write(text[start : start + _WRITE_CHUNK])
+        with os.fdopen(fd, "wb") as fh:
+            write(fh, *args)
         os.replace(tmp, target)
     except BaseException as exc:
         if tmp is not None and os.path.exists(tmp):
@@ -111,6 +127,11 @@ def _write_text(path, text: str) -> None:
         if isinstance(exc, OSError):
             raise OSError(f"cannot write {path}: {exc.strerror or exc}") from exc
         raise
+
+
+def _put_text(fh, text: str) -> None:
+    for start in range(0, len(text), _WRITE_CHUNK):
+        fh.write(text[start : start + _WRITE_CHUNK].encode())
 
 
 def _positive_int(text: str) -> int:
@@ -153,7 +174,8 @@ def _run_series(args, n: int, eps1: float, analytic, svg_title: str, flag=None) 
     field_bytes = CSV_FIELD_BYTES if args.format == "csv" else JSON_FIELD_BYTES
     _preflight([args.out, args.svg],
                args.samples * (3 * field_bytes + (2 * SVG_POINT_BYTES if args.svg else 0)),
-               _series_bytes(n + 1, args.samples), flag, args.samples)
+               _series_bytes(n + 1, args.samples) + _HELD_BYTES[args.format] * args.samples
+               + _WRITER_BYTES, flag, args.samples)
     eps = np.full(n + 1, eps1)
     eps[0] = args.eps0
     model = StarModel(eps=eps, alpha=np.full(n, args.alpha, dtype=complex))
@@ -163,15 +185,24 @@ def _run_series(args, n: int, eps1: float, analytic, svg_title: str, flag=None) 
     # are never read, so never built: O(n) memory beyond the kernel's
     columns = {"P": survival_probability(eigh(model), tau), "P_analytic": analytic(tau)}
     _require_finite(ts, *columns.values())
-    text = (csv_table if args.format == "csv" else json_table)(ts, columns)
-    if args.out:
-        _write_text(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _write_table(args.out, args.format, ts, columns)
     if args.svg:
         curves = [(name, ts, values) for name, values in columns.items()]
-        _write_text(args.svg, render_line_chart(curves, title=svg_title))
+        _write_text(args.svg, write_line_chart, curves, svg_title)
     return 0
+
+
+def _write_table(out, fmt: str, ts, columns: dict) -> None:
+    # a CSV file is written a block of rows at a time; JSON text, and text
+    # for stdout, is made whole, and freed before the chart is drawn
+    if fmt == "csv" and out:
+        _write_text(out, write_csv, ts, columns)
+        return
+    text = (csv_table if fmt == "csv" else json_table)(ts, columns)
+    if out:
+        _write_text(out, _put_text, text)
+    else:
+        sys.stdout.write(text)
 
 
 def _cmd_two_level(args) -> int:
@@ -225,7 +256,7 @@ def _cmd_inverse(args) -> int:
     model = construct_hamiltonian(profile)
     report = verify_round_trip(model, profile, args.tol)
     if args.out:
-        _write_text(args.out, json.dumps(model.to_dict(), indent=2) + "\n")
+        _write_text(args.out, _put_text, json.dumps(model.to_dict(), indent=2) + "\n")
         sys.stdout.write(json.dumps(report.to_dict(), indent=2) + "\n")
     else:
         combined = {"model": model.to_dict(), "report": report.to_dict()}
@@ -261,11 +292,9 @@ def _cmd_figure1(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     curves, lines = [], []
     for m_half, period, series, metrics in runs:
-        _write_text(outdir / f"figure1_M{m_half}.csv", series.to_csv())
-        _write_text(
-            outdir / f"figure1_M{m_half}_metrics.json",
-            json.dumps(metrics.to_dict(), indent=2) + "\n",
-        )
+        _write_text(outdir / f"figure1_M{m_half}.csv", write_csv, series.times, {"P": series.values})
+        _write_text(outdir / f"figure1_M{m_half}_metrics.json", _put_text,
+                    json.dumps(metrics.to_dict(), indent=2) + "\n")
         curves.append((f"M={m_half}", series.times, series.values))
         lines.append(
             f"M={m_half}: period={period:.6g}"
@@ -274,10 +303,7 @@ def _cmd_figure1(args) -> int:
             f" window_fraction={_show(metrics.window_fraction)}\n"
         )
     if args.svg:
-        _write_text(
-            args.svg,
-            render_line_chart(curves, title="flat-profile survival revivals"),
-        )
+        _write_text(args.svg, write_line_chart, curves, "flat-profile survival revivals")
     # the summary lines follow the files, so a run that fails prints none
     sys.stdout.write("".join(lines))
     return 0

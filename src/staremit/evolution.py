@@ -22,7 +22,10 @@ four ``dim x nb`` complex arrays at once, beside numpy's ufunc buffers (two
 of ``np.getbufsize()`` complex entries, 256 KiB, for the strided conjugate
 and the broadcast weight products) and arrays of one entry per sample: the
 residual ``r``, the ``2 S`` complex entries of the product and the result,
-about 72 bytes a sample in all; the direct sum holds about 32 (its blocks'
+48 bytes a sample in all. The rest of the amplitude, ``g0 - i r g1``, its
+modulus squared and the clip run over blocks of whole coarse rows, about
+4096 samples each, in one reused buffer, and write P straight into the
+result. The direct sum holds about 32 bytes a sample (its blocks'
 amplitudes and their concatenation). ``_series_bytes`` counts the four
 arrays, a per-level slack, which covers the buffers from about 500 levels
 up (2.46 MB against a count of 2.93 MB at 501 levels and 5000 samples),
@@ -38,7 +41,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._numtext import csv_table
+from ._numtext import _BLOCK, csv_table
 from .errors import DimensionMismatch, StepTooLarge
 from .hermitian import SpectralDecomposition
 
@@ -130,19 +133,26 @@ def survival_probability(d: SpectralDecomposition, t):
 
 
 def _survival(levels, weights, t):
-    # |sum weights exp(-i levels t)|^2 clipped to [0, 1]; a float for scalar t
+    # |sum weights exp(-i levels t)|^2 clipped to [0, 1]; a float for scalar t.
+    # The grid path yields its amplitude a block of samples at a time, the
+    # direct sum as one block, and each block's P goes straight into the result
     t = np.asarray(t, dtype=float)
     tt = t.ravel()
-    amp = _grid_amplitude(levels, weights, tt)
-    if amp is None:
+    blocks = _grid_amplitude(levels, weights, tt)
+    if blocks is None:
         # blocks of ceil(sqrt(S)) samples, the grid path's width, so that
         # either path holds O(levels sqrt(S)) phasors
         nb = math.isqrt(max(tt.size - 1, 0)) + 1
-        amp = np.concatenate([
+        blocks = [(0, np.concatenate([
             weights @ np.exp(-1j * np.multiply.outer(levels, tt[i : i + nb]))
             for i in range(0, max(tt.size, 1), nb)
-        ])
-    p = np.clip(np.abs(amp) ** 2, 0.0, 1.0)
+        ]))]
+    p = np.empty(tt.size)
+    for start, amp in blocks:
+        out = p[start : start + amp.size]
+        np.abs(amp, out=out)
+        np.square(out, out=out)
+        np.clip(out, 0.0, 1.0, out=out)
     return float(p[0]) if t.ndim == 0 else p.reshape(t.shape)
 
 
@@ -151,7 +161,8 @@ def _series_bytes(levels: int, samples: int, kept: int = 0) -> int:
     # 512 bytes a level for the arrays of one entry per level (solving an
     # identical-modes star peaks at about 100), the kernel's four complex
     # levels x ceil(sqrt(samples)) arrays and 80 bytes a sample for its
-    # per-sample arrays (see the module docstring), plus `kept` finished
+    # per-sample arrays (48 on the grid path and 32 on the direct sum, see
+    # the module docstring), plus `kept` finished
     # series of as many samples, whose times and values take 16 bytes a sample
     return levels * (512 + 64 * (math.isqrt(samples - 1) + 1)) + (80 + 16 * kept) * samples
 
@@ -188,7 +199,23 @@ def _grid_amplitude(levels, weights, tt):
     np.multiply(weights * levels, coarse, out=both[na:])
     del coarse
     g = both @ fine
-    return g[:na].ravel()[:s] - 1j * r * g[na:].ravel()[:s]
+    return _grid_blocks(g, r, nb)
+
+
+def _grid_blocks(g, r, nb):
+    # g0 - i r g1 over blocks of whole coarse rows, about _BLOCK samples each,
+    # in one reused buffer: the same operations, in the same order, as on
+    # whole rows of g
+    na, s = g.shape[0] // 2, r.size
+    rows = max(1, _BLOCK // nb)
+    buf = np.empty(min(rows * nb, s), dtype=complex)
+    for a in range(0, na, rows):
+        lo, hi = a * nb, min((a + rows) * nb, s)
+        amp = buf[: hi - lo]
+        np.multiply(1j, r[lo:hi], out=amp)
+        amp *= g[na + a : na + a + rows].ravel()[: hi - lo]
+        np.subtract(g[a : a + rows].ravel()[: hi - lo], amp, out=amp)
+        yield lo, amp
 
 
 def survival_series(d: SpectralDecomposition, grid: TimeGrid) -> SurvivalSeries:

@@ -2,14 +2,16 @@
 
 Deliberately minimal; figure output must be reproducible byte for byte,
 so coordinates are formatted with fixed precision and nothing depends on
-external plotting state.
+external plotting state. :func:`write_line_chart` writes a chart to a
+binary sink piece by piece, its points a block at a time;
+:func:`render_line_chart` is the same chart as one string.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ._numtext import svg_points
+from ._numtext import as_text, write_svg_points
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
@@ -53,16 +55,23 @@ def render_line_chart(curves, title: str = "", width: int = 860, height: int = 5
     Each curve is one polyline with one point per sample, written exactly
     as ``"%.2f,%.2f"`` of its pixel coordinates and joined by spaces. Every
     finite point maps into the plot box, so its coordinates are unsigned
-    with at most four integer digits, the one layout the whole-array
-    writer formats (``rint(100 v)`` and a digit table); a coordinate within
+    with at most four integer digits, the one layout the block writer
+    formats (``rint(100 v)`` and a digit table); a coordinate within
     1e-6 of a rounding tie is formatted by ``%`` itself, and a curve with
     a non-finite coordinate (which prints ``nan`` or ``inf``) goes through
     the per-point template, so the bytes never depend on which path ran.
     The axes span the finite coordinates of all curves, whatever their
     order; the y axis always covers [0, 1]. The axes are labelled
     ``t`` and ``P``; ``&``, ``<`` and ``>`` in the title and the curve
-    labels are escaped.
+    labels are escaped. The string is what :func:`write_line_chart` writes.
     """
+    return as_text(write_line_chart, curves, title, width, height)
+
+
+def write_line_chart(sink, curves, title: str = "", width: int = 860, height: int = 520) -> None:
+    """Write :func:`render_line_chart` ``(curves, title, width, height)`` to
+    the binary ``sink``: the frame and each curve's pieces as they are made,
+    and its points a block at a time from its pixel coordinates."""
     if not curves:
         raise ValueError("need at least one curve")
     x_min, x_max = _finite_range(x for _, x, _ in curves)
@@ -74,11 +83,21 @@ def render_line_chart(curves, title: str = "", width: int = 860, height: int = 5
     plot_w = width - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = height - _MARGIN_TOP - _MARGIN_BOTTOM
 
+    # margin + ((v - origin) / span) * plot, in place on the one new array
+    # (or scalar) that the subtraction makes
     def sx(x):
-        return _MARGIN_LEFT + (x - x_min) / (x_max - x_min) * plot_w
+        px = np.subtract(np.asarray(x, dtype=float), x_min)
+        px /= x_max - x_min
+        px *= plot_w
+        px += _MARGIN_LEFT
+        return px
 
     def sy(y):
-        return _MARGIN_TOP + (y_max - y) / (y_max - y_min) * plot_h
+        py = np.subtract(y_max, np.asarray(y, dtype=float))
+        py /= y_max - y_min
+        py *= plot_h
+        py += _MARGIN_TOP
+        return py
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -130,21 +149,19 @@ def render_line_chart(curves, title: str = "", width: int = 860, height: int = 5
         f'font-family="sans-serif" font-size="13" '
         f'transform="rotate(-90 16 {_fmt(_MARGIN_TOP + plot_h / 2)})">P</text>'
     )
+    sink.write(("\n".join(parts) + "\n").encode())
 
-    # the points go into the document as they are, not through an f-string
-    pieces = ["\n".join(parts), "\n"]
     for k, (label, xs, ys) in enumerate(curves):
         color = PALETTE[k % len(PALETTE)]
         ly = _MARGIN_TOP + 16 + 16 * k
         lx = _MARGIN_LEFT + plot_w - 130
-        pieces += [
-            '<polyline points="',
-            svg_points(sx(np.asarray(xs, dtype=float)), sy(np.asarray(ys, dtype=float))),
-            f'" fill="none" stroke="{color}" stroke-width="1.3"/>\n',
+        sink.write(b'<polyline points="')
+        write_svg_points(sink, sx(xs), sy(ys))
+        sink.write((
+            f'" fill="none" stroke="{color}" stroke-width="1.3"/>\n'
             f'<line x1="{_fmt(lx)}" y1="{_fmt(ly - 4)}" x2="{_fmt(lx + 24)}" '
-            f'y2="{_fmt(ly - 4)}" stroke="{color}" stroke-width="2"/>\n',
+            f'y2="{_fmt(ly - 4)}" stroke="{color}" stroke-width="2"/>\n'
             f'<text x="{_fmt(lx + 30)}" y="{_fmt(ly)}" font-family="sans-serif" '
-            f'font-size="12">{_escape(label)}</text>\n',
-        ]
-    pieces.append("</svg>\n")
-    return "".join(pieces)
+            f'font-size="12">{_escape(label)}</text>\n'
+        ).encode())
+    sink.write(b"</svg>\n")

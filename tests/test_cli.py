@@ -3,10 +3,14 @@ import json
 import math
 import os
 import re
+import tempfile
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from staremit import _arrowhead, _numtext, cli, dirichlet_survival, revival_period
 from staremit._numtext import CSV_FIELD_BYTES, JSON_FIELD_BYTES, SVG_POINT_BYTES
@@ -14,6 +18,9 @@ from staremit.cli import main
 from staremit.evolution import _series_bytes
 
 from helpers import traced_peak
+
+# the largest count / peak a bound test admits from 4 MB of count up
+_LOOSENESS = 4.0
 
 INV_SQRT3 = 1.0 / np.sqrt(3.0)
 
@@ -188,6 +195,60 @@ def test_late_write_failure_names_the_users_path(failing, tmp_path, capsys, monk
     assert out == ""
     assert err == f"error: cannot write {['a.csv', 'x.svg'][failing - 1]}: No space left on device\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv"][: failing - 1]
+
+
+class _FullDisk:
+    # a temp file whose write raises ENOSPC at the fail-th write of the run;
+    # writes counts the writes of every file opened
+    def __init__(self, fh, writes, fail):
+        self._fh, self._writes, self._fail = fh, writes, fail
+
+    def write(self, data):
+        self._writes.append(len(data))
+        if len(self._writes) == self._fail:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return self._fh.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+
+def test_write_failure_at_any_block_names_the_users_path(tmp_path, capsys, monkeypatch):
+    # the CSV and the chart go to their temp files a block at a time; a
+    # write that fails at any of them exits 2 with one error line naming
+    # the path as given, prints nothing on stdout and leaves no temp file
+    # (a CSV renamed before a failed chart stays)
+    argv = ["two-level", "--samples", "20000", "--out", "a.csv", "--svg", "a.svg"]
+    fdopen, opened, writes = os.fdopen, [], []
+    monkeypatch.chdir(tmp_path)
+
+    def counting(fd, mode, fail=0):
+        opened.append(len(writes))
+        return _FullDisk(fdopen(fd, mode), writes, fail)
+
+    monkeypatch.setattr(os, "fdopen", counting)
+    assert main(argv) == 0
+    capsys.readouterr()
+    # the header and five blocks of rows; the chart's frame, each curve's
+    # five blocks of points between its pieces, and its end
+    total, csv_writes = len(writes), opened[1]
+    assert csv_writes == 6 and total - csv_writes > 10
+    for fail in range(1, total + 1):
+        for p in tmp_path.iterdir():
+            p.unlink()
+        writes.clear()
+        monkeypatch.setattr(os, "fdopen", lambda fd, mode, fail=fail: counting(fd, mode, fail))
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        name = "a.csv" if fail <= csv_writes else "a.svg"
+        assert (out, err) == ("", f"error: cannot write {name}: No space left on device\n"), fail
+        assert sorted(p.name for p in tmp_path.iterdir()) == ([] if name == "a.csv" else ["a.csv"])
 
 
 @pytest.mark.parametrize(
@@ -501,6 +562,8 @@ def test_series_memory_guard_refuses_before_any_allocation(argv, levels, kept, f
     # model or the profile exists
     samples = int(argv[argv.index("--samples") + 1])
     size = _series_bytes(levels, samples, kept)
+    if argv[0] != "figure1":  # and what the series command holds beside it
+        size += cli._HELD_BYTES["csv"] * samples + cli._WRITER_BYTES
     argv = [str(tmp_path / a) if a == "c.svg" else a for a in argv]
     out = tmp_path / "out"
     argv += ["--out", str(out)]
@@ -518,6 +581,56 @@ def test_series_memory_guard_refuses_before_any_allocation(argv, levels, kept, f
     assert out.exists()
 
 
+@st.composite
+def _series_runs(draw):
+    # (argv, levels) of a two-level or identical-modes run to a CSV file
+    # with a chart, or to a JSON file, with samples spread evenly in log
+    # from 1000 to 1e6 (2e5 for JSON, whose text is made value by value);
+    # identical modes hold about 2 levels x samples multiply-adds, capped
+    command = draw(st.sampled_from(["two-level", "identical-modes"]))
+    fmt = draw(st.sampled_from(["csv", "json"]))
+    n = 1 if command == "two-level" else draw(st.integers(1, 2000))
+    cap = min(10**6 if fmt == "csv" else 2 * 10**5, 2 * 10**8 // (n + 1))
+    samples = round(cap ** draw(st.floats(math.log(1000, cap), 1.0)))
+    argv = [command] + (["--n", str(n)] if n > 1 or command != "two-level" else [])
+    argv += ["--samples", str(samples), "--format", fmt] + (["--svg", "c.svg"] if fmt == "csv" else [])
+    return argv, n + 1
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(_series_runs())
+@example((["two-level", "--samples", "1000000", "--format", "csv", "--svg", "c.svg"], 2))
+@example((["two-level", "--samples", "200000", "--format", "json"], 2))
+@example((["identical-modes", "--n", "300", "--samples", "300000", "--format", "csv",
+           "--svg", "c.svg"], 301))
+def test_series_commands_hold_no_more_than_their_count(run):
+    # the count a series command is refused by (the kernel's series count
+    # and what the command holds beside it: its time columns, for JSON the
+    # table's floats and text, and the writers' block buffers) is never
+    # short of the tracemalloc peak of the whole run, and from 4 MB up at
+    # most _LOOSENESS times it
+    argv, levels = run
+    counts = []
+
+    def preflight(paths, text_bytes=0, series_bytes=0, *args, **kwargs):
+        counts.append(series_bytes)
+        return preflight_once(paths, text_bytes, series_bytes, *args, **kwargs)
+
+    preflight_once = cli._preflight
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [os.path.join(tmp, a) if a == "c.svg" else a for a in argv]
+        with mock.patch.object(cli, "_preflight", preflight):
+            peak, rc = traced_peak(main, argv + ["--out", os.path.join(tmp, "o")])
+    assert rc == 0
+    samples = int(argv[argv.index("--samples") + 1])
+    fmt = argv[argv.index("--format") + 1]
+    assert counts == [_series_bytes(levels, samples) + cli._HELD_BYTES[fmt] * samples
+                      + cli._WRITER_BYTES]
+    assert peak <= counts[0], (peak, counts[0])
+    if counts[0] >= 4 * 10**6:
+        assert counts[0] <= _LOOSENESS * peak, counts[0] / peak
+
+
 def test_series_memory_budget_admits_the_largest_documented_runs():
     # identical-modes --n 100000 --samples 101 (70 MB of kernel arrays) and
     # every benchmark input (n and M up to 200, up to 1e5 samples), checked
@@ -529,9 +642,12 @@ def test_series_memory_budget_admits_the_largest_documented_runs():
 
 
 def test_two_level_samples_are_held_to_the_series_budget(tmp_path, capsys, monkeypatch):
-    # two levels cost little beyond the kernel's arrays of one entry per
-    # sample, so --samples alone is named; the check runs before any of them
-    size = _series_bytes(2, 101)
+    # two levels cost little beyond the arrays of one entry per sample, so
+    # --samples alone is named; the check runs before any of them
+    def count(samples, fmt="csv"):
+        return _series_bytes(2, samples) + cli._HELD_BYTES[fmt] * samples + cli._WRITER_BYTES
+
+    size = count(101)
     out = tmp_path / "out.csv"
     monkeypatch.setattr(cli, "_SERIES_BUDGET_BYTES", size - 1)
     monkeypatch.setattr(np, "linspace", pytest.fail)
@@ -541,10 +657,12 @@ def test_two_level_samples_are_held_to_the_series_budget(tmp_path, capsys, monke
         f"of {size - 1} bytes; lower it\n"))
     assert list(tmp_path.iterdir()) == []
     monkeypatch.undo()
-    # at the real budget: 80 bytes a sample put the limit near 1.34e7 samples
-    cli._preflight([], 0, _series_bytes(2, 13_415_899), samples=13_415_899)
-    with pytest.raises(ValueError, match="^--samples 13415900 would take about"):
-        cli._preflight([], 0, _series_bytes(2, 13_415_900), samples=13_415_900)
+    # at the real budget: 104 bytes a sample put the CSV limit near 1.03e7
+    # samples, and 470 the JSON limit near 2.28e6
+    for fmt, largest in (("csv", 10_315_436), ("json", 2_283_027)):
+        cli._preflight([], 0, count(largest, fmt), samples=largest)
+        with pytest.raises(ValueError, match=f"^--samples {largest + 1} would take about"):
+            cli._preflight([], 0, count(largest + 1, fmt), samples=largest + 1)
 
 
 @pytest.mark.parametrize("argv, files", [

@@ -218,7 +218,7 @@ def _series_sizes(draw):
 def test_series_count_bounds_the_kernels_peak(size):
     # the count that the CLI refuses by is never short of the tracemalloc
     # peak of survival_probability, on either path: the grid path holds
-    # about 72 bytes a sample and the direct sum, which non-uniform times
+    # about 48 bytes a sample and the direct sum, which non-uniform times
     # and levels near 1e12 take, about 32, so 80 cover both. Below 16 KiB
     # of count a few KB of fixed overhead dominate. From 4 MB up the count
     # is also at most _LOOSENESS times the peak, so it cannot drift loose
@@ -246,7 +246,7 @@ def test_series_count_bounds_the_kernels_peak(size):
 @pytest.mark.parametrize("levels, samples, eps0", [(3, 10**6, 0.0), (3, 10**5, 1e12), (501, 5000, 0.0)],
                          ids=["grid", "direct", "many-levels"])
 def test_series_count_covers_the_per_sample_arrays(levels, samples, eps0):
-    # the grid path holds about 72 bytes a sample (68.8 MiB at 3 levels and
+    # the grid path holds about 48 bytes a sample (45.9 MiB at 3 levels and
     # 1e6 samples) and the direct sum, which levels near 1e12 take, about 32
     # (3.1 MiB at 1e5 samples): the count covers either, and the many
     # levels whose per-level terms dominate
@@ -367,14 +367,18 @@ def _grid_amplitude_reference(levels, weights, tt):
 @pytest.mark.parametrize("dim", [1, 9, 200])
 def test_grid_amplitude_mirrors_fine_phasors_exactly(samples, dim):
     # fine phasors at negative offsets are conjugates of the ones at
-    # positive offsets: the amplitude is bit for bit the one with every
-    # fine phasor exponentiated
+    # positive offsets: the amplitude, which the kernel takes a block of
+    # whole coarse rows at a time in one reused buffer, is bit for bit the
+    # one with every fine phasor exponentiated, formed on the whole grid
     rng = np.random.default_rng(samples + dim)
     levels = rng.uniform(-2.0, 2.0, dim)
     weights = rng.dirichlet(np.ones(dim))
     for t0, t1 in ((-7.3, 31.9), (12.5, -40.0)):
         tt = np.linspace(t0, t1, samples)
-        got = _grid_amplitude(levels, weights, tt)
+        starts, blocks = zip(*((start, amp.copy())
+                               for start, amp in _grid_amplitude(levels, weights, tt)))
+        got = np.concatenate(blocks)
+        assert list(starts) == np.cumsum([0] + [b.size for b in blocks[:-1]]).tolist()
         want = _grid_amplitude_reference(levels, weights, tt)
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got.view(float)), np.signbit(want.view(float)))

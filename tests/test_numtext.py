@@ -18,6 +18,7 @@ from staremit._numtext import (
     json_table,
     svg_points,
     svg_points_reference,
+    write_csv,
 )
 
 
@@ -131,6 +132,27 @@ def test_csv_table_fixed_cases():
     assert csv_table([9.99999999999995e5], {"P": [0.5]}) == "t,P\n1.00000000000e+06,5.00000000000e-01\n"
 
 
+@pytest.mark.parametrize("misfit", [1e120, 1e-120, np.inf, np.nan])
+@pytest.mark.parametrize("row", [4096, 4097, 9000])
+def test_csv_misfit_past_the_first_block_rewrites_the_file_as_the_reference(misfit, row, tmp_path):
+    # the first block fits and is written before the misfit in a later one
+    # is found: the writer seeks back to where the table began, truncates
+    # and writes the reference, so the file holds exactly its bytes after
+    # whatever preceded the table
+    ts = np.linspace(0.0, 30.0, 9001)
+    named = {"P": np.cos(ts) ** 2, "Q": np.sin(ts) ** 2}
+    named["Q"][row] = misfit
+    path = tmp_path / "table.csv"
+    with open(path, "wb") as fh:
+        fh.write(b"kept\n")
+        with mock.patch.object(_numtext, "csv_table_reference",
+                               wraps=csv_table_reference) as reference:
+            write_csv(fh, ts, named)
+    reference.assert_called_once_with(ts, named)
+    assert path.read_bytes() == b"kept\n" + csv_table_reference(ts, named).encode()
+    assert csv_table(ts, named) == csv_table_reference(ts, named)
+
+
 # the largest double the point layout takes; 9999.995 itself does not fit
 _LAYOUT_EDGE = float(np.nextafter(9999.995, 0.0))
 
@@ -189,8 +211,12 @@ def test_svg_points_rounding_ties_and_empty():
 
 
 def _reference_chart(monkeypatch, curves, **kwargs):
+    # the chart with every curve's points written by the per-point template
+    def reference_points(sink, x, y):
+        sink.write(svg_points_reference(x, y).encode())
+
     with monkeypatch.context() as m:
-        m.setattr(svgplot, "svg_points", svg_points_reference)
+        m.setattr(svgplot, "write_svg_points", reference_points)
         return svgplot.render_line_chart(curves, **kwargs)
 
 
