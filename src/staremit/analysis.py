@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import AsymmetricProfile, ThresholdOutOfRange
 from .evolution import SurvivalSeries, _survival
-from .inverse import SpectralProfile
+from .inverse import SpectralProfile, equally_spaced_spectrum
 
 # Mirror symmetry tolerance for the cosine form.
 SYMMETRY_TOL = 1e-12
@@ -78,13 +78,16 @@ def profile_survival(profile: SpectralProfile, t):
 
     Evaluates ``|sum_m overlap_m exp(-i E_m t)|^2`` on the profile's
     implied level ladder, clipped to [0, 1]; vectorized over ``t``, a
-    float for scalar ``t``. It shares the kernel of
+    float for scalar ``t``. P does not change when every level moves by
+    the same amount, so the ladder is taken centred on 0, not on
+    ``eps0``: a large ``eps0`` costs P no digits. It shares the kernel of
     :func:`~staremit.evolution.survival_probability`: a uniform grid of S
     times over 2M+1 levels costs about ``1.5 (2M+1) sqrt(S)`` exponentials
     and one matrix product, other times ``(2M+1) S`` exponentials; both
     take ``O(M sqrt(S) + S)`` memory.
     """
-    return _survival(profile.eigenvalues(), profile.overlaps, t)
+    ladder = equally_spaced_spectrum(profile.m_half, 0.0, profile.d_width)
+    return _survival(ladder, profile.overlaps, t)
 
 
 def dirichlet_survival(m_half: int, d_width: float, t):

@@ -176,8 +176,10 @@ def _run_series(args, n: int, eps1: float, analytic, svg_title: str, flag=None) 
                args.samples * (3 * field_bytes + (2 * SVG_POINT_BYTES if args.svg else 0)),
                _series_bytes(n + 1, args.samples) + _HELD_BYTES[args.format] * args.samples
                + _WRITER_BYTES, flag, args.samples)
-    eps = np.full(n + 1, eps1)
-    eps[0] = args.eps0
+    # P does not change when every energy moves by the same amount, so the
+    # model is built relative to --eps0: a large --eps0 costs P no digits
+    eps = np.zeros(n + 1)
+    eps[1:] = eps1 - args.eps0
     model = StarModel(eps=eps, alpha=np.full(n, args.alpha, dtype=complex))
     ts = np.linspace(0.0, args.t_max, args.samples)
     tau = ts / args.hbar

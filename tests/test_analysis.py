@@ -171,6 +171,18 @@ def test_flat_profile_survival_on_uniform_grids_is_dirichlet(
     assert np.abs(direct - dirichlet_survival(m_half, d_width, ts)).max() < 1e-12
 
 
+@pytest.mark.parametrize("eps0", [1e6, 1e12, 1e15, -1e15])
+def test_profile_survival_does_not_depend_on_the_centre(eps0):
+    # P is the same under a common shift of every level: far from 0 the
+    # ladder's own rounding (and the phases E t of size eps0 t) would cost
+    # digits, so the kernel runs on the ladder centred on 0
+    m_half, d_width = 5, 1.0
+    ts = np.linspace(0.0, 2.0 * revival_period(m_half, d_width), 1001)
+    far = profile_survival(flat_profile(m_half, eps0, d_width), ts)
+    assert np.array_equal(far, profile_survival(flat_profile(m_half, 0.0, d_width), ts))
+    assert np.abs(far - dirichlet_survival(m_half, d_width, ts)).max() < 1e-12
+
+
 def test_profile_survival_memory_is_bounded():
     # dim 201 x 20001 samples: the phasor table alone would be 64 MB
     profile = flat_profile(100, 0.0, 1.0)

@@ -117,7 +117,9 @@ def test_identical_modes_rejects_zero_modes():
         ["identical-modes", "--n", "2", "--alpha", "1e308"],
         ["two-level", "--alpha", "1e308", "--format", "json"],
         ["two-level", "--alpha", "1e200", "--eps1", "1"],
-        ["figure1", "--m-list", "2", "--eps0", "1e308"],
+        # tau = t / hbar overflows; a figure1 --eps0 1e308 that overflowed
+        # here runs on the ladder centred on 0 and exits 0 (below)
+        ["two-level", "--t-max", "1e10", "--hbar", "1e-300"],
     ],
 )
 def test_non_finite_result_exits_2_and_writes_nothing(argv, tmp_path, capsys):
@@ -680,6 +682,36 @@ def test_series_csvs_never_reach_the_per_value_template(argv, files, tmp_path, m
     assert main(argv) == 0
     for name in files:
         assert (tmp_path / name).stat().st_size > 0
+
+
+@pytest.mark.parametrize("eps0", ["1e6", "1e12", "1e15"])
+@pytest.mark.parametrize("argv", [["two-level"], ["two-level", "--eps1", "+0.5"],
+                                  ["identical-modes", "--n", "5"]],
+                         ids=["two-level", "detuned", "identical-modes"])
+def test_series_survival_is_computed_relative_to_eps0(argv, eps0, tmp_path):
+    # P does not change under a common energy shift, so a large --eps0
+    # costs the trace no digits: it matches the closed form up to the
+    # file's 12 significant digits (--eps1 is --eps0 + 0.5 here)
+    argv = [a if a != "+0.5" else repr(float(eps0) + 0.5) for a in argv]
+    out = tmp_path / "s.csv"
+    assert main(argv + ["--eps0", eps0, "--samples", "1001", "--out", str(out)]) == 0
+    header, body = _read_csv(out)
+    assert header == ["t", "P", "P_analytic"]
+    assert np.abs(body[:, 1] - body[:, 2]).max() < 1e-10
+
+
+@pytest.mark.parametrize("eps0", ["1e6", "1e12", "1e15", "1e308"])
+def test_figure1_far_from_zero_is_the_dirichlet_form(eps0, tmp_path, capsys):
+    # the revival sweep at a large --eps0 is the one at 0, digit for digit
+    main(["figure1", "--m-list", "5", "--samples", "1001", "--out", str(tmp_path / "zero")])
+    zero = capsys.readouterr().out
+    assert main(["figure1", "--m-list", "5", "--samples", "1001", "--eps0", eps0,
+                 "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == zero
+    _, body = _read_csv(tmp_path / "figure1_M5.csv")
+    assert np.abs(body[:, 1] - dirichlet_survival(5, 1.0, body[:, 0])).max() < 1e-10
+    for name in ("figure1_M5.csv", "figure1_M5_metrics.json"):
+        assert (tmp_path / name).read_bytes() == (tmp_path / "zero" / name).read_bytes()
 
 
 def test_figure1_outputs(tmp_path, capsys):
