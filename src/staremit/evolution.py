@@ -186,20 +186,32 @@ def _grid_amplitude(levels, weights, tt):
     # offset[h - j] = -(step j) exactly, so the fine phasor there is the
     # conjugate of the one at step j: only offsets 0..h are exponentiated
     h = nb // 2
-    half = np.exp(-1j * np.multiply.outer(levels, step * np.arange(h + 1)))
+    half = _phasors(levels, step * np.arange(h + 1))
     fine = np.empty((levels.size, nb), dtype=complex)
     fine[:, h:] = half[:, : nb - h]
     np.conjugate(half[:, h:0:-1], out=fine[:, :h])
     del half
     # both weighted coarse factors go into one buffer, so that at most four
     # n x ceil(sqrt(S)) complex arrays are alive at once
-    coarse = np.exp(-1j * np.multiply.outer(anchor, levels))
+    coarse = _phasors(anchor, levels)
     both = np.empty((2 * na, levels.size), dtype=complex)
     np.multiply(weights, coarse, out=both[:na])
     np.multiply(weights * levels, coarse, out=both[na:])
     del coarse
     g = both @ fine
     return _grid_blocks(g, r, nb)
+
+
+def _phasors(a, b):
+    # exp(-1j * outer(a, b)) in one complex array: its real parts are +0 and
+    # its imaginary parts -a b, the very operands -1j * outer(a, b) makes,
+    # without that product's float and complex temporaries
+    z = np.empty((a.size, b.size), dtype=complex)
+    parts = z.view(float).reshape(a.size, b.size, 2)
+    parts[..., 0] = 0.0
+    np.multiply.outer(a, b, out=parts[..., 1])
+    np.negative(parts[..., 1], out=parts[..., 1])
+    return np.exp(z, out=z)
 
 
 def _grid_blocks(g, r, nb):

@@ -22,7 +22,7 @@ from staremit import (
 )
 
 from staremit import _arrowhead
-from staremit.evolution import _grid_amplitude, _series_bytes
+from staremit.evolution import _grid_amplitude, _phasors, _series_bytes
 
 from helpers import random_hermitian, random_star_model, traced_peak
 
@@ -382,6 +382,18 @@ def test_grid_amplitude_mirrors_fine_phasors_exactly(samples, dim):
         want = _grid_amplitude_reference(levels, weights, tt)
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got.view(float)), np.signbit(want.view(float)))
+
+
+def test_phasors_are_exp_of_minus_i_outer_bit_for_bit():
+    # the kernel's phasors skip the float and complex temporaries of
+    # -1j * outer(a, b), and keep its bits, signed zeros included
+    rng = np.random.default_rng(3)
+    a = np.concatenate([[0.0, -0.0, 1e-300, -5e3, 7e8], rng.uniform(-40.0, 40.0, 60)])
+    b = np.concatenate([[0.0, -0.0, -1e-310, 3e5], rng.uniform(-100.0, 100.0, 33)])
+    for x, y in ((a, b), (b, a), (a[:1], b[:0])):
+        got, want = _phasors(x, y), np.exp(-1j * np.multiply.outer(x, y))
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def _rk4_loop(h, psi0, t, dt):
