@@ -21,11 +21,12 @@ value or a three-digit exponent, and an SVG curve with a coordinate
 outside the one point layout below, do not fit the fixed width and are
 written by the per-value reference instead.
 
-Streaming. Each writer hands its bytes to a binary sink (an open file, or
-an ``io.BytesIO`` behind the ``str`` functions) one block of up to
-``_BLOCK`` rows at a time, so no writer holds a whole output: ``csv_table``,
-``svg_points`` and ``svgplot.render_line_chart`` are joins over the same
-writers.
+Streaming. Each writer hands its bytes to a binary sink (an open file, a
+sink that passes them on to stdout, or an ``io.BytesIO`` behind
+``as_text``) one block of up to ``_BLOCK`` rows or values at a time, so
+no writer holds a whole output, and each tests its whole input before it
+writes a byte: the sink need not be seekable. ``csv_table`` and
+``svgplot.render_line_chart`` are joins over the same writers.
 
 Block layout. A CSV table is its header, then one reused ``uint8`` block
 buffer of ``(rows, columns, 18)``, filled and written 4096 rows at a time.
@@ -34,12 +35,13 @@ block of four words (three 4-digit groups and an exponent word from a
 199-entry table) one byte to the right, after which the first digit moves
 left and ``.`` takes its place, then the separator. That is the only
 layout the program's tables take: their times run from 0 and their
-probabilities lie in [0, 1], so every field is unsigned. A table with any
-set sign bit (a negative value, or ``-0.0``) goes whole to the per-value
-reference. A value past the first block that does not fit (inf, NaN or a
-three-digit exponent) is found only after earlier blocks were written:
-the writer then seeks the sink back to the table's start, truncates it
-and writes the reference, so no table mixes the two.
+probabilities lie in [0, 1], so every field is unsigned. ``_e_fits``
+tests each column before the header is written; a table with a value
+that does not fit (a set sign bit, ``-0.0`` included, inf, NaN or a
+three-digit exponent) goes whole to the per-value reference, so no table
+mixes the two. A JSON table is ``json.dumps``'s framing around one
+``float.__repr__`` join per block of values; a table with a non-finite
+value goes whole to ``json.dumps``.
 
 An SVG point is a row of four words, two per coordinate: the integer
 part right-aligned in one word with NUL in place of leading zeros, then
@@ -126,14 +128,20 @@ def _near_ties(x: np.ndarray, rounded: np.ndarray, tie: float) -> np.ndarray:
     return np.flatnonzero(np.abs(x - rounded) > 0.5 - tie)
 
 
-def _e_words(v: np.ndarray, out: np.ndarray) -> bool:
-    # "%.11e" % v for v >= 0 without its dot, as the words of the three
-    # 4-digit groups and "e±dd" in each row of `out` (n x 4 uint32); False
-    # if v does not fit
+def _e_fits(v: np.ndarray) -> bool:
+    # whether every "%.11e" % v is an unsigned field with a two-digit
+    # exponent: not for a set sign bit ("-0.0" included), inf, NaN, 1e99
+    # and up, or a nonzero value below 1e-99
+    return (not np.signbit(v).any() and v.max() < 1e99
+            and np.min(v, where=v != 0, initial=1.0) >= 1e-99)
+
+
+def _e_words(v: np.ndarray, out: np.ndarray) -> None:
+    # "%.11e" % v without its dot, for values that pass _e_fits, as the
+    # words of the three 4-digit groups and "e±dd" in each row of `out`
+    # (n x 4 uint32)
     zero = v == 0
     safe = np.where(zero, 1.0, v)  # zeros are scaled as 1.0, mended below
-    if not (safe.max() < 1e99 and safe.min() >= 1e-99):
-        return False  # inf, NaN or a three-digit exponent
     e = np.floor(np.log10(safe)).astype(np.int64)
     k = 11 - e
     x = safe * _POW10[k] if k.min() >= 0 and k.max() <= 22 else _scale(safe, k)
@@ -151,7 +159,8 @@ def _e_words(v: np.ndarray, out: np.ndarray) -> bool:
         m[ties] = [int(t[0] + t[2:13]) for t in texts]
         e[ties] = [int(t[14:]) for t in texts]
     if not (m.min() >= 1e11 and m.max() < 1e12 and e.min() >= -99 and e.max() <= 99):
-        return False
+        # the fit test passed, and earlier blocks may be written already
+        raise RuntimeError("a CSV field left its layout after the fit test")
     mi = m.astype(np.int64)
     q0 = mi // 10**8
     rest = mi - q0 * 10**8
@@ -162,7 +171,6 @@ def _e_words(v: np.ndarray, out: np.ndarray) -> bool:
     np.take(_EXPONENTS, e + 99, out=out[:, 3], mode="wrap")
     if zero.any():
         out[zero, 0] = _DIGITS[0]  # "0.000" in place of "1.000"
-    return True
 
 
 def as_text(write, *args) -> str:
@@ -175,23 +183,17 @@ def as_text(write, *args) -> str:
 def write_csv(sink, ts, columns: dict) -> None:
     """Write :func:`csv_table` ``(ts, columns)`` to the binary ``sink``.
 
-    Rows go out a block of up to ``_BLOCK`` at a time from one reused byte
-    buffer. A value past the first block that does not fit the field makes
-    the writer seek ``sink`` back to where the table began, truncate it and
-    write the reference instead, so ``sink`` must be seekable.
+    Every column is tested against the field layout before the header is
+    written; rows then go out a block of up to ``_BLOCK`` at a time from
+    one reused byte buffer.
     """
     cols = [np.asarray(c, dtype=float).ravel() for c in (ts, *columns.values())]
     n = min(c.size for c in cols)  # rows stop at the shortest column, as zip does
     cols = [c[:n] for c in cols]
-    header = ("t," + ",".join(columns) + "\n").encode()
-    if n == 0:
-        sink.write(header)
-        return
-    if any(np.signbit(c).any() for c in cols):
+    if n and not all(map(_e_fits, cols)):
         sink.write(csv_table_reference(ts, columns).encode())
         return
-    origin = sink.tell()
-    sink.write(header)
+    sink.write(("t," + ",".join(columns) + "\n").encode())
     buf = np.empty((min(n, _BLOCK), len(cols), 18), dtype=np.uint8)
     buf[:, :, 17] = np.frombuffer(b"," * (len(cols) - 1) + b"\n", dtype=np.uint8)
     words = np.empty((buf.shape[0], 4), dtype=np.uint32)
@@ -199,11 +201,7 @@ def write_csv(sink, ts, columns: dict) -> None:
         rows = buf[: min(_BLOCK, n - start)]
         block = words[: rows.shape[0]]
         for j, c in enumerate(cols):
-            if not _e_words(c[start : start + _BLOCK], block):
-                sink.seek(origin)
-                sink.truncate()
-                sink.write(csv_table_reference(ts, columns).encode())
-                return
+            _e_words(c[start : start + _BLOCK], block)
             # one 16-byte item per row copies faster than 16 byte columns
             field = rows[:, j]
             field[:, 1:17].view("V16")[:, 0] = block.view("V16")[:, 0]
@@ -222,8 +220,9 @@ def csv_table(ts, columns: dict) -> str:
     its separator: the values are scaled to 12-digit integers, and an
     element within 1e-3 of a last digit of a rounding tie is formatted by
     ``%`` instead (see the module docstring). A table with a value that
-    does not fit that field (a set sign bit, ``-0.0`` included, inf, NaN
-    or a three-digit exponent) is written by the reference template.
+    does not fit that field (a set sign bit, ``-0.0`` included, inf, NaN,
+    1e99 and up, or a nonzero value below 1e-99) is written by the
+    reference template.
     """
     return as_text(write_csv, ts, columns)
 
@@ -256,9 +255,16 @@ def _f_words(v: np.ndarray, fractions: np.ndarray, out: np.ndarray) -> None:
 
 
 def write_svg_points(sink, x, y) -> None:
-    """Write :func:`svg_points` ``(x, y)`` to the binary ``sink``, a block of
-    up to ``_BLOCK`` points at a time; the fit check covers the whole curve
-    before any of it is written."""
+    """Write ``" ".join("%.2f,%.2f" % p for p in zip(x, y))`` to the binary
+    ``sink``, byte for byte, a block of up to ``_BLOCK`` points at a time.
+
+    Each coordinate is ``rint(100 v)`` written from the word tables, the NUL
+    bytes of blank integer digits dropped in one pass per block of rows; a
+    value within 1e-6 of a rounding tie is formatted by ``%``. A coordinate
+    with its sign bit set, not finite, or from 9999.995 up sends the whole
+    curve to :func:`svg_points_reference`; that test covers the whole curve
+    before any of it is written.
+    """
     x = np.asarray(x, dtype=float).ravel()
     y = np.asarray(y, dtype=float).ravel()
     n = min(x.size, y.size)  # points stop at the shorter array, as zip does
@@ -280,18 +286,6 @@ def write_svg_points(sink, x, y) -> None:
         sink.write(points.tobytes().translate(None, b"\0"))
 
 
-def svg_points(x, y) -> str:
-    """``" ".join("%.2f,%.2f" % p for p in zip(x, y))``, byte for byte.
-
-    Each coordinate is ``rint(100 v)`` written from the word tables, the NUL
-    bytes of blank integer digits dropped in one pass per block of rows; a
-    value within 1e-6 of a rounding tie is formatted by ``%``. A coordinate
-    with its sign bit set, not finite, or from 9999.995 up sends the whole
-    curve to :func:`svg_points_reference`.
-    """
-    return as_text(write_svg_points, x, y)
-
-
 def svg_points_reference(x, y) -> str:
     """``" ".join("%.2f,%.2f" % p for p in zip(x, y))``, one point at a time."""
     xs = np.asarray(x, dtype=float).ravel().tolist()
@@ -299,22 +293,26 @@ def svg_points_reference(x, y) -> str:
     return " ".join(map(f"{SVG_FIELD},{SVG_FIELD}".__mod__, zip(xs, ys)))
 
 
-def json_table(ts, columns: dict) -> str:
-    """``json.dumps({"t": ts, **columns}, indent=2) + "\\n"`` of float lists.
+def write_json(sink, ts, columns: dict) -> None:
+    """Write ``json.dumps({"t": ts, **columns}, indent=2) + "\\n"`` of float
+    lists to the binary ``sink``, byte for byte.
 
-    Each column is one join of ``float.__repr__`` (what ``json`` writes
-    for a finite float) inside the same two-space framing; a table with a
-    non-finite value goes through ``json.dumps`` itself.
+    Inside the same two-space framing, each column goes out as one join of
+    ``float.__repr__`` (what ``json`` writes for a finite float) per block
+    of up to ``_BLOCK`` values. A table with a non-finite value, found
+    before anything is written, goes whole through ``json.dumps`` itself.
     """
     arrays = {"t": np.asarray(ts, dtype=float)}
     for name, values in columns.items():
         arrays[name] = np.asarray(values, dtype=float)
-    payload = {name: v.tolist() for name, v in arrays.items()}
     if not all(np.isfinite(v).all() for v in arrays.values()):
-        return json.dumps(payload, indent=2) + "\n"
-    fields = [
-        f"  {json.dumps(name)}: [\n    " + ",\n    ".join(map(float.__repr__, v)) + "\n  ]"
-        if v else f"  {json.dumps(name)}: []"
-        for name, v in payload.items()
-    ]
-    return "{\n" + ",\n".join(fields) + "\n}\n"
+        payload = {name: v.tolist() for name, v in arrays.items()}
+        sink.write((json.dumps(payload, indent=2) + "\n").encode())
+        return
+    for i, (name, v) in enumerate(arrays.items()):
+        sink.write(f"{',' if i else '{'}\n  {json.dumps(name)}: [".encode())
+        for start in range(0, v.size, _BLOCK):
+            text = ",\n    ".join(map(float.__repr__, v[start : start + _BLOCK].tolist()))
+            sink.write(f"{',' if start else ''}\n    {text}".encode())
+        sink.write(b"\n  ]" if v.size else b"]")
+    sink.write(b"\n}\n")

@@ -29,9 +29,8 @@ from ._numtext import (
     CSV_FIELD_BYTES,
     JSON_FIELD_BYTES,
     SVG_POINT_BYTES,
-    csv_table,
-    json_table,
     write_csv,
+    write_json,
 )
 from .analysis import (
     emission_metrics,
@@ -65,17 +64,14 @@ from .svgplot import write_line_chart
 OUTPUT_BUDGET_BYTES = 1 << 30
 _SERIES_BUDGET_BYTES = 1 << 30
 
-# What two-level and identical-modes hold beside the series count: bytes a
-# sample per --format, and the text writers' block buffers and temporaries
-# (about 100 bytes a row of a block, whatever the sample count). A sample
-# takes its time, tau and closed form (8 bytes each; P is the kernel's own
-# result); a CSV file and a chart are written a block at a time and hold no
-# whole text. A JSON table holds a float object and its list slot for each
-# of its three values (32 bytes), and up to three copies of its text at the
-# widest field (a column's value strings, its join and the document).
-# Measured at 1e6 samples: 64 bytes a sample in all for CSV with --svg and
-# 345 for JSON, against counts of 104 and 470.
-_HELD_BYTES = {"csv": 24, "json": 24 + 3 * (32 + 3 * JSON_FIELD_BYTES)}
+# What two-level and identical-modes hold beside the series count, in bytes
+# a sample: its time, tau and closed form (8 bytes each; P is the kernel's
+# own result). Every table, CSV or JSON, to a file or to stdout, and every
+# chart is written a block at a time and holds no whole text: the writers'
+# block buffers and temporaries take about 100 bytes a row of a block,
+# whatever the sample count, and every series command counts them.
+# Measured at 1e6 samples: 64 bytes a sample in all, against a count of 105.
+_HELD_BYTES = 24
 _WRITER_BYTES = 128 * _BLOCK
 
 
@@ -106,11 +102,6 @@ def _preflight(paths, text_bytes=0, series_bytes=0, flag=None, samples=0, outdir
         )
 
 
-# JSON text is encoded and written in slices of this many characters, so
-# that no encoded copy of the whole output is made at once.
-_WRITE_CHUNK = 1 << 15
-
-
 def _write_text(path, write, *args) -> None:
     # write(fh, *args) writes the output to a binary temp file, renamed over
     # the target so concurrent runs never interleave partial output; a failed
@@ -130,8 +121,15 @@ def _write_text(path, write, *args) -> None:
 
 
 def _put_text(fh, text: str) -> None:
-    for start in range(0, len(text), _WRITE_CHUNK):
-        fh.write(text[start : start + _WRITE_CHUNK].encode())
+    fh.write(text.encode())
+
+
+class _Stdout:
+    # a binary sink for the table writers: each block of ASCII bytes goes to
+    # whatever sys.stdout is at the time of the write, which a caller may
+    # have redirected to a text buffer with no binary layer
+    def write(self, data) -> None:
+        sys.stdout.write(str(data, "ascii"))
 
 
 def _positive_int(text: str) -> int:
@@ -174,8 +172,8 @@ def _run_series(args, n: int, eps1: float, analytic, svg_title: str, flag=None) 
     field_bytes = CSV_FIELD_BYTES if args.format == "csv" else JSON_FIELD_BYTES
     _preflight([args.out, args.svg],
                args.samples * (3 * field_bytes + (2 * SVG_POINT_BYTES if args.svg else 0)),
-               _series_bytes(n + 1, args.samples) + _HELD_BYTES[args.format] * args.samples
-               + _WRITER_BYTES, flag, args.samples)
+               _series_bytes(n + 1, args.samples) + _HELD_BYTES * args.samples + _WRITER_BYTES,
+               flag, args.samples)
     # P does not change when every energy moves by the same amount, so the
     # model is built relative to --eps0: a large --eps0 costs P no digits
     eps = np.zeros(n + 1)
@@ -187,24 +185,15 @@ def _run_series(args, n: int, eps1: float, analytic, svg_title: str, flag=None) 
     # are never read, so never built: O(n) memory beyond the kernel's
     columns = {"P": survival_probability(eigh(model), tau), "P_analytic": analytic(tau)}
     _require_finite(ts, *columns.values())
-    _write_table(args.out, args.format, ts, columns)
+    write = write_csv if args.format == "csv" else write_json
+    if args.out:
+        _write_text(args.out, write, ts, columns)
+    else:
+        write(_Stdout(), ts, columns)
     if args.svg:
         curves = [(name, ts, values) for name, values in columns.items()]
         _write_text(args.svg, write_line_chart, curves, svg_title)
     return 0
-
-
-def _write_table(out, fmt: str, ts, columns: dict) -> None:
-    # a CSV file is written a block of rows at a time; JSON text, and text
-    # for stdout, is made whole, and freed before the chart is drawn
-    if fmt == "csv" and out:
-        _write_text(out, write_csv, ts, columns)
-        return
-    text = (csv_table if fmt == "csv" else json_table)(ts, columns)
-    if out:
-        _write_text(out, _put_text, text)
-    else:
-        sys.stdout.write(text)
 
 
 def _cmd_two_level(args) -> int:
@@ -270,12 +259,12 @@ def _cmd_figure1(args) -> int:
     # compute every trace and its metrics before writing anything, so a
     # bad input (say, a threshold outside (0, 1)) leaves no partial output;
     # --out is a directory, made once everything else has passed. The memory
-    # counted is the largest M's series, and every M's times and values,
-    # which are kept until the files are written
+    # counted is the largest M's series, every M's times and values, which
+    # are kept until the files are written, and the writers' block buffers
     kept, m_max = len(args.m_list), max(args.m_list)
     _preflight([args.svg],
                args.samples * kept * (2 * CSV_FIELD_BYTES + (SVG_POINT_BYTES if args.svg else 0)),
-               _series_bytes(2 * m_max + 1, args.samples, kept),
+               _series_bytes(2 * m_max + 1, args.samples, kept) + _WRITER_BYTES,
                f"--m-list {','.join(map(str, args.m_list))}", outdir=args.out)
     runs = []
     for m_half in args.m_list:
@@ -389,7 +378,12 @@ def main(argv=None) -> int:
     try:
         # overflow to inf/NaN is reported by _require_finite, not as warnings
         with np.errstate(over="ignore", invalid="ignore"):
-            return args.func(args)
+            code = args.func(args)
+        # a reader that closed stdout early (`| head`) fails here, not at
+        # exit; a process started with stdout closed has None there
+        if sys.stdout is not None:
+            sys.stdout.flush()
+        return code
     except (DegenerateProfile, NonConvergence) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -403,7 +397,15 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    raise SystemExit(main())
+    code = main()
+    if sys.stdout is not None:
+        try:
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # main reported the closed stdout; what its buffer still holds
+            # goes nowhere, so that the flush at interpreter exit cannot fail
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -1,10 +1,14 @@
+import contextlib
 import errno
 import json
 import math
 import os
 import re
+import subprocess
+import sys
 import tempfile
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -251,6 +255,59 @@ def test_write_failure_at_any_block_names_the_users_path(tmp_path, capsys, monke
         name = "a.csv" if fail <= csv_writes else "a.svg"
         assert (out, err) == ("", f"error: cannot write {name}: No space left on device\n"), fail
         assert sorted(p.name for p in tmp_path.iterdir()) == ([] if name == "a.csv" else ["a.csv"])
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv", [["two-level", "--samples", "20001"],
+                                  ["identical-modes", "--n", "7", "--samples", "4097"]],
+                         ids=["two-level", "identical-modes"])
+def test_series_on_stdout_are_the_bytes_of_the_out_file(argv, fmt, tmp_path, capsys):
+    # a table goes to stdout through the same block writer as to a file
+    argv = argv + ["--format", fmt]
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert out.encode() == (tmp_path / "o").read_bytes()
+
+
+def _child_env(unbuffered: bool) -> dict:
+    # the environment of a `python -m staremit.cli` child that imports this
+    # package, with Python's stdout buffering on or off
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+    return env | ({"PYTHONUNBUFFERED": "1"} if unbuffered else {})
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("fmt, samples", [("csv", 100000), ("json", 100000), ("csv", 11)])
+def test_stdout_closed_early_exits_2_with_one_error_line(fmt, samples, unbuffered):
+    # a reader that closes the pipe after its first read (`| head -c 20`)
+    # makes a write fail mid-table, and one that closes it before any read
+    # makes the flush of a short table fail: either way exit 2 with one
+    # error line, and neither a traceback nor a failed flush at exit
+    argv = ["two-level", "--samples", str(samples), "--format", fmt]
+    child = subprocess.Popen([sys.executable, "-m", "staremit.cli", *argv], env=_child_env(unbuffered),
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    if samples > 11:
+        assert child.stdout.read(20)
+    child.stdout.close()
+    err = child.stderr.read().decode()
+    child.stderr.close()
+    assert child.wait(timeout=120) == 2
+    assert err == "error: [Errno 32] Broken pipe\n"
+
+
+def test_series_to_a_file_runs_with_stdout_closed(tmp_path):
+    # a process started with stdout closed has no sys.stdout; a run that
+    # prints nothing does not need one
+    out = tmp_path / "a.csv"
+    shell = 'exec "$0" -m staremit.cli two-level --samples 11 --out "$1" >&-'
+    child = subprocess.run(["sh", "-c", shell, sys.executable, str(out)], env=_child_env(False),
+                           stderr=subprocess.PIPE, timeout=120)
+    assert (child.returncode, child.stderr) == (0, b"")
+    assert out.read_text().count("\n") == 12
 
 
 @pytest.mark.parametrize(
@@ -563,9 +620,9 @@ def test_series_memory_guard_refuses_before_any_allocation(argv, levels, kept, f
     # every M value, under a patched budget: the refusal comes before the
     # model or the profile exists
     samples = int(argv[argv.index("--samples") + 1])
-    size = _series_bytes(levels, samples, kept)
+    size = _series_bytes(levels, samples, kept) + cli._WRITER_BYTES
     if argv[0] != "figure1":  # and what the series command holds beside it
-        size += cli._HELD_BYTES["csv"] * samples + cli._WRITER_BYTES
+        size += cli._HELD_BYTES * samples
     argv = [str(tmp_path / a) if a == "c.svg" else a for a in argv]
     out = tmp_path / "out"
     argv += ["--out", str(out)]
@@ -585,33 +642,52 @@ def test_series_memory_guard_refuses_before_any_allocation(argv, levels, kept, f
 
 @st.composite
 def _series_runs(draw):
-    # (argv, levels) of a two-level or identical-modes run to a CSV file
-    # with a chart, or to a JSON file, with samples spread evenly in log
-    # from 1000 to 1e6 (2e5 for JSON, whose text is made value by value);
-    # identical modes hold about 2 levels x samples multiply-adds, capped
-    command = draw(st.sampled_from(["two-level", "identical-modes"]))
-    fmt = draw(st.sampled_from(["csv", "json"]))
-    n = 1 if command == "two-level" else draw(st.integers(1, 2000))
-    cap = min(10**6 if fmt == "csv" else 2 * 10**5, 2 * 10**8 // (n + 1))
+    # argv of a series run, with samples spread evenly in log from 1000 to
+    # 1e6: two-level or identical-modes, CSV or JSON, to a file or to
+    # stdout, or figure1 over up to four M values, each with or without a
+    # chart; a model holds about levels x samples multiply-adds, capped, and
+    # figure1 keeps every M value's series
+    command = draw(st.sampled_from(["two-level", "identical-modes", "figure1"]))
+    if command == "figure1":
+        m_list = draw(st.lists(st.integers(1, 200), min_size=1, max_size=4))
+        argv, levels, kept = [command, "--m-list", ",".join(map(str, m_list))], 2 * max(m_list) + 1, len(m_list)
+        argv += ["--out", "o"]
+    else:
+        n = 1 if command == "two-level" else draw(st.integers(1, 2000))
+        argv, levels, kept = [command] + (["--n", str(n)] if command != "two-level" else []), n + 1, 1
+        argv += ["--format", draw(st.sampled_from(["csv", "json"]))]
+        argv += draw(st.sampled_from([["--out", "o"], []]))
+    cap = min(10**6 // kept, 2 * 10**8 // levels)
     samples = round(cap ** draw(st.floats(math.log(1000, cap), 1.0)))
-    argv = [command] + (["--n", str(n)] if n > 1 or command != "two-level" else [])
-    argv += ["--samples", str(samples), "--format", fmt] + (["--svg", "c.svg"] if fmt == "csv" else [])
-    return argv, n + 1
+    return argv + ["--samples", str(samples)] + draw(st.sampled_from([["--svg", "c.svg"], []]))
+
+
+def _count(argv):
+    # what a series run is refused by: the kernel's series count, what the
+    # command holds beside it (figure1: every M value's series; the others:
+    # their time columns) and the writers' block buffers
+    samples = int(argv[argv.index("--samples") + 1])
+    if argv[0] == "figure1":
+        m_list = [int(m) for m in argv[argv.index("--m-list") + 1].split(",")]
+        return _series_bytes(2 * max(m_list) + 1, samples, len(m_list)) + cli._WRITER_BYTES
+    n = int(argv[argv.index("--n") + 1]) if "--n" in argv else 1
+    return _series_bytes(n + 1, samples) + cli._HELD_BYTES * samples + cli._WRITER_BYTES
 
 
 @settings(max_examples=10, deadline=None, derandomize=True)
 @given(_series_runs())
-@example((["two-level", "--samples", "1000000", "--format", "csv", "--svg", "c.svg"], 2))
-@example((["two-level", "--samples", "200000", "--format", "json"], 2))
-@example((["identical-modes", "--n", "300", "--samples", "300000", "--format", "csv",
-           "--svg", "c.svg"], 301))
-def test_series_commands_hold_no_more_than_their_count(run):
-    # the count a series command is refused by (the kernel's series count
-    # and what the command holds beside it: its time columns, for JSON the
-    # table's floats and text, and the writers' block buffers) is never
-    # short of the tracemalloc peak of the whole run, and from 4 MB up at
-    # most _LOOSENESS times it
-    argv, levels = run
+@example(["two-level", "--samples", "1000000", "--format", "csv", "--out", "o", "--svg", "c.svg"])
+@example(["two-level", "--samples", "1000000", "--format", "csv"])
+@example(["two-level", "--samples", "100000", "--format", "json"])
+@example(["identical-modes", "--n", "300", "--samples", "300000", "--format", "csv",
+          "--out", "o", "--svg", "c.svg"])
+@example(["figure1", "--m-list", "1", "--samples", "2001", "--out", "o"])
+@example(["figure1", "--m-list", "1", "--samples", "2001", "--out", "o", "--svg", "c.svg"])
+def test_series_commands_hold_no_more_than_their_count(argv):
+    # the count a series command is refused by is never short of the
+    # tracemalloc peak of the whole run, and from 4 MB up at most
+    # _LOOSENESS times it; stdout goes to a file, so that no capture buffer
+    # of the whole output is measured
     counts = []
 
     def preflight(paths, text_bytes=0, series_bytes=0, *args, **kwargs):
@@ -620,14 +696,12 @@ def test_series_commands_hold_no_more_than_their_count(run):
 
     preflight_once = cli._preflight
     with tempfile.TemporaryDirectory() as tmp:
-        argv = [os.path.join(tmp, a) if a == "c.svg" else a for a in argv]
-        with mock.patch.object(cli, "_preflight", preflight):
-            peak, rc = traced_peak(main, argv + ["--out", os.path.join(tmp, "o")])
+        argv = [os.path.join(tmp, a) if a in ("o", "c.svg") else a for a in argv]
+        with mock.patch.object(cli, "_preflight", preflight), \
+             open(os.path.join(tmp, "stdout"), "w") as out, contextlib.redirect_stdout(out):
+            peak, rc = traced_peak(main, argv)
     assert rc == 0
-    samples = int(argv[argv.index("--samples") + 1])
-    fmt = argv[argv.index("--format") + 1]
-    assert counts == [_series_bytes(levels, samples) + cli._HELD_BYTES[fmt] * samples
-                      + cli._WRITER_BYTES]
+    assert counts == [_count(argv)]
     assert peak <= counts[0], (peak, counts[0])
     if counts[0] >= 4 * 10**6:
         assert counts[0] <= _LOOSENESS * peak, counts[0] / peak
@@ -646,8 +720,8 @@ def test_series_memory_budget_admits_the_largest_documented_runs():
 def test_two_level_samples_are_held_to_the_series_budget(tmp_path, capsys, monkeypatch):
     # two levels cost little beyond the arrays of one entry per sample, so
     # --samples alone is named; the check runs before any of them
-    def count(samples, fmt="csv"):
-        return _series_bytes(2, samples) + cli._HELD_BYTES[fmt] * samples + cli._WRITER_BYTES
+    def count(samples):
+        return _series_bytes(2, samples) + cli._HELD_BYTES * samples + cli._WRITER_BYTES
 
     size = count(101)
     out = tmp_path / "out.csv"
@@ -659,12 +733,12 @@ def test_two_level_samples_are_held_to_the_series_budget(tmp_path, capsys, monke
         f"of {size - 1} bytes; lower it\n"))
     assert list(tmp_path.iterdir()) == []
     monkeypatch.undo()
-    # at the real budget: 104 bytes a sample put the CSV limit near 1.03e7
-    # samples, and 470 the JSON limit near 2.28e6
-    for fmt, largest in (("csv", 10_315_436), ("json", 2_283_027)):
-        cli._preflight([], 0, count(largest, fmt), samples=largest)
-        with pytest.raises(ValueError, match=f"^--samples {largest + 1} would take about"):
-            cli._preflight([], 0, count(largest + 1, fmt), samples=largest + 1)
+    # at the real budget: 104 bytes a sample put the limit of either
+    # format near 1.03e7 samples
+    largest = 10_315_436
+    cli._preflight([], 0, count(largest), samples=largest)
+    with pytest.raises(ValueError, match=f"^--samples {largest + 1} would take about"):
+        cli._preflight([], 0, count(largest + 1), samples=largest + 1)
 
 
 @pytest.mark.parametrize("argv, files", [

@@ -3,6 +3,8 @@
 import json
 import re
 import xml.etree.ElementTree as ET
+from functools import partial
+from types import SimpleNamespace
 from unittest import mock
 from xml.sax.saxutils import escape
 
@@ -13,13 +15,17 @@ from hypothesis import strategies as st
 
 from staremit import _numtext, svgplot
 from staremit._numtext import (
+    as_text,
     csv_table,
     csv_table_reference,
-    json_table,
-    svg_points,
     svg_points_reference,
     write_csv,
+    write_json,
+    write_svg_points,
 )
+
+# one curve's points as text, as a chart's polyline holds them
+svg_points = partial(as_text, write_svg_points)
 
 
 _SIGN = st.sampled_from([1.0, -1.0])
@@ -135,10 +141,9 @@ def test_csv_table_fixed_cases():
 @pytest.mark.parametrize("misfit", [1e120, 1e-120, np.inf, np.nan])
 @pytest.mark.parametrize("row", [4096, 4097, 9000])
 def test_csv_misfit_past_the_first_block_rewrites_the_file_as_the_reference(misfit, row, tmp_path):
-    # the first block fits and is written before the misfit in a later one
-    # is found: the writer seeks back to where the table began, truncates
-    # and writes the reference, so the file holds exactly its bytes after
-    # whatever preceded the table
+    # the first block fits and the misfit sits in a later one: the fit test
+    # finds it before the first byte, so a sink with no seek or truncate
+    # holds exactly the reference's bytes after whatever preceded the table
     ts = np.linspace(0.0, 30.0, 9001)
     named = {"P": np.cos(ts) ** 2, "Q": np.sin(ts) ** 2}
     named["Q"][row] = misfit
@@ -147,7 +152,7 @@ def test_csv_misfit_past_the_first_block_rewrites_the_file_as_the_reference(misf
         fh.write(b"kept\n")
         with mock.patch.object(_numtext, "csv_table_reference",
                                wraps=csv_table_reference) as reference:
-            write_csv(fh, ts, named)
+            write_csv(SimpleNamespace(write=fh.write), ts, named)
     reference.assert_called_once_with(ts, named)
     assert path.read_bytes() == b"kept\n" + csv_table_reference(ts, named).encode()
     assert csv_table(ts, named) == csv_table_reference(ts, named)
@@ -280,7 +285,7 @@ def test_render_line_chart_escapes_text():
         assert svgplot._escape(s) == escape(s)
 
 
-@pytest.mark.parametrize("samples", [0, 2, 10_000])
+@pytest.mark.parametrize("samples", [0, 2, 4095, 4096, 4097, 8193, 10_000])
 def test_json_table_matches_json_dumps(samples):
     rng = np.random.default_rng(samples)
     ts = np.linspace(0.0, 30.0, samples)
@@ -290,20 +295,27 @@ def test_json_table_matches_json_dumps(samples):
     expected = json.dumps(
         {"t": ts.tolist(), **{k: v.tolist() for k, v in columns.items()}}, indent=2
     ) + "\n"
-    assert json_table(ts, columns) == expected
+    assert as_text(write_json, ts, columns) == expected
 
 
 def test_json_table_non_finite_matches_json_dumps():
-    ts, p = np.array([0.0, 1.0]), np.array([np.nan, np.inf])
-    assert json_table(ts, {"P": p}) == json.dumps({"t": [0.0, 1.0], "P": [np.nan, np.inf]},
-                                                  indent=2) + "\n"
+    # a non-finite value, even past the first block, is found before any
+    # byte is written, and the table goes whole to json.dumps
+    for samples, row in ((2, 0), (9000, 8193)):
+        ts = np.linspace(0.0, 30.0, samples)
+        p = np.cos(ts) ** 2
+        p[row], p[-1] = np.nan, np.inf
+        written = []
+        write_json(SimpleNamespace(write=written.append), ts, {"P": p})
+        expected = json.dumps({"t": ts.tolist(), "P": p.tolist()}, indent=2) + "\n"
+        assert written == [expected.encode()]
 
 
 def test_field_widths_are_the_widest_fields():
     # the output budget counts rows at these widths, separators included
     wide = np.array([-1.2345678901234567e-308, -9.87654321098765e-99])
     assert len(csv_table(wide, {}).splitlines()[-1]) + 1 == _numtext.CSV_FIELD_BYTES
-    field = json_table(wide, {}).splitlines()[2] + "\n"
+    field = as_text(write_json, wide, {}).splitlines()[2] + "\n"
     assert field == "    -1.2345678901234567e-308,\n"
     assert len(field) == _numtext.JSON_FIELD_BYTES
     point = svg_points([-999998.99, 0.0], [-999998.99, 0.0]).split(" ")[0] + " "
@@ -385,7 +397,8 @@ def test_csv_table_signed_table_at_scale_matches_template(scale_table):
 
 @pytest.mark.parametrize("column, misfit", [("P", np.nan), ("t", 1e100), ("positive", 1e-100)])
 def test_csv_table_misfit_in_the_last_row_of_a_long_table(unsigned_scale_table, column, misfit):
-    # every row block before the last is formatted before the misfit is met
+    # the fit test of every column runs before any row block is formatted,
+    # so a misfit in the last row sends the table to the reference at once
     ts, columns = unsigned_scale_table
     ts, columns = ts.copy(), {k: v.copy() for k, v in columns.items()}
     (ts if column == "t" else columns[column])[-1] = misfit
@@ -393,9 +406,7 @@ def test_csv_table_misfit_in_the_last_row_of_a_long_table(unsigned_scale_table, 
          mock.patch.object(_numtext, "_e_words", wraps=_numtext._e_words) as e_words:
         assert csv_table(ts, columns) == "fallback"
     reference.assert_called_once_with(ts, columns)
-    names = ["t", *columns]
-    blocks = -(-_SCALE_ROWS // _numtext._BLOCK)
-    assert e_words.call_count == (blocks - 1) * len(names) + names.index(column) + 1
+    e_words.assert_not_called()
 
 
 def _coordinates(rng, n):
