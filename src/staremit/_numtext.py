@@ -130,10 +130,10 @@ def _near_ties(x: np.ndarray, rounded: np.ndarray, tie: float) -> np.ndarray:
 
 def _e_fits(v: np.ndarray) -> bool:
     # whether every "%.11e" % v is an unsigned field with a two-digit
-    # exponent: not for a set sign bit ("-0.0" included), inf, NaN, 1e99
-    # and up, or a nonzero value below 1e-99
-    return (not np.signbit(v).any() and v.max() < 1e99
-            and np.min(v, where=v != 0, initial=1.0) >= 1e-99)
+    # exponent: not for a set sign bit ("-0.0" included; it makes the int64
+    # view negative), inf, NaN, 1e99 and up, or a nonzero value below 1e-99
+    return (v.view(np.int64).min() >= 0 and v.max() < 1e99
+            and np.count_nonzero(v < 1e-99) == np.count_nonzero(v == 0))
 
 
 def _e_words(v: np.ndarray, out: np.ndarray) -> None:
