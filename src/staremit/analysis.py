@@ -57,11 +57,22 @@ def fourier_coefficients(profile: SpectralProfile) -> FourierExpansion:
 
 
 def sqrt_survival_from_fourier(f: FourierExpansion, t):
-    """Evaluate the cosine series ``|dc + sum coeffs cos(m w t)|``; vectorized."""
-    t = np.asarray(t, dtype=float)
-    m = np.arange(1, f.cosine_coeffs.size + 1, dtype=float)
-    series = f.dc + np.cos(np.multiply.outer(t, m) * f.base_frequency) @ f.cosine_coeffs
-    return np.abs(series)
+    """Evaluate the cosine series ``|dc + sum coeffs cos(m w t)|``; vectorized.
+
+    The series is the amplitude of the ladder ``m w``, ``m = -M..M``, with
+    weight ``dc`` at ``m = 0`` and half of each cosine coefficient at
+    ``+m`` and at ``-m``, so it runs on the kernel of
+    :func:`~staremit.evolution.survival_probability` and returns the
+    square root of its P: a uniform grid of S times costs about
+    ``1.5 (2M+1) sqrt(S)`` exponentials, other times ``(2M+1) S``, and
+    both take ``O(M sqrt(S) + S)`` memory, with no array of S x M
+    entries. The kernel clips P to [0, 1], so the coefficients must be
+    non-negative and sum to one with the dc term, as
+    :func:`fourier_coefficients` returns them.
+    """
+    half = 0.5 * f.cosine_coeffs
+    ladder = f.base_frequency * np.arange(-half.size, half.size + 1)
+    return np.sqrt(_survival(ladder, np.concatenate((half[::-1], [f.dc], half)), t))
 
 
 def revival_period(m_half: int, d_width: float) -> float:

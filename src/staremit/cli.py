@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import tempfile
 from functools import cache, partial
@@ -47,12 +48,7 @@ from .inverse import (
     random_profile,
     verify_round_trip,
 )
-from .model import (
-    StarModel,
-    detuned_two_level_survival,
-    identical_modes_survival,
-    two_level_survival,
-)
+from .model import StarModel, detuned_two_level_survival, identical_modes_survival
 from .svgplot import write_line_chart
 
 
@@ -125,11 +121,17 @@ def _put_text(fh, text: str) -> None:
 
 
 class _Stdout:
-    # a binary sink for the table writers: each block of ASCII bytes goes to
-    # whatever sys.stdout is at the time of the write, which a caller may
-    # have redirected to a text buffer with no binary layer
+    # a binary sink for the writers: each block of ASCII bytes goes to
+    # whatever sys.stdout is at the time of the write (a caller may have
+    # redirected it to a text buffer with no binary layer) and is flushed, so
+    # a reader that closed stdout early (`| head`) fails the run here, not at
+    # exit; a failed write or flush names stdout, as _write_text names its path
     def write(self, data) -> None:
-        sys.stdout.write(str(data, "ascii"))
+        try:
+            sys.stdout.write(str(data, "ascii"))
+            sys.stdout.flush()
+        except OSError as exc:
+            raise OSError(f"cannot write stdout: {exc.strerror or exc}") from exc
 
 
 def _positive_int(text: str) -> int:
@@ -198,10 +200,7 @@ def _run_series(args, n: int, eps1: float, analytic, svg_title: str, flag=None) 
 
 def _cmd_two_level(args) -> int:
     eps1 = args.eps0 if args.eps1 is None else args.eps1
-    if eps1 == args.eps0:
-        analytic = partial(two_level_survival, abs(args.alpha))
-    else:
-        analytic = partial(detuned_two_level_survival, args.eps0, eps1, args.alpha)
+    analytic = partial(detuned_two_level_survival, args.eps0, eps1, args.alpha)
     return _run_series(args, 1, eps1, analytic, "two-level survival")
 
 
@@ -248,10 +247,10 @@ def _cmd_inverse(args) -> int:
     report = verify_round_trip(model, profile, args.tol)
     if args.out:
         _write_text(args.out, _put_text, json.dumps(model.to_dict(), indent=2) + "\n")
-        sys.stdout.write(json.dumps(report.to_dict(), indent=2) + "\n")
+        _put_text(_Stdout(), json.dumps(report.to_dict(), indent=2) + "\n")
     else:
         combined = {"model": model.to_dict(), "report": report.to_dict()}
-        sys.stdout.write(json.dumps(combined, indent=2) + "\n")
+        _put_text(_Stdout(), json.dumps(combined, indent=2) + "\n")
     return 0 if report.passed else 4
 
 
@@ -296,7 +295,7 @@ def _cmd_figure1(args) -> int:
     if args.svg:
         _write_text(args.svg, write_line_chart, curves, "flat-profile survival revivals")
     # the summary lines follow the files, so a run that fails prints none
-    sys.stdout.write("".join(lines))
+    _put_text(_Stdout(), "".join(lines))
     return 0
 
 
@@ -310,8 +309,17 @@ def _add_series_flags(p: argparse.ArgumentParser, t_max: float, samples: int) ->
                    help="display time scale; dynamics use hbar = 1 internally")
 
 
+class _Parser(argparse.ArgumentParser):
+    # argparse reads "-2e-3" as a flag, since its test for a negative number
+    # knows no exponent; this one knows every negative decimal literal, so
+    # "--eps1 -2e-3" reads as "--eps1=-2e-3". The subparsers share the class
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="staremit",
         description="Survival dynamics of a two-level emitter star-coupled to N modes.",
     )
@@ -378,12 +386,7 @@ def main(argv=None) -> int:
     try:
         # overflow to inf/NaN is reported by _require_finite, not as warnings
         with np.errstate(over="ignore", invalid="ignore"):
-            code = args.func(args)
-        # a reader that closed stdout early (`| head`) fails here, not at
-        # exit; a process started with stdout closed has None there
-        if sys.stdout is not None:
-            sys.stdout.flush()
-        return code
+            return args.func(args)
     except (DegenerateProfile, NonConvergence) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -104,27 +104,36 @@ def build_hamiltonian(m: StarModel) -> np.ndarray:
 
 
 def two_level_survival(alpha_abs: float, t):
-    """Resonant single-mode survival probability, ``cos^2(|alpha| t)``."""
-    t = np.asarray(t, dtype=float)
-    return np.cos(alpha_abs * t) ** 2
+    """Resonant single-mode survival probability, ``cos^2(|alpha| t)``.
+
+    The resonant branch of :func:`detuned_two_level_survival`.
+    """
+    return detuned_two_level_survival(0.0, 0.0, alpha_abs, t)
 
 
 def detuned_two_level_survival(eps0: float, eps1: float, alpha: complex, t):
-    """Single-mode survival probability at arbitrary detuning.
+    """Single-mode survival probability at any detuning: the Rabi law.
 
-    Generalized Rabi form ``1 - (|alpha|^2 / Omega^2) sin^2(Omega t)``
-    with ``Omega = sqrt(|alpha|^2 + Delta^2)``, ``Delta = (eps1-eps0)/2``.
+    ``P = cos^2(Omega t) + (Delta^2 / Omega^2) sin^2(Omega t)`` with
+    ``Delta = (eps1 - eps0) / 2`` and ``Omega^2 = |alpha|^2 + Delta^2``.
     For nonzero detuning the population floor is ``Delta^2 / Omega^2``:
-    the atom is never certainly de-excited.
+    the atom is never certainly de-excited. The sum of two non-negative
+    terms keeps the floor's digits however small it is (the equal
+    ``1 - (|alpha|^2 / Omega^2) sin^2(Omega t)`` cancels them), is exactly
+    1 at ``t = 0`` and is capped at 1. On resonance it is
+    ``cos^2(|alpha| t)``, with ``|alpha|`` never squared, and a decoupled
+    atom (``alpha = 0``) stays at exactly 1.
     """
     t = np.asarray(t, dtype=float)
-    a2 = np.abs(alpha) ** 2  # overflows to inf, not OverflowError
     delta = 0.5 * (eps1 - eps0)
-    omega2 = a2 + delta * delta
-    if omega2 == 0.0:
-        # fully decoupled atom: nothing moves
+    if delta == 0.0:
+        return np.cos(np.abs(alpha) * t) ** 2
+    a2 = np.abs(alpha) ** 2  # overflows to inf, not OverflowError
+    if a2 == 0.0:
         return np.ones_like(t)
-    return 1.0 - (a2 / omega2) * np.sin(np.sqrt(omega2) * t) ** 2
+    omega2 = a2 + delta * delta
+    phase = np.sqrt(omega2) * t
+    return np.minimum(np.cos(phase) ** 2 + (delta * delta / omega2) * np.sin(phase) ** 2, 1.0)
 
 
 def identical_modes_survival(n: int, alpha_abs: float, t):
@@ -132,11 +141,12 @@ def identical_modes_survival(n: int, alpha_abs: float, t):
 
     Only the collective coupling strength grows with the number of modes:
     the oscillation speeds up by ``sqrt(n)`` but still returns fully, no
-    matter how large ``n`` is.
+    matter how large ``n`` is. It is the resonant Rabi law of the
+    collective coupling ``sqrt(n) |alpha|``.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    return two_level_survival(np.sqrt(n) * alpha_abs, t)
+    return detuned_two_level_survival(0.0, 0.0, np.sqrt(n) * alpha_abs, t)
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from staremit import (
     sqrt_survival_from_fourier,
     survival_probability,
 )
+from staremit.evolution import _series_bytes
 
 from helpers import traced_peak
 
@@ -116,6 +117,16 @@ def test_fourier_square_matches_constructed_model():
         d = eigh(build_hamiltonian(construct_hamiltonian(p)))
         via_fourier = sqrt_survival_from_fourier(fourier_coefficients(p), ts) ** 2
         assert np.abs(via_fourier - survival_probability(d, ts)).max() < 1e-8
+
+
+def test_sqrt_survival_memory_is_the_kernels():
+    # the cosine series runs on the survival kernel, so its peak is within
+    # the kernel's count of 2M + 1 levels, with no array of S x M entries
+    m_half, samples = 50, 20000
+    f = fourier_coefficients(flat_profile(m_half, 0.0, 1.0))
+    ts = np.linspace(0.0, 2.0 * revival_period(m_half, 1.0), samples)
+    peak, _ = traced_peak(sqrt_survival_from_fourier, f, ts)
+    assert peak <= _series_bytes(2 * m_half + 1, samples)
 
 
 def test_revival_period_values():

@@ -74,6 +74,37 @@ def test_two_level_detuned_floor(tmp_path):
     assert body[:, 1].min() == pytest.approx(0.5, abs=1e-3)
 
 
+def test_two_level_floor_keeps_its_digits(capsys):
+    # at t = pi/2 the overlay is the detuned floor Delta^2 / Omega^2 = 2.5e-17
+    argv = ["two-level", "--eps1", "1e-8", "--alpha", "1", "--t-max", "3.141592653589793",
+            "--samples", "3"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.split("\n")[2].split(",")[2] == "2.50000000000e-17"
+
+
+def test_resonant_two_level_at_a_huge_coupling_exits_0(tmp_path):
+    # resonance never squares alpha, so --alpha 1e200 does not overflow
+    out = tmp_path / "series.csv"
+    assert main(["two-level", "--alpha", "1e200", "--samples", "101", "--out", str(out)]) == 0
+    rows = out.read_text().split("\n")[1:-1]
+    closed = np.cos(1e200 * np.linspace(0.0, 20.0, 101)) ** 2
+    assert [row.split(",")[2] for row in rows] == ["%.11e" % p for p in closed]
+
+
+@pytest.mark.parametrize("flag, value", [("--eps0", "-1e-3"), ("--eps1", "-2E-3"),
+                                         ("--alpha", "-5e-1"), ("--eps1", "-.5e+1")])
+def test_negative_values_in_exponent_notation_are_values(flag, value, capsys):
+    # argparse's own test for a negative number knows no exponent
+    argv = ["two-level", "--samples", "5"]
+    assert main(argv + [flag, value]) == 0
+    spaced = capsys.readouterr()
+    assert main(argv + [f"{flag}={value}"]) == 0
+    assert capsys.readouterr() == spaced
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [flag, "-x"])
+    assert exc.value.code == 2
+
+
 def test_two_level_json_format(tmp_path):
     out = tmp_path / "series.json"
     assert main(["two-level", "--samples", "50", "--format", "json", "--out", str(out)]) == 0
@@ -296,7 +327,24 @@ def test_stdout_closed_early_exits_2_with_one_error_line(fmt, samples, unbuffere
     err = child.stderr.read().decode()
     child.stderr.close()
     assert child.wait(timeout=120) == 2
-    assert err == "error: [Errno 32] Broken pipe\n"
+    assert err == "error: cannot write stdout: Broken pipe\n"
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["inverse", "--flat", "--m", "3"],
+                                  ["figure1", "--m-list", "1", "--samples", "101", "--out", "{}"]],
+                         ids=["inverse", "figure1"])
+def test_every_closed_stdout_is_named(argv, unbuffered, tmp_path):
+    # the inverse JSON and the figure1 summary lines go to stdout as the
+    # tables do: a reader that closed it makes one error line naming stdout
+    argv = [a.format(tmp_path / "figs") for a in argv]
+    child = subprocess.Popen([sys.executable, "-m", "staremit.cli", *argv], env=_child_env(unbuffered),
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    child.stdout.close()
+    err = child.stderr.read().decode()
+    child.stderr.close()
+    assert child.wait(timeout=120) == 2
+    assert err == "error: cannot write stdout: Broken pipe\n"
 
 
 def test_series_to_a_file_runs_with_stdout_closed(tmp_path):

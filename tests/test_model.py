@@ -145,6 +145,41 @@ def test_identical_modes_survival_values():
     assert np.abs(identical_modes_survival(9, 1.0, ts) - two_level_survival(3.0, ts)).max() < 1e-12
 
 
+@pytest.mark.parametrize("eps1", [1e-9, 1e-8, 1e-6, 0.3])
+def test_detuned_floor_keeps_its_digits(eps1):
+    # at Omega t = pi/2 the law is its floor Delta^2 / Omega^2, to the last
+    # digits however small the floor is
+    delta = 0.5 * eps1
+    omega = np.sqrt(1.0 + delta * delta)
+    floor = delta * delta / omega**2
+    got = detuned_two_level_survival(0.0, eps1, 1.0, np.pi / (2.0 * omega))
+    assert abs(got - floor) <= 1e-12 * floor
+
+
+def test_resonant_laws_are_cos2_bit_for_bit():
+    # on resonance the law never squares |alpha|: it is cos^2 bit for bit
+    ts = np.linspace(-7.0, 31.0, 1001)
+    for a in (0.3, 1.0, -2.7, 1e-170, -1e-170, 1e150, -1e150, 0.0):
+        assert np.array_equal(two_level_survival(a, ts), np.cos(a * ts) ** 2)
+        assert np.array_equal(detuned_two_level_survival(0.7, 0.7, a, ts), np.cos(abs(a) * ts) ** 2)
+        for n in (1, 2, 9, 100000):
+            assert np.array_equal(identical_modes_survival(n, a, ts), np.cos(np.sqrt(n) * a * ts) ** 2)
+
+
+def test_detuned_law_exact_values_and_range():
+    # P(0) = 1 and a decoupled atom stays at 1, both exactly, and every
+    # value lies in [0, 1], over drawn detuned parameters
+    rng = np.random.default_rng(26)
+    ts = np.concatenate(([0.0], rng.uniform(0.0, 50.0, 63)))
+    for _ in range(2000):
+        eps0, eps1 = rng.uniform(-3.0, 3.0, 2) * 10.0 ** rng.uniform(-9.0, 2.0, 2)
+        alpha = complex(*rng.uniform(-2.0, 2.0, 2)) * 10.0 ** rng.uniform(-5.0, 5.0)
+        p = detuned_two_level_survival(eps0, eps1, alpha, ts)
+        assert p[0] == 1.0 and detuned_two_level_survival(eps0, eps1, alpha, 0.0) == 1.0
+        assert np.all((p >= 0.0) & (p <= 1.0))
+        assert np.all(detuned_two_level_survival(eps0, eps1, 0.0, ts) == 1.0)
+
+
 def test_identical_modes_survival_rejects_zero_modes():
     with pytest.raises(ValueError):
         identical_modes_survival(0, 1.0, 0.0)
