@@ -54,7 +54,11 @@ Jakovčević Stor, Slapničar & Barlow, Linear Algebra Appl. 464, 2015):
    whose inverses give the weights, and ``zhat``: the eigenvectors are
    built from these and the roots on their first read, from the same
    ``E - p_k`` rows, which one generator (``_root_rows``) forms for both
-   passes.
+   passes. From the same state and rows, ``_StarBasis.propagate`` applies
+   ``V diag(phases) V^H`` to a state with no eigenvector matrix: the
+   bright coordinates are a Cauchy sum over the modes and their image one
+   over the levels, and a Householder group's dark vectors act through its
+   reflection.
 4. Merge the dark and bright eigenpairs in ascending order.
 
 Costs. The O(n^2) work is the row blocks of steps 2 and 3: about 2^15
@@ -66,7 +70,11 @@ calls on arrays of one entry per active root, which is most of a solve
 below a few dozen levels: a dim-19 star takes about 7 times as long as
 LAPACK on its dense matrix (0.88 against 0.12 ms, 2 vCPUs, numpy 2.4).
 Reading a star's eigenvectors costs one more row pass of step 3; until
-then its decomposition takes O(n) memory. They are its only n x n array:
+then its decomposition takes O(n) memory. Propagating a state never reads
+them: it takes two row passes (one for a state that is zero on every mode,
+as the emitter start is), each block a reciprocal and a real product with
+the state's (re, im) pairs, and holds one row block beside arrays of one
+entry per level. The eigenvectors are a star's only n x n array:
 8 bytes a cell when every coupling is real and non-negative, else 16,
 complex, built in the result's own memory and multiplied by their phases
 a row block at a time. A dim whose arrays would exceed ``_EIGH_BUDGET``
@@ -83,15 +91,15 @@ linear term, and its couplings come from Löwner's formula with the roots
 as poles. So one root finder serves both directions, and neither forms a
 dense matrix.
 
-Entry points: :func:`solve_star` (a star's eigenvalues, the builder of its
-eigenvectors, and their weights), :func:`arrowhead_from_spectrum` (the
-inverse direction) and :func:`check_dim` (the dim budget).
+Entry points: :func:`solve_star` (a star's eigenvalues, the ``_StarBasis``
+that builds or applies its eigenvectors, and their weights),
+:func:`arrowhead_from_spectrum` (the inverse direction) and
+:func:`check_dim` (the dim budget).
 """
 
 from __future__ import annotations
 
 import math
-from functools import partial
 
 import numpy as np
 
@@ -557,6 +565,88 @@ def check_dim(n: int, cell_bytes: int) -> None:
         )
 
 
+class _StarBasis:
+    """A star's eigenvectors, kept as the O(n) state :func:`solve_star` builds them from.
+
+    Calling it builds them (``_star_vectors``); :meth:`propagate` applies
+    them to a state without forming them.
+    """
+
+    def __init__(self, n, phase, lowner, deflated=None):
+        self.n, self.phase, self.lowner, self.deflated = n, phase, lowner, deflated
+
+    def __call__(self):
+        return _star_vectors(self.n, self.phase, self.lowner, self.deflated)
+
+    def propagate(self, psi, phases):
+        # V diag(phases) V^H psi for a complex psi and the phases of the
+        # eigenvalues in ascending order. With u = D^H psi and V = D V_real,
+        # bright vector i is head_i [1, zhat_k / (lambda_i - d_k)] on the
+        # emitter and bright-mode rows (times g on the rows of a Householder
+        # group of bright direction g), so the bright coordinates are a
+        # Cauchy sum over the modes and their image one over the levels,
+        # each one pass of _root_rows. A group's dark vectors H e_j (j >= 1)
+        # are applied through its reflection H, in O(group); a lone dark
+        # mode is its own eigenvector.
+        n, phase, lowner = self.n, self.phase, self.lowner
+        if self.deflated is None:
+            rows, col, groups, lone = slice(1, None), slice(None), (), slice(0)
+        else:
+            reps, col, groups, lone = self.deflated
+            rows, lone = 1 + reps, 1 + lone
+        u = psi if phase is None else psi * phase.conj()
+        ph = phases[col]  # in the solve's order: bright, each group's dark, lone
+        x = np.empty(n, dtype=complex)
+        if lowner is None:
+            x[0] = ph[0] * u[0]
+            c = 1
+        else:
+            d, origin, tau, rank, zhat, norms = lowner
+            c = d.size + 1
+            # zhat_k b_k, b the state on the bright modes, a group's
+            # projected onto g; the emitter start has none and skips a pass
+            zb = u[rows] * zhat
+            for members, g in groups:
+                k = np.searchsorted(reps, members[0])
+                zb[k] = zhat[k] * (g @ u[1 + members])
+            # q_i = head_i^2 phases_i (u_0 + sum_k zhat_k b_k / (lambda_i - d_k))
+            q = np.zeros(c, dtype=complex)
+            if np.count_nonzero(zb):
+                pairs, zpairs = q.view(float).reshape(c, 2), zb.view(float).reshape(c - 1, 2)
+                for s, diff in _root_rows(d, origin, tau, rank):
+                    np.divide(1.0, diff, out=diff)
+                    pairs += diff.T @ zpairs[s : s + len(diff)]
+            q += u[0]
+            q *= ph[:c]
+            q /= norms * norms
+            x[0] = q.sum()
+            # the image on the bright modes, zhat_k sum_i q_i / (lambda_i - d_k)
+            image = np.empty(c - 1, dtype=complex)
+            pairs, out = q.view(float).reshape(c, 2), image.view(float).reshape(c - 1, 2)
+            for s, diff in _root_rows(d, origin, tau, rank):
+                np.divide(1.0, diff, out=diff)
+                np.matmul(diff, pairs, out=out[s : s + len(diff)])
+            image *= zhat
+            x[rows] = image
+            for members, g in groups:
+                # the dark coordinates (H u)_j, j >= 1, of H = I - w w^T / w_0
+                # with w = g + e_0, turned by their phases and sent back by
+                # H, beside the bright share along g
+                k = members.size - 1
+                w = g.copy()
+                w[0] += 1.0
+                t = u[1 + members]
+                t -= w * ((w @ t) / w[0])
+                t[0] = 0.0
+                t[1:] *= ph[c : c + k]
+                t -= w * ((w @ t) / w[0])
+                t += g * x[1 + members[0]]
+                x[1 + members] = t
+                c += k
+        x[lone] = ph[c:] * u[lone]
+        return x if phase is None else x * phase
+
+
 def _star_vectors(n, phase, lowner, deflated=None):
     # The eigenvectors of solve_star from the state it keeps: ``lowner``
     # (None when no coupling is bright) and, unless nothing deflated, the
@@ -626,8 +716,8 @@ def _place_dark(vecs, head, reps, col, groups, lone):
 
 
 def solve_star(diagonal: np.ndarray, c: np.ndarray, start=None):
-    # The ascending eigenvalues, a function of no arguments that builds the
-    # eigenvectors from O(n) saved state (_star_vectors), and the weights
+    # The ascending eigenvalues, the _StarBasis that builds the eigenvectors
+    # from O(n) saved state or applies them to a state, and the weights
     # (the eigenvectors' squared first components) of the star with real
     # diagonal `diagonal` and couplings c in column 0:
     # D^H H D with D = diag(1, c/|c|) is the real arrowhead [[a, z^T], [z,
@@ -695,7 +785,7 @@ def solve_star(diagonal: np.ndarray, c: np.ndarray, start=None):
         lowner = d, origin, tau, by_mode, zhat, norms
         head = 1.0 / norms
         if r == m:
-            return np.ldexp(vals, e), partial(_star_vectors, n, phase, lowner), head**2
+            return np.ldexp(vals, e), _StarBasis(n, phase, lowner), head**2
         reps = reps[by_mode]
     else:
         vals, head = np.full(1, a), np.ones(1)
@@ -707,5 +797,5 @@ def solve_star(diagonal: np.ndarray, c: np.ndarray, start=None):
     col[order] = np.arange(n)
     weights = np.zeros(n)
     weights[col[: r + 1]] = head**2
-    vectors = partial(_star_vectors, n, phase, lowner, (reps, col, groups, lone))
+    vectors = _StarBasis(n, phase, lowner, (reps, col, groups, lone))
     return np.ldexp(all_vals[order], e), vectors, weights

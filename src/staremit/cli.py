@@ -15,6 +15,7 @@ text above ``OUTPUT_BUDGET_BYTES``), 3 construction or eigensolver failure,
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import re
@@ -125,9 +126,12 @@ class _Stdout:
     # whatever sys.stdout is at the time of the write (a caller may have
     # redirected it to a text buffer with no binary layer) and is flushed, so
     # a reader that closed stdout early (`| head`) fails the run here, not at
-    # exit; a failed write or flush names stdout, as _write_text names its path
+    # exit; a failed write or flush names stdout, as _write_text names its
+    # path, and so does a process started with stdout closed, which has none
     def write(self, data) -> None:
         try:
+            if sys.stdout is None:
+                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
             sys.stdout.write(str(data, "ascii"))
             sys.stdout.flush()
         except OSError as exc:

@@ -102,12 +102,27 @@ class SurvivalSeries:
 def evolve_state(d: SpectralDecomposition, psi0, t: float) -> np.ndarray:
     """Propagate a state for time ``t``: ``V exp(-i E t) V^dag psi0``.
 
-    Reads ``d.eigenvectors``: the first read builds a star's.
+    A star's decomposition from :func:`~staremit.hermitian.eigh` applies
+    its eigenvectors from the O(n) state its solve keeps, in row blocks,
+    and never builds them: O(n^2) time and O(n) memory beside its row
+    blocks. Any other decomposition reads ``d.eigenvectors``.
+
+    Raises
+    ------
+    DimensionMismatch
+        If the state's length is not the decomposition's dim.
+    ValueError
+        If ``t`` or an entry of ``psi0`` is not finite.
     """
     psi = np.asarray(psi0, dtype=complex)
     if psi.shape != (d.dim,):
         raise DimensionMismatch(f"state has shape {psi.shape}, expected ({d.dim},)")
+    if not (np.isfinite(t) and np.isfinite(psi).all()):
+        raise ValueError("t and psi0 must be finite")
     phases = np.exp(-1j * d.eigenvalues * t)
+    propagate = getattr(d._eigenvectors, "propagate", None)
+    if propagate is not None:
+        return propagate(psi, phases)
     v = d.eigenvectors
     if np.isrealobj(v):
         # a real V acts on real and imaginary parts apart, in real BLAS

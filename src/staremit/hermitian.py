@@ -19,6 +19,8 @@ one O(n^2) count that tells it from a star.
 
 A star's eigenvectors are built on their first read, from O(n) state the
 solve keeps; until then its decomposition takes O(n) memory.
+:func:`~staremit.evolution.evolve_state` applies them from that state,
+in O(n^2) time, and never builds them.
 """
 
 from __future__ import annotations
@@ -92,6 +94,9 @@ class SpectralDecomposition:
         Unitary matrix whose column ``n`` is the eigenvector belonging to
         ``eigenvalues[n]``. Given a function of no arguments in its place,
         as :func:`eigh` gives for a star, it is built on first read and cached.
+        A star's function also has a ``propagate(psi, phases)`` method,
+        which applies ``V diag(phases) V^H`` without building ``V``;
+        :func:`~staremit.evolution.evolve_state` uses it.
     zero_overlaps : ndarray
         ``|<0|e_n>|**2`` for the initial basis state (index 0); sums to 1.
     """

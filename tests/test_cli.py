@@ -358,6 +358,21 @@ def test_series_to_a_file_runs_with_stdout_closed(tmp_path):
     assert out.read_text().count("\n") == 12
 
 
+@pytest.mark.parametrize("argv", [["two-level", "--samples", "3"], ["inverse", "--flat", "--m", "3"],
+                                  ["figure1", "--m-list", "1", "--samples", "11", "--out", "{}"]],
+                         ids=["table", "inverse", "figure1"])
+def test_output_to_a_closed_stdout_exits_2(argv, tmp_path):
+    # with stdout closed from the start there is no sys.stdout: a run that
+    # writes to it exits 2 with one error line naming stdout, as a broken
+    # pipe does, after any files it writes first (figure1's)
+    argv = [a.format(tmp_path / "figs") for a in argv]
+    shell = 'exec "$0" -m staremit.cli "$@" >&-'
+    child = subprocess.run(["sh", "-c", shell, sys.executable, *argv], env=_child_env(False),
+                           stderr=subprocess.PIPE, timeout=120)
+    assert child.returncode == 2
+    assert child.stderr == b"error: cannot write stdout: Bad file descriptor\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [["two-level"], ["identical-modes", "--n", "4"], ["inverse", "--m", "3", "--flat"]],

@@ -96,17 +96,116 @@ def test_evolve_state_unitary_and_composes():
 
 @pytest.mark.parametrize("dim", [2, 9, 200])
 def test_evolve_state_real_eigenvectors_match_complex(dim):
-    # a star with real non-negative couplings has real eigenvectors, which
-    # act on the real and imaginary parts of the state apart
+    # a star with real non-negative couplings has real eigenvectors; given
+    # as an array, a real V acts on the real and imaginary parts of the
+    # state apart, and agrees with the same V as complex and with the star's
+    # own propagation, which builds no V
     rng = np.random.default_rng(dim)
     d = eigh(StarModel(eps=rng.uniform(-1.0, 1.0, dim), alpha=rng.uniform(0.0, 1.0, dim - 1)))
     assert np.isrealobj(d.eigenvectors)
+    as_real = type(d)(d.eigenvalues, d.eigenvectors, d.zero_overlaps)
     as_complex = type(d)(d.eigenvalues, d.eigenvectors.astype(complex), d.zero_overlaps)
     psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     for t in (0.0, 0.7, 13.0):
-        got = evolve_state(d, psi, t)
-        assert got.dtype == complex
-        assert np.abs(got - evolve_state(as_complex, psi, t)).max() < 1e-13 * np.linalg.norm(psi)
+        want = evolve_state(as_complex, psi, t)
+        for got in (evolve_state(as_real, psi, t), evolve_state(d, psi, t)):
+            assert got.dtype == complex
+            assert np.abs(got - want).max() < 1e-13 * np.linalg.norm(psi)
+
+
+def _star_family(kind, dim, rng):
+    # stars of every deflation shape: none, real couplings, one Householder
+    # group, lone dark modes, groups beside bright modes, and no bright mode
+    n = dim - 1
+    eps = rng.uniform(-1.0, 1.0, dim)
+    alpha = rng.uniform(-1.0, 1.0, n) + 1j * rng.uniform(-1.0, 1.0, n)
+    if kind == "real":
+        alpha = np.abs(alpha)
+    elif kind == "identical":
+        eps, alpha = np.full(dim, 0.3), np.full(n, 0.7 * np.exp(0.4j))
+    elif kind == "zero-couplings":
+        alpha[rng.uniform(size=n) < 0.5] = 0.0
+    elif kind == "mixed":
+        eps = np.round(3.0 * eps) / 3.0
+        alpha[rng.uniform(size=n) < 0.3] = 0.0
+    elif kind == "decoupled":
+        alpha = np.zeros(n, dtype=complex)
+    return eps, alpha
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0**600, 2.0**-600], ids=["1", "2^600", "2^-600"])
+@pytest.mark.parametrize("kind", ["random", "real", "identical", "zero-couplings", "mixed", "decoupled"])
+def test_star_evolve_state_matches_the_dense_product(kind, scale):
+    # a star propagates from its solve's state, with no eigenvector matrix;
+    # the dense product V exp(-iEt) V^H psi on the same decomposition's V,
+    # given as an array, agrees to rounding for every deflation shape and
+    # scale, from the emitter and from random states, at t = 0 too
+    rng = np.random.default_rng(len(kind))
+    for dim in (2, 3, 17, 130, 400):
+        eps, alpha = _star_family(kind, dim, rng)
+        d = eigh(StarModel(eps=eps * scale, alpha=alpha * scale))
+        dense = type(d)(d.eigenvalues, d.eigenvectors, d.zero_overlaps)
+        for psi in (_basis_state(dim), rng.normal(size=dim) + 1j * rng.normal(size=dim)):
+            for t in (0.0, 0.7 / scale, 13.0 / scale):
+                got = evolve_state(d, psi, t)
+                assert np.abs(got - evolve_state(dense, psi, t)).max() <= 1e-13 * np.linalg.norm(psi)
+
+
+def test_star_evolve_state_never_builds_its_eigenvectors(monkeypatch):
+    # the builder of a star's eigenvectors is never reached, from a dense
+    # star matrix or a StarModel, deflated or not
+    def fail(*args):
+        raise AssertionError("eigenvectors built")
+
+    monkeypatch.setattr(_arrowhead, "_star_vectors", fail)
+    rng = np.random.default_rng(4)
+    for kind in ("random", "identical", "mixed", "decoupled"):
+        model = StarModel(*_star_family(kind, 40, rng))
+        for mat in (model, build_hamiltonian(model)):
+            d = eigh(mat)
+            psi = rng.normal(size=40) + 1j * rng.normal(size=40)
+            assert abs(np.linalg.norm(evolve_state(d, psi, 2.5)) - np.linalg.norm(psi)) < 1e-12
+    with pytest.raises(AssertionError, match="eigenvectors built"):
+        d.eigenvectors
+
+
+def test_star_evolve_state_runs_beyond_the_eigenvector_budget(monkeypatch):
+    # a dim whose eigenvectors are refused still propagates: no n x n array
+    dim = 50
+    model = random_star_model(np.random.default_rng(5), dim)
+    monkeypatch.setattr(_arrowhead, "_EIGH_BUDGET", 16 * dim**2 - 1)
+    d = eigh(model)
+    psi = evolve_state(d, _basis_state(dim), 1.3)
+    assert abs(abs(psi[0]) ** 2 - survival_probability(d, 1.3)) < 1e-12
+    with pytest.raises(ValueError, match=f"dim {dim} is too large"):
+        d.eigenvectors
+
+
+def test_star_evolve_state_holds_no_n_by_n_array():
+    # three calls at dim 2049, whose complex eigenvectors would take 67 MB,
+    # hold a row block of 2^15 entries and arrays of one entry per level:
+    # 0.81 MB measured, against a bound of 3 % of that V
+    dim = 2049
+    rng = np.random.default_rng(dim)
+    d = eigh(random_star_model(rng, dim))
+    psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    peak, states = traced_peak(lambda: [evolve_state(d, psi, t) for t in (1.0, 2.0, 3.0)])
+    assert peak < 0.03 * 16 * dim**2, peak
+    assert all(abs(np.linalg.norm(s) - np.linalg.norm(psi)) < 1e-10 for s in states)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_evolve_state_refuses_non_finite_input(bad):
+    # no silent NaN: a non-finite time or state entry is refused, as
+    # evolve_oracle refuses a bad step
+    for d in (eigh(random_star_model(np.random.default_rng(6), 5)),
+              eigh(random_hermitian(np.random.default_rng(6), 5))):
+        with pytest.raises(ValueError, match="must be finite"):
+            evolve_state(d, _basis_state(5), bad)
+        psi = _basis_state(5)
+        psi[3] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            evolve_state(d, psi, 1.0)
 
 
 def test_survival_probability_normalized_at_zero():

@@ -15,6 +15,7 @@ from staremit import (
     check_hermitian,
     construct_hamiltonian,
     eigh,
+    evolve_state,
     flat_profile,
     reconstruct,
 )
@@ -804,7 +805,8 @@ def test_eigh_refuses_a_dim_beyond_its_budget(monkeypatch):
 def test_decompositions_pickle_before_and_after_the_first_read(kind):
     # a star's decomposition keeps the state that builds its eigenvectors
     # in arrays, not in a closure, so it pickles before its first read; the
-    # read caches the matrix, and a second read returns the same object
+    # read caches the matrix, and a second read returns the same object. A
+    # copy propagates a state as its original does, to the bit
     model = random_star_model(np.random.default_rng(3), 30)
     if kind == "real":
         model = StarModel(eps=model.eps, alpha=np.abs(model.alpha))
@@ -821,6 +823,8 @@ def test_decompositions_pickle_before_and_after_the_first_read(kind):
         copy = pickle.loads(pickle.dumps(d))
         for name in ("eigenvalues", "eigenvectors", "zero_overlaps"):
             assert np.array_equal(getattr(copy, name), getattr(want, name))
+        psi = np.linspace(-1.0, 1.0, d.dim) + 0.5j
+        assert np.array_equal(evolve_state(copy, psi, 1.7), evolve_state(d, psi, 1.7))
         assert copy.eigenvectors is copy.eigenvectors
         assert copy.eigenvectors.dtype == v.dtype
     explicit = hermitian.SpectralDecomposition(
