@@ -46,13 +46,25 @@ Jakovčević Stor, Slapničar & Barlow, Linear Algebra Appl. 464, 2015):
    1e6 with d = 1e-3), where a target's rounding is a larger share of its
    offset, within a few thousand ulps of a pole, or in a model whose
    levels miss their targets. When no start is accepted, the eigenvalues
-   and weights are ``eigh``'s to the bit.
+   and weights are ``eigh``'s to the bit. When every start is accepted,
+   the weights are ``1/g'`` at the roots (Boley & Golub, Inverse Problems
+   3, 1987), from the slopes that one sweep summed. Each slope is moved
+   from the start to the root by the curvature ``g''``, which the sweep
+   sums too, and what that first-order move leaves is of second order in
+   the step: below 1e-20 of ``g'`` for a step of at most 1e-10 of the
+   offset.
+   Taken at the start, the weights were off by up to 1e-12 relative
+   where a target's rounding is a larger share of its offset (eps0 =
+   -1e-3 with d = 1e-5, against a 40-digit reference). Nothing else
+   needs step 3, so it is skipped.
 3. Recompute the couplings from the roots by Löwner's formula, so the
-   computed roots are exact eigenvalues of a nearby arrowhead, and take the
-   eigenvectors ``[1, zhat_k / (E - p_k)]``, normalized: they come out
-   orthogonal to working precision. The solve keeps the column norms,
-   whose inverses give the weights, and ``zhat``: the eigenvectors are
-   built from these and the roots on their first read, from the same
+   computed roots are exact eigenvalues of a nearby arrowhead (Gu &
+   Eisenstat), and take the eigenvectors ``[1, zhat_k / (E - p_k)]``,
+   normalized: they come out orthogonal to working precision. The solve
+   keeps the column norms, whose inverses give the weights, and ``zhat``;
+   a solve that took its weights from the slopes runs this pass on the
+   first use of its eigenvectors, from the roots it kept. The eigenvectors
+   are built from these and the roots on their first read, from the same
    ``E - p_k`` rows, which one generator (``_root_rows``) forms for both
    passes. From the same state and rows, ``_StarBasis.propagate`` applies
    ``V diag(phases) V^H`` to a state with no eigenvector matrix: the
@@ -62,7 +74,11 @@ Jakovčević Stor, Slapničar & Barlow, Linear Algebra Appl. 464, 2015):
 4. Merge the dark and bright eigenpairs in ascending order.
 
 Costs. The O(n^2) work is the row blocks of steps 2 and 3: about 2^15
-entries each, whose pole sums are BLAS products. Rows from 128 entries up
+entries each, whose pole sums are BLAS products. Step 3 is one row pass,
+about as costly as a sweep of step 2: a round-trip verification whose
+every start is accepted takes the pre-pass sweep (one more product a
+block, for the curvature) and no step 3, and at M = 250 (dim 501) it went
+from 3.1 to 1.9 ms (2 vCPUs, numpy 2.4). Rows from 128 entries up
 to numpy's buffer size (8192 by default) run in numpy buffers of one row
 (``_RowBuffers``), so the broadcast differences that fill a block cost what
 contiguous ones do. Each sweep also pays a fixed cost of about 80 numpy
@@ -203,7 +219,8 @@ class _Secular:
     def _block(self, i, d_origin, tau, out):
         # the pole sums of the roots i at d_origin + tau, into the rows of
         # ``out``: over the poles left of each root, psi and its slope, and
-        # over those right of it, its slope and phi
+        # over those right of it, its slope and phi; and, into a fifth row
+        # when there is one, half the curvature over all the poles
         d, zeta2 = self.d, self.zeta2
         both = self.buf[:, : tau.size]
         square, rec = both[0], both[1]
@@ -222,15 +239,19 @@ class _Secular:
         mixed = masked @ zb
         np.add(both[..., :c0] @ zeta2[:c0], mixed, out=out[1::-1])
         np.subtract(band @ zb, mixed, out=mixed)
-        np.add(both[..., c1:] @ zeta2[c1:], mixed, out=out[2:])
+        np.add(both[..., c1:] @ zeta2[c1:], mixed, out=out[2:4])
+        if len(out) > 4:
+            square *= rec
+            np.matmul(square, zeta2, out=out[4])
 
-    def evaluate(self, i, origin, tau):
+    def evaluate(self, i, origin, tau, curvature=False):
         # The rows g at d[origin] + tau, its slopes from the poles left and
         # right of each root (the linear term acts as a pole at -inf, on the
         # left), and a bound on the rounding error of g: the pole sums in
-        # row blocks, the rest elementwise over all the roots at once.
+        # row blocks, the rest elementwise over all the roots at once. With
+        # ``curvature``, a fifth row holds g'' / 2.
         d_origin = self.d[origin]
-        out = np.empty((4, i.size))
+        out = np.empty((5 if curvature else 4, i.size))
         for s in range(0, i.size, self.rows):
             e = s + self.rows
             self._block(i[s:e], d_origin[s:e], tau[s:e], out[:, s:e])
@@ -303,13 +324,13 @@ class _Secular:
         coef[1, j] = tj - float(g[j]) - tj * slope
         coef[2, j] = 1.0
 
-    def _warm(self, start, origin, offsets, bracket):
+    def _warm(self, start, origin, offsets, slopes, bracket):
         # The pre-pass of step 2 above, from the ascending ``start``. The
         # poles are scaled below 1, so within rounding of a pole is within
         # 4 eps of 1 or of the largest point. A root done here takes the
         # step from its start, or keeps the start where the step is NaN (it
-        # leaves the bracket). Their origins and offsets are written;
-        # returns which roots are not.
+        # leaves the bracket). Their origins, offsets and slopes g' are
+        # written; returns which roots are not.
         d, r = self.d, self.d.size
         # the points strictly inside interval k are first[k] .. end[k] - 1
         first, end = np.empty((2, r + 1), dtype=np.intp)
@@ -336,7 +357,7 @@ class _Secular:
         k, o, t, flip, lo, hi = k[use], o[use], t[use], flip[use], lo[use], hi[use]
         np.negative(hi, out=lo, where=flip)
         np.copyto(hi, 0.0, where=flip)
-        out = self.evaluate(k, o, t)
+        out = self.evaluate(k, o, t, True)  # with the curvature row
         frame = np.empty((3, k.size))
         new = self.step(k, self._frame(k, flip, frame), frame, t, lo, hi, out)
         done = np.abs(out[0]) <= _EPS * out[3]
@@ -345,6 +366,12 @@ class _Secular:
         k = k[done]
         origin[k] = o[done]
         offsets[k] = new[done]
+        # g' at the root, to first order from the start: what this leaves is
+        # of second order in the step (below 1e-20 of g' for a step of at
+        # most 1e-10 of the offset)
+        slope = out[1] + out[2]
+        slope += 2.0 * out[4] * (new - t)
+        slopes[k] = slope[done]
         pending[k] = False
         return pending
 
@@ -439,6 +466,9 @@ class _Secular:
         those whose start it accepts. Every other root starts at its
         interval's midpoint, exactly as without ``start``, and goes on in
         sweeps over compacted columns of the roots still active (``_cold``).
+        When the pre-pass accepts every root, ``self.slopes`` holds ``g'``
+        at each root, from the slopes that sweep evaluated (rows 1 and 2 of
+        ``evaluate``, linear term included); otherwise it is None.
         """
         a, d, zeta2 = self.a, self.d, self.zeta2
         r = d.size
@@ -455,11 +485,14 @@ class _Secular:
             i = np.arange(r + 1)
         else:
             i = np.arange(1, r)
+        slopes = None if start is None else np.empty(r + 1)
         with _RowBuffers(r):
             if start is not None:
-                i = i[self._warm(start, origin, offsets, bracket)[i]]
+                i = i[self._warm(start, origin, offsets, slopes, bracket)[i]]
             if i.size:
+                slopes = None
                 self._cold(i, origin, offsets, bracket)
+        self.slopes = slopes if self.linear or slopes is None else slopes[1:r]
         if self.linear:
             return origin, offsets
         return origin[1:r], offsets[1:r]
@@ -569,11 +602,20 @@ class _StarBasis:
     """A star's eigenvectors, kept as the O(n) state :func:`solve_star` builds them from.
 
     Calling it builds them (``_star_vectors``); :meth:`propagate` applies
-    them to a state without forming them.
+    them to a state without forming them. A solve that took its weights
+    from the slopes kept no ``zhat`` and norms: the first use forms them
+    by the Löwner pass.
     """
 
     def __init__(self, n, phase, lowner, deflated=None):
-        self.n, self.phase, self.lowner, self.deflated = n, phase, lowner, deflated
+        self.n, self.phase, self._state, self.deflated = n, phase, lowner, deflated
+
+    @property
+    def lowner(self):
+        # (d, origin, tau, rank, zhat, norms), or None when no coupling is bright
+        if self._state is not None and self._state[4] is None:
+            self._state = (*self._state[:4], *_lowner_vectors(*self._state[:4]))
+        return self._state
 
     def __call__(self):
         return _star_vectors(self.n, self.phase, self.lowner, self.deflated)
@@ -777,18 +819,25 @@ def solve_star(diagonal: np.ndarray, c: np.ndarray, start=None):
     r = reps.size
     lowner = None
     if r:
-        origin, tau = _Secular(a, d, zeta * zeta).solve(start)
+        secular = _Secular(a, d, zeta * zeta)
+        origin, tau = secular.solve(start)
         vals = d[origin] + tau
         # rows in mode order, so that with nothing deflated they are final
         by_mode = np.argsort(reps)
-        zhat, norms = _lowner_vectors(d, origin, tau, by_mode)
+        if secular.slopes is None:
+            zhat, norms = _lowner_vectors(d, origin, tau, by_mode)
+            level_weights = (1.0 / norms) ** 2
+        else:
+            # every root accepted at its start: the weights are 1/g' there,
+            # and the basis forms zhat and the norms on its first use
+            zhat = norms = None
+            level_weights = 1.0 / secular.slopes
         lowner = d, origin, tau, by_mode, zhat, norms
-        head = 1.0 / norms
         if r == m:
-            return np.ldexp(vals, e), _StarBasis(n, phase, lowner), head**2
+            return np.ldexp(vals, e), _StarBasis(n, phase, lowner), level_weights
         reps = reps[by_mode]
     else:
-        vals, head = np.full(1, a), np.ones(1)
+        vals, level_weights = np.full(1, a), np.ones(1)
     lone = np.flatnonzero(z <= tol)
     dark_vals = [np.full(members.size - 1, p[members[0]]) for members, _ in groups]
     all_vals = np.concatenate([vals, *dark_vals, p[lone]])
@@ -796,6 +845,6 @@ def solve_star(diagonal: np.ndarray, c: np.ndarray, start=None):
     col = np.empty(n, dtype=int)
     col[order] = np.arange(n)
     weights = np.zeros(n)
-    weights[col[: r + 1]] = head**2
+    weights[col[: r + 1]] = level_weights
     vectors = _StarBasis(n, phase, lowner, (reps, col, groups, lone))
     return np.ldexp(all_vals[order], e), vectors, weights

@@ -4,7 +4,8 @@ Every writer formats arrays, not single values, and produces exactly the
 bytes of a per-value Python reference:
 
 - CSV fields are ``"%.11e" % v``;
-- JSON tables are ``json.dumps(..., indent=2)`` of the columns as lists;
+- JSON tables and the star model file are ``json.dumps(..., indent=2)``
+  of their named columns as lists;
 - SVG points are ``"%.2f,%.2f" % (x, y)``, joined by spaces.
 
 The fixed-width writers scale each magnitude to an integer by powers of
@@ -39,9 +40,11 @@ probabilities lie in [0, 1], so every field is unsigned. ``_e_fits``
 tests each column before the header is written; a table with a value
 that does not fit (a set sign bit, ``-0.0`` included, inf, NaN or a
 three-digit exponent) goes whole to the per-value reference, so no table
-mixes the two. A JSON table is ``json.dumps``'s framing around one
-``float.__repr__`` join per block of values; a table with a non-finite
-value goes whole to ``json.dumps``.
+mixes the two. A JSON table or model file is ``json.dumps``'s framing
+around one ``float.__repr__`` join per block of values: with ``indent``,
+``json`` falls back to its pure-Python encoder, which makes a Python
+object per value and per separator, where the join makes one string per
+block. Input with a non-finite value goes whole to ``json.dumps``.
 
 An SVG point is a row of four words, two per coordinate: the integer
 part right-aligned in one word with NUL in place of leading zeros, then
@@ -293,18 +296,18 @@ def svg_points_reference(x, y) -> str:
     return " ".join(map(f"{SVG_FIELD},{SVG_FIELD}".__mod__, zip(xs, ys)))
 
 
-def write_json(sink, ts, columns: dict) -> None:
-    """Write ``json.dumps({"t": ts, **columns}, indent=2) + "\\n"`` of float
-    lists to the binary ``sink``, byte for byte.
+def write_json(sink, columns: dict) -> None:
+    """Write ``json.dumps(columns, indent=2) + "\\n"`` of named float lists to
+    the binary ``sink``, byte for byte.
 
-    Inside the same two-space framing, each column goes out as one join of
-    ``float.__repr__`` (what ``json`` writes for a finite float) per block
-    of up to ``_BLOCK`` values. A table with a non-finite value, found
-    before anything is written, goes whole through ``json.dumps`` itself.
+    A table is ``{"t": ts, **columns}``, a star model ``eps``, ``alpha_re``
+    and ``alpha_im``. Inside the same two-space framing, each column goes
+    out as one join of ``float.__repr__`` (what ``json`` writes for a finite
+    float) per block of up to ``_BLOCK`` values. Input with a non-finite
+    value, found before anything is written, goes whole through
+    ``json.dumps`` itself.
     """
-    arrays = {"t": np.asarray(ts, dtype=float)}
-    for name, values in columns.items():
-        arrays[name] = np.asarray(values, dtype=float)
+    arrays = {name: np.asarray(values, dtype=float) for name, values in columns.items()}
     if not all(np.isfinite(v).all() for v in arrays.values()):
         payload = {name: v.tolist() for name, v in arrays.items()}
         sink.write((json.dumps(payload, indent=2) + "\n").encode())
@@ -315,4 +318,4 @@ def write_json(sink, ts, columns: dict) -> None:
             text = ",\n    ".join(map(float.__repr__, v[start : start + _BLOCK].tolist()))
             sink.write(f"{',' if start else ''}\n    {text}".encode())
         sink.write(b"\n  ]" if v.size else b"]")
-    sink.write(b"\n}\n")
+    sink.write(b"\n}\n" if arrays else b"{}\n")

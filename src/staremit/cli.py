@@ -54,10 +54,10 @@ from .svgplot import write_line_chart
 
 
 # Output text a command may write, counted as rows times the widest CSV or
-# JSON row plus the widest SVG points, and memory the survival series of a
-# run may take, counted by evolution._series_bytes plus what the series
-# commands hold beside it; larger --samples, --n and --m-list values are
-# refused up front.
+# JSON row plus the widest SVG points, and memory a run may take: the
+# survival series, counted by evolution._series_bytes plus what the series
+# commands hold beside it, or inverse's model and solves; larger --samples,
+# --n, --m-list and --m values are refused up front.
 OUTPUT_BUDGET_BYTES = 1 << 30
 _SERIES_BUDGET_BYTES = 1 << 30
 
@@ -71,13 +71,22 @@ _SERIES_BUDGET_BYTES = 1 << 30
 _HELD_BYTES = 24
 _WRITER_BYTES = 128 * _BLOCK
 
+# What inverse holds, in bytes a level (2M + 1 of them) and in row blocks:
+# the profile, the model, both O(n) solves and the model text. Measured by
+# tracemalloc at M = 8000 with --out: 7.8 MB for a flat profile, 8.3 MB
+# for a random one (a count of 9.6 MB); from M = 2000 to 20000 the peak
+# grows by about 420 bytes a level.
+_INVERSE_LEVEL_BYTES = 470
+_INVERSE_BLOCK_BYTES = 2 << 20
 
-def _preflight(paths, text_bytes=0, series_bytes=0, flag=None, samples=0, outdir=None) -> None:
+
+def _preflight(paths, text_bytes=0, series_bytes=0, flag=None, samples=0, outdir=None,
+               step=None) -> None:
     # runs once, before any model, profile, time grid or per-sample array
     # exists, in a fixed order: output directories (a file whose directory is
     # missing would fail only once the output is written, and after other
-    # files of the run), output text, series memory. Without a flag,
-    # --samples alone is to blame for the memory
+    # files of the run), output text, memory, the time grid's step. Without
+    # a flag, --samples alone is to blame for the memory
     for path in paths:
         if path and not Path(path).parent.is_dir():
             raise ValueError(f"cannot write {path}: no directory {Path(path).parent}")
@@ -95,7 +104,14 @@ def _preflight(paths, text_bytes=0, series_bytes=0, flag=None, samples=0, outdir
         what = flag or f"--samples {samples}"
         raise ValueError(
             f"{what} would take about {series_bytes} bytes of memory, above the budget of "
-            f"{_SERIES_BUDGET_BYTES} bytes; lower it{' or --samples' if flag else ''}"
+            f"{_SERIES_BUDGET_BYTES} bytes; lower it{' or --samples' if flag and samples else ''}"
+        )
+    if step is not None and not step >= np.finfo(float).tiny:
+        # below it the grid's times are subnormal, with fewer digits than a
+        # double: a period or a sample would come out wrong, with exit 0
+        raise ValueError(
+            f"the time-grid step {step:.6g} is below the smallest normal double "
+            f"{np.finfo(float).tiny:.6g}; raise the grid's span or lower --samples"
         )
 
 
@@ -179,7 +195,7 @@ def _run_series(args, n: int, eps1: float, analytic, svg_title: str, flag=None) 
     _preflight([args.out, args.svg],
                args.samples * (3 * field_bytes + (2 * SVG_POINT_BYTES if args.svg else 0)),
                _series_bytes(n + 1, args.samples) + _HELD_BYTES * args.samples + _WRITER_BYTES,
-               flag, args.samples)
+               flag, args.samples, step=args.t_max / (args.samples - 1))
     # P does not change when every energy moves by the same amount, so the
     # model is built relative to --eps0: a large --eps0 costs P no digits
     eps = np.zeros(n + 1)
@@ -191,11 +207,14 @@ def _run_series(args, n: int, eps1: float, analytic, svg_title: str, flag=None) 
     # are never read, so never built: O(n) memory beyond the kernel's
     columns = {"P": survival_probability(eigh(model), tau), "P_analytic": analytic(tau)}
     _require_finite(ts, *columns.values())
-    write = write_csv if args.format == "csv" else write_json
-    if args.out:
-        _write_text(args.out, write, ts, columns)
+    if args.format == "csv":
+        write, table = write_csv, (ts, columns)
     else:
-        write(_Stdout(), ts, columns)
+        write, table = write_json, ({"t": ts, **columns},)
+    if args.out:
+        _write_text(args.out, write, *table)
+    else:
+        write(_Stdout(), *table)
     if args.svg:
         curves = [(name, ts, values) for name, values in columns.items()]
         _write_text(args.svg, write_line_chart, curves, svg_title)
@@ -227,10 +246,19 @@ def _load_profile(path: str) -> SpectralProfile:
         raise ValueError(f"{path}: malformed field: {exc}") from exc
 
 
+def _inverse_bytes(m_half: int) -> int:
+    return _INVERSE_LEVEL_BYTES * (2 * m_half + 1) + _INVERSE_BLOCK_BYTES
+
+
 def _cmd_inverse(args) -> int:
-    _preflight([args.out])
+    # the memory is counted from --m before any profile exists, and for a
+    # --profile, which --m does not size, as soon as it is read
+    sized = args.profile is None and args.m is not None
+    _preflight([args.out], series_bytes=_inverse_bytes(args.m) if sized else 0, flag=f"--m {args.m}")
     if args.profile is not None:
         profile = _load_profile(args.profile)
+        _preflight([], series_bytes=_inverse_bytes(profile.m_half),
+                   flag=f"{args.profile}: m_half {profile.m_half}")
     elif args.flat or args.seed is not None:
         if args.m is None:
             raise ValueError("--m is required with --flat or --seed")
@@ -250,7 +278,7 @@ def _cmd_inverse(args) -> int:
     model = construct_hamiltonian(profile)
     report = verify_round_trip(model, profile, args.tol)
     if args.out:
-        _write_text(args.out, _put_text, json.dumps(model.to_dict(), indent=2) + "\n")
+        _write_text(args.out, write_json, model.to_dict())
         _put_text(_Stdout(), json.dumps(report.to_dict(), indent=2) + "\n")
     else:
         combined = {"model": model.to_dict(), "report": report.to_dict()}
@@ -268,7 +296,9 @@ def _cmd_figure1(args) -> int:
     _preflight([args.svg],
                args.samples * kept * (2 * CSV_FIELD_BYTES + (SVG_POINT_BYTES if args.svg else 0)),
                _series_bytes(2 * m_max + 1, args.samples, kept) + _WRITER_BYTES,
-               f"--m-list {','.join(map(str, args.m_list))}", outdir=args.out)
+               f"--m-list {','.join(map(str, args.m_list))}", args.samples, outdir=args.out,
+               step=args.periods * (revival_period(min(args.m_list), args.d) * args.hbar)
+               / (args.samples - 1))
     runs = []
     for m_half in args.m_list:
         period = revival_period(m_half, args.d) * args.hbar

@@ -221,11 +221,15 @@ def verify_round_trip(
     eigenvectors, so no eigenvector matrix is built and memory stays O(n).
 
     The solver starts each secular root at its target level, so a faithful
-    model is verified in one evaluation per root. A root whose start is not
-    accepted restarts from its interval's midpoint, exactly as ``eigh``
-    solves it: when no start is accepted, the eigenvalues and weights are
-    ``eigh``'s to the bit. The rule for accepting a start is step 2 of the
-    :mod:`staremit._arrowhead` docstring.
+    model is verified in one evaluation per root. Its weights are then
+    ``1/g'`` at the roots, from the slopes of that one sweep (moved from
+    each start to its root by the curvature the sweep also sums), and no
+    Löwner pass runs; they are within a few ulps of ``eigh``'s. A root
+    whose start is not accepted restarts from its interval's midpoint,
+    exactly as ``eigh`` solves it, and the weights of every root come from
+    the Löwner pass: when no start is accepted, the eigenvalues and weights
+    are ``eigh``'s to the bit. The rule for accepting a start is step 2 of
+    the :mod:`staremit._arrowhead` docstring.
 
     Eigenvalues are compared sorted, elementwise. Overlap weights are
     summed per distinct level on both sides first, so basis choices inside

@@ -30,9 +30,9 @@ def solver_rows(fn, *args):
     rows = []
     evaluate = _arrowhead._Secular.evaluate
 
-    def counted(self, i, origin, tau):
+    def counted(self, i, origin, tau, *args):
         rows.append(i.size)
-        return evaluate(self, i, origin, tau)
+        return evaluate(self, i, origin, tau, *args)
 
     with mock.patch.object(_arrowhead._Secular, "evaluate", counted):
         result = fn(*args)

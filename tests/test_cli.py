@@ -16,7 +16,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from staremit import _arrowhead, _numtext, cli, dirichlet_survival, revival_period
+from staremit import (
+    _arrowhead,
+    _numtext,
+    cli,
+    construct_hamiltonian,
+    dirichlet_survival,
+    flat_profile,
+    random_profile,
+    revival_period,
+)
 from staremit._numtext import CSV_FIELD_BYTES, JSON_FIELD_BYTES, SVG_POINT_BYTES
 from staremit.cli import main
 from staremit.evolution import _series_bytes
@@ -576,6 +585,104 @@ def test_inverse_verdict_allows_the_rounding_of_a_far_centre(capsys):
     assert main(argv) == 0
     report = json.loads(capsys.readouterr().out)["report"]
     assert report["passed"] and report["max_eigenvalue_error"] > 1e-10
+
+
+@pytest.mark.parametrize("argv", [
+    ["--flat", "--m", "1"],
+    ["--seed", "3", "--m", "2"],
+    # 2M + 1 = 4097 values a column: one past a block of 4096
+    ["--seed", "3", "--m", "2048"],
+    # exponent notation
+    ["--flat", "--m", "5", "--eps0", "1e17"],
+    # negative energies, in exponent notation too
+    ["--seed", "4", "--m", "7", "--eps0", "-3.5"],
+    ["--seed", "5", "--m", "3", "--eps0", "-2e17", "--d", "5e16"],
+], ids=["flat-1", "seed-2", "seed-2048", "exponent", "negative", "negative-exponent"])
+def test_inverse_model_file_is_json_dumps(argv, tmp_path, capsys):
+    # the model file is written a block at a time, with the bytes of
+    # json.dumps(model.to_dict(), indent=2) and a newline
+    out = tmp_path / "model.json"
+    assert main(["inverse", *argv, "--out", str(out)]) == 0
+    capsys.readouterr()
+    args = cli.build_parser().parse_args(["inverse", *argv])
+    if args.flat:
+        profile = flat_profile(args.m, args.eps0, args.d)
+    else:
+        profile = random_profile(args.m, args.eps0, args.d, np.random.default_rng(args.seed))
+    model = construct_hamiltonian(profile)
+    assert out.read_text() == json.dumps(model.to_dict(), indent=2) + "\n"
+
+
+def _inverse_m_limit():
+    # the largest --m inverse's memory count admits
+    levels = (cli._SERIES_BUDGET_BYTES - cli._INVERSE_BLOCK_BYTES) // cli._INVERSE_LEVEL_BYTES
+    return (levels - 1) // 2
+
+
+def test_inverse_refuses_an_m_above_its_memory_budget(tmp_path, capsys):
+    # the smallest --m refused, checked before any profile exists: one error
+    # line naming --m, no file and a small tracemalloc peak; the largest
+    # admitted passes the same check, and is not run
+    largest = _inverse_m_limit()
+    assert largest == 1140047  # the CI step refuses largest + 1
+    cli._preflight([], 0, cli._inverse_bytes(largest), f"--m {largest}")
+    out = tmp_path / "model.json"
+    peak, rc = traced_peak(main, ["inverse", "--flat", "--m", str(largest + 1), "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr() == ("", (
+        f"error: --m {largest + 1} would take about {cli._inverse_bytes(largest + 1)} bytes of "
+        f"memory, above the budget of {cli._SERIES_BUDGET_BYTES} bytes; lower it\n"))
+    assert list(tmp_path.iterdir()) == []
+    assert peak < 1 << 20
+
+
+def test_inverse_counts_a_profile_as_soon_as_it_is_read(tmp_path, capsys, monkeypatch):
+    # a --profile is sized by its own m_half, which --m does not override,
+    # and refused before any model exists
+    path, out = tmp_path / "profile.json", tmp_path / "model.json"
+    path.write_text(json.dumps(flat_profile(2, 0.0, 1.0).to_dict()))
+    size = cli._inverse_bytes(2)
+    argv = ["inverse", "--profile", str(path), "--m", "1000000000", "--out", str(out)]
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_SERIES_BUDGET_BYTES", size - 1)
+        m.setattr(cli, "construct_hamiltonian", pytest.fail)
+        assert main(argv) == 2
+    assert capsys.readouterr() == ("", (
+        f"error: {path}: m_half 2 would take about {size} bytes of memory, above the budget of "
+        f"{size - 1} bytes; lower it\n"))
+    assert not out.exists()
+    monkeypatch.setattr(cli, "_SERIES_BUDGET_BYTES", size)
+    assert main(argv) == 0
+    assert out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["figure1", "--m-list", "5", "--samples", "4001", "--hbar", "1e-320"],
+    ["figure1", "--m-list", "5,1", "--samples", "3", "--periods", "5e-309"],
+    ["two-level", "--t-max", "1e-310", "--samples", "3"],
+    ["identical-modes", "--n", "3", "--t-max", "1e-305", "--samples", "1000"],
+], ids=["figure1-hbar", "figure1-periods", "two-level", "identical-modes"])
+def test_a_subnormal_grid_step_exits_2_and_writes_nothing(argv, tmp_path, capsys):
+    # the times of such a grid have fewer digits than a double: the period
+    # printed and the survival written would be wrong, with exit 0
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error: the time-grid step \S+ is below the smallest normal double "
+                        r"2\.22507e-308; raise the grid's span or lower --samples\n", captured.err)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_the_smallest_normal_grid_step_is_admitted(tmp_path, capsys):
+    tiny = float(np.finfo(float).tiny)
+    out = tmp_path / "a.csv"
+    assert main(["two-level", "--t-max", repr(2 * tiny), "--samples", "3", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 4
+    # at --hbar 1e-300 the step is normal, and the period has its digits
+    assert main(["figure1", "--m-list", "5", "--samples", "4001", "--hbar", "1e-300",
+                 "--out", str(tmp_path / "figs")]) == 0
+    assert capsys.readouterr().out.startswith("M=5: period=3.14159e-299 ")
 
 
 # (argv, files it writes); the flags of one call must not reach the next

@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 from staremit import (
     DegenerateProfile,
     DimensionMismatch,
+    SpectralDecomposition,
     SpectralProfile,
     StarModel,
     build_hamiltonian,
     construct_hamiltonian,
     eigh,
     equally_spaced_spectrum,
+    evolve_state,
     flat_profile,
     random_profile,
     verify_round_trip,
@@ -553,19 +555,127 @@ def _sweeps(model, p):
     return rows
 
 
+def _one_sweep_profiles():
+    # faithful profiles at eps0 = 0, up to the largest size the benchmark
+    # constructs, and the benchmark's fixed CLI profile
+    for m_half in (1, 2, 5, 20, 40, 250):
+        yield flat_profile(m_half, 0.0, 1.0)
+        yield random_profile(m_half, 0.0, 1.0, np.random.default_rng(m_half))
+        yield random_profile(m_half, 0.0, 2.0, np.random.default_rng(m_half), symmetric=True)
+    yield random_profile(250, 0.0, 1.0, np.random.default_rng(7))
+
+
 def test_verify_round_trip_of_a_faithful_model_takes_one_sweep():
     # at eps0 = 0 the ladder is the constructed model's own, and the targets
     # pass the solver's convergence test as they stand; at the largest size
     # the benchmark constructs, a few roots whose g at the target sits near
     # that test's bound are done by the size of their first step instead (a
     # cold solve takes seven sweeps of up to all 501 roots)
-    for m_half in (1, 2, 5, 20, 40, 250):
-        for p in (flat_profile(m_half, 0.0, 1.0),
-                  random_profile(m_half, 0.0, 1.0, np.random.default_rng(m_half)),
-                  random_profile(m_half, 0.0, 2.0, np.random.default_rng(m_half), symmetric=True)):
-            assert _sweeps(construct_hamiltonian(p), p) == [p.dim]
-    p = random_profile(250, 0.0, 1.0, np.random.default_rng(7))
-    assert _sweeps(construct_hamiltonian(p), p) == [p.dim]
+    for p in _one_sweep_profiles():
+        assert _sweeps(construct_hamiltonian(p), p) == [p.dim]
+
+
+def _no_lowner_pass(*args):
+    raise AssertionError("Löwner pass")
+
+
+def test_verify_round_trip_of_a_faithful_model_skips_the_lowner_pass(monkeypatch):
+    # every start is accepted, so the weights come from the slopes of the
+    # one sweep, and the Löwner pass, which only the eigenvectors need, never
+    # runs; the weights are within the warm-start bound of eigh's
+    eps = np.finfo(float).eps
+    for p in _one_sweep_profiles():
+        model = construct_hamiltonian(p)
+        cold = eigh(model)
+        with monkeypatch.context() as m:
+            m.setattr(_arrowhead, "_lowner_vectors", _no_lowner_pass)
+            assert verify_round_trip(model, p, 1e-8).passed
+            _, _, weights = _arrowhead.solve_star(model.eps, model.alpha, p.eigenvalues())
+        assert np.abs(weights - cold.zero_overlaps).max() <= 64 * eps, p.m_half
+
+
+def test_verify_round_trip_with_a_rejected_start_runs_the_lowner_pass():
+    # a mode energy on a target level leaves a root with no start: it
+    # restarts from its midpoint, and the weights of every root come from
+    # one Löwner pass, as in eigh
+    calls = []
+    lowner = _arrowhead._lowner_vectors
+
+    def spy(*args):
+        calls.append(args)
+        return lowner(*args)
+
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        p = random_profile(20, 0.0, 1.0, rng)
+        model = _family_model("mode-on-level", p, construct_hamiltonian(p), rng)
+        calls.clear()
+        with mock.patch.object(_arrowhead, "_lowner_vectors", spy):
+            rows, report = solver_rows(verify_round_trip, model, p, 1e-8)
+            _, basis, weights = _arrowhead.solve_star(model.eps, model.alpha, p.eigenvalues())
+        assert len(rows) > 1 and len(calls) == 2, seed
+        assert np.array_equal(weights, (1.0 / basis.lowner[5]) ** 2), seed
+
+
+@pytest.mark.parametrize("p", [
+    flat_profile(40, -1e-3, 1e-5),
+    random_profile(40, -1e-3, 1e-5, np.random.default_rng(1)),
+    flat_profile(114, 1.85, 0.7),
+    random_profile(228, -1.5, 2.0, np.random.default_rng(3)),
+    flat_profile(20, 1e3, 1.0),
+], ids=["flat-tight", "random-tight", "flat-114", "random-228", "flat-1e3"])
+def test_slope_weights_are_taken_at_the_root(p):
+    # Off the centre a target's rounding is a larger share of its offset,
+    # and g' at the start misses g' at the root (by 1.1e-14 of a weight of
+    # 1/81 in the first profile, 48 eps). Moved to the root by the
+    # curvature, the weights are within 2 eps of Löwner's on the same roots.
+    model = construct_hamiltonian(p)
+    with mock.patch.object(_arrowhead, "_lowner_vectors", _no_lowner_pass):
+        _, basis, weights = _arrowhead.solve_star(model.eps, model.alpha, p.eigenvalues())
+    lowner = (1.0 / basis.lowner[5]) ** 2
+    assert np.abs(weights - lowner).max() <= 2 * np.finfo(float).eps
+
+
+def _start_solve(model, start):
+    # the decomposition solve_star gives from ``start`` when it accepts every
+    # start: no Löwner pass runs until the basis is read
+    with mock.patch.object(_arrowhead, "_lowner_vectors", _no_lowner_pass):
+        return SpectralDecomposition(*_arrowhead.solve_star(model.eps, model.alpha, start))
+
+
+@pytest.mark.parametrize("gauge", ["real", "complex"])
+@pytest.mark.parametrize("deflated", [False, True], ids=["bright", "deflated"])
+def test_a_start_solve_keeps_a_correct_basis(gauge, deflated):
+    # A solve whose weights came from the slopes kept no zhat and norms; its
+    # basis forms them on first use, and builds and propagates the vectors
+    # of eigh(model). The deflated model splits one mode into a Householder
+    # group of two equal couplings and adds a decoupled mode on a pole: both
+    # dark levels sit on poles, which start no root.
+    p = random_profile(12, 0.0, 1.0, np.random.default_rng(12))
+    model = construct_hamiltonian(p)
+    start = p.eigenvalues()
+    eps, alpha = model.eps, model.alpha
+    if deflated:
+        # mode 3 and a copy share its coupling; a decoupled mode sits on mode 5
+        eps = np.concatenate((eps, eps[[5, 3]]))
+        alpha = np.concatenate((alpha, [0.0, alpha[2] / np.sqrt(2.0)]))
+        alpha[2] /= np.sqrt(2.0)
+        start = np.sort(np.concatenate((start, eps[[3, 5]])))
+    if gauge == "complex":
+        alpha = alpha * np.exp(2j * np.pi * np.random.default_rng(3).uniform(size=alpha.size))
+    model = StarModel(eps=eps, alpha=alpha)
+    warm, cold = _start_solve(model, start), eigh(model)
+    scale = np.abs(model.eps).max() + np.linalg.norm(model.alpha)
+    ulp = np.finfo(float).eps
+    assert np.abs(warm.eigenvalues - cold.eigenvalues).max() <= 8 * ulp * scale
+    assert np.abs(warm.zero_overlaps - cold.zero_overlaps).max() <= 64 * ulp
+    psi = np.array([1.0, 1j]) @ np.random.default_rng(4).normal(size=(2, model.dim))
+    psi /= np.linalg.norm(psi)
+    for t in (0.0, 0.7, 25.0):
+        assert np.abs(evolve_state(warm, psi, t) - evolve_state(cold, psi, t)).max() <= 1e-13, t
+    vectors = warm.eigenvectors
+    assert np.abs(vectors - cold.eigenvectors).max() <= 1e-13
+    assert np.abs(vectors.conj().T @ vectors - np.eye(model.dim)).max() <= 1e-14
 
 
 @pytest.mark.parametrize("eps0", [0.3, -1.5, 1.85])

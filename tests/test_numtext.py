@@ -295,7 +295,16 @@ def test_json_table_matches_json_dumps(samples):
     expected = json.dumps(
         {"t": ts.tolist(), **{k: v.tolist() for k, v in columns.items()}}, indent=2
     ) + "\n"
-    assert as_text(write_json, ts, columns) == expected
+    assert as_text(write_json, {"t": ts, **columns}) == expected
+
+
+def test_json_named_columns_match_json_dumps():
+    # the model file's columns: negative values, exponent notation, -0.0, an
+    # empty column, and no columns at all
+    columns = {"eps": [-3.5, 1e17, -2.5e-320, 0.0, 1e16, 9.999999999999999e15],
+               "alpha_re": [0.1, -0.0], "alpha_im": []}
+    assert as_text(write_json, columns) == json.dumps(columns, indent=2) + "\n"
+    assert as_text(write_json, {}) == json.dumps({}, indent=2) + "\n"
 
 
 def test_json_table_non_finite_matches_json_dumps():
@@ -306,7 +315,7 @@ def test_json_table_non_finite_matches_json_dumps():
         p = np.cos(ts) ** 2
         p[row], p[-1] = np.nan, np.inf
         written = []
-        write_json(SimpleNamespace(write=written.append), ts, {"P": p})
+        write_json(SimpleNamespace(write=written.append), {"t": ts, "P": p})
         expected = json.dumps({"t": ts.tolist(), "P": p.tolist()}, indent=2) + "\n"
         assert written == [expected.encode()]
 
@@ -315,7 +324,7 @@ def test_field_widths_are_the_widest_fields():
     # the output budget counts rows at these widths, separators included
     wide = np.array([-1.2345678901234567e-308, -9.87654321098765e-99])
     assert len(csv_table(wide, {}).splitlines()[-1]) + 1 == _numtext.CSV_FIELD_BYTES
-    field = as_text(write_json, wide, {}).splitlines()[2] + "\n"
+    field = as_text(write_json, {"t": wide}).splitlines()[2] + "\n"
     assert field == "    -1.2345678901234567e-308,\n"
     assert len(field) == _numtext.JSON_FIELD_BYTES
     point = svg_points([-999998.99, 0.0], [-999998.99, 0.0]).split(" ")[0] + " "
