@@ -74,29 +74,41 @@ Jakovčević Stor, Slapničar & Barlow, Linear Algebra Appl. 464, 2015):
 4. Merge the dark and bright eigenpairs in ascending order.
 
 Costs. The O(n^2) work is the row blocks of steps 2 and 3: about 2^15
-entries each, whose pole sums are BLAS products. Step 3 is one row pass,
-about as costly as a sweep of step 2: a round-trip verification whose
-every start is accepted takes the pre-pass sweep (one more product a
+entries each, whose pole sums are BLAS products. Every row block lives in
+one workspace per thread (``_scratch``) of 4 blocks, 1 MiB, the most one
+pass holds at once (a sweep's block and its band mask); it is allocated on
+the thread's first solve and held after it. The passes (the sweeps, the
+Löwner pass, the inverse direction's coupling pass, the vector build and
+propagation) run one after another, each taking its blocks from the
+workspace's start, and no array handed to a caller is a view of it. So a
+steady run of solves maps no fresh pages: with glibc's mmap threshold at
+256 KiB, where each pass's blocks were a fresh mapping, an ``inverse``
+round of the benchmark took 3,200 to 4,200 minor page faults. A pass whose
+blocks do not fit, which only rows longer than the block (beyond 2^15
+poles) make, allocates its own arrays. Each thread has its own workspace,
+so threads solve at once with the bits of a serial run. Step 3 is one row
+pass, about as costly as a sweep of step 2: a round-trip verification
+whose every start is accepted takes the pre-pass sweep (one more product a
 block, for the curvature) and no step 3, and at M = 250 (dim 501) it went
-from 3.1 to 1.9 ms (2 vCPUs, numpy 2.4). Rows from 128 entries up
-to numpy's buffer size (8192 by default) run in numpy buffers of one row
-(``_RowBuffers``), so the broadcast differences that fill a block cost what
-contiguous ones do. Each sweep also pays a fixed cost of about 80 numpy
-calls on arrays of one entry per active root, which is most of a solve
-below a few dozen levels: a dim-19 star takes about 7 times as long as
-LAPACK on its dense matrix (0.88 against 0.12 ms, 2 vCPUs, numpy 2.4).
+from 3.1 to 1.9 ms (2 vCPUs, numpy 2.4). Rows from 128 entries up to
+numpy's buffer size (8192 by default) run in numpy buffers of one row
+(``_RowBuffers``), so the broadcast differences that fill a block cost
+what contiguous ones do. Each sweep also pays a fixed cost of about 80
+numpy calls on arrays of one entry per active root, which is most of a
+solve below a few dozen levels: a dim-19 star takes about 7 times as long
+as LAPACK on its dense matrix (0.88 against 0.12 ms, 2 vCPUs, numpy 2.4).
 Reading a star's eigenvectors costs one more row pass of step 3; until
 then its decomposition takes O(n) memory. Propagating a state never reads
 them: it takes two row passes (one for a state that is zero on every mode,
 as the emitter start is), each block a reciprocal and a real product with
-the state's (re, im) pairs, and holds one row block beside arrays of one
-entry per level. The eigenvectors are a star's only n x n array:
-8 bytes a cell when every coupling is real and non-negative, else 16,
-complex, built in the result's own memory and multiplied by their phases
-a row block at a time. A dim whose arrays would exceed ``_EIGH_BUDGET``
-(8 GiB) is refused, as a ``ValueError`` naming the dim and before any
-n x n array exists: a star's eigenvectors, 8 or 16 bytes a cell, at their
-first read, and LAPACK's, about 48 with its work arrays, in
+the state's (re, im) pairs, and holds one row block of the workspace
+beside arrays of one entry per level. The eigenvectors are a star's only
+n x n array: 8 bytes a cell when every coupling is real and non-negative,
+else 16, complex, built in the result's own memory and multiplied by their
+phases a row block at a time. A dim whose arrays would exceed
+``_EIGH_BUDGET`` (8 GiB) is refused, as a ``ValueError`` naming the dim
+and before any n x n array exists: a star's eigenvectors, 8 or 16 bytes a
+cell, at their first read, and LAPACK's, about 48 with its work arrays, in
 :func:`~staremit.hermitian.eigh`.
 
 The inverse direction, from eigenvalues ``lam`` and first-row weights
@@ -116,6 +128,7 @@ that builds or applies its eigenvectors, and their weights),
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 
@@ -146,6 +159,47 @@ _EIGH_BUDGET = 8 << 30
 
 # Rows of at least this many entries are run in buffers of one row (_RowBuffers).
 _ROW_BUFFERS = 128
+
+
+class _Workspace(threading.local):
+    # each thread's row-block scratch (_scratch), allocated on its first
+    # use, and the last request that fitted in it with the arrays it got
+    cells = shapes = arrays = None
+
+
+_workspace = _Workspace()
+
+
+def _scratch(*shapes):
+    # Float arrays of ``shapes`` for the row blocks of one pass, laid out
+    # one after another in this thread's workspace of 4 _BLOCK_CELLS
+    # entries, the most one pass holds at once (a sweep's block and its band
+    # mask). Passes run one after another, so each takes its arrays from the
+    # start: a pass owns them only while it runs, and hands no caller a view
+    # of them. Arrays that do not fit, which only rows longer than the block
+    # make, are allocated fresh. Every entry a pass reads it has written
+    # first, so what an earlier pass left, or one a NonConvergence cut
+    # short, changes no bit. A request like the last one (each sweep of a
+    # solve makes the same) gets the same arrays back without new views.
+    ws = _workspace
+    if shapes == ws.shapes:
+        return ws.arrays
+    if ws.cells is None:
+        ws.cells = np.empty(4 * _BLOCK_CELLS)
+    arrays, at = [], 0
+    for shape in shapes:
+        end = at + math.prod(shape)
+        if end > ws.cells.size:
+            return [np.empty(shape) for shape in shapes]
+        arrays.append(ws.cells[at:end].reshape(shape))
+        at = end
+    ws.shapes, ws.arrays = shapes, arrays
+    return arrays
+
+
+def _root_block(r):
+    # the shape of a row block of _root_rows over r poles
+    return min(max(1, _BLOCK_CELLS // r), r), r + 1
 
 
 class _RowBuffers:
@@ -210,19 +264,19 @@ class _Secular:
         self.gap = np.zeros(r + 1)
         np.subtract(d[1:], d[:-1], out=self.gap[1:r])
         self.rows = max(1, _BLOCK_CELLS // r)
-        self.buf = np.empty((2, min(self.rows, r + 1), r))
-        # the band of columns each row block masks, laid out as np.where
-        # would return it
-        self.masked = np.empty(self.buf.size)
+        # the shape of a sweep's row block: 1 / (d_k - lambda) and its square
+        self.block = (2, min(self.rows, r + 1), r)
         self.columns = np.arange(r)
 
-    def _block(self, i, d_origin, tau, out):
+    def _block(self, i, d_origin, tau, out, buf, masked):
         # the pole sums of the roots i at d_origin + tau, into the rows of
         # ``out``: over the poles left of each root, psi and its slope, and
         # over those right of it, its slope and phi; and, into a fifth row
-        # when there is one, half the curvature over all the poles
+        # when there is one, half the curvature over all the poles. ``buf``
+        # is the row block, ``masked`` as large, for the band of columns the
+        # block masks, laid out as np.where would return it
         d, zeta2 = self.d, self.zeta2
-        both = self.buf[:, : tau.size]
+        both = buf[:, : tau.size]
         square, rec = both[0], both[1]
         np.subtract(d, d_origin[:, None], out=rec)
         rec -= tau[:, None]  # d_k - lambda, exactly -tau at k == origin
@@ -233,7 +287,7 @@ class _Secular:
         # need a mask
         c0, c1 = i[0], i[-1]
         band, zb = both[..., c0:c1], zeta2[c0:c1]
-        masked = self.masked[: band.size].reshape(band.shape)
+        masked = masked[: band.size].reshape(band.shape)
         masked.fill(0.0)
         np.copyto(masked, band, where=self.columns[c0:c1] < i[:, None])
         mixed = masked @ zb
@@ -252,9 +306,10 @@ class _Secular:
         # ``curvature``, a fifth row holds g'' / 2.
         d_origin = self.d[origin]
         out = np.empty((5 if curvature else 4, i.size))
+        buf, masked = _scratch(self.block, (math.prod(self.block),))
         for s in range(0, i.size, self.rows):
             e = s + self.rows
-            self._block(i[s:e], d_origin[s:e], tau[s:e], out[:, s:e])
+            self._block(i[s:e], d_origin[s:e], tau[s:e], out[:, s:e], buf, masked)
         # psi and phi, the sums over the left and right poles, sit in the
         # rows of g and err until those are formed
         g, slope_l, slope_r, err = out[0], out[1], out[2], out[3]
@@ -512,19 +567,19 @@ def _lowner(diff, d, k, ratio):
     return np.sqrt(np.prod(ratio, axis=1))
 
 
-def _root_rows(d, origin, tau, rank, out=None):
+def _root_rows(d, origin, tau, rank, out):
     # The rows lambda_i - d[rank_k] over the r + 1 roots lambda = d[origin]
     # + tau of the r poles d, exactly tau_i where origin[i] == rank_k, a row
-    # block at a time: in place in the r rows of ``out`` when given, else in
-    # one scratch block. Yields each block's first row and the block.
+    # block at a time: in place when ``out`` has the r rows, else in its
+    # first rows, reused for every block (a _root_block from _scratch).
+    # Yields each block's first row and the block.
     r = d.size
     d_origin = d[origin]
     rows = max(1, _BLOCK_CELLS // r)
-    scratch = np.empty((min(rows, r), r + 1)) if out is None else None
     with _RowBuffers(r):
         for s in range(0, r, rows):
             k = rank[s : s + rows]
-            diff = scratch[: k.size] if out is None else out[s : s + rows]
+            diff = out[: k.size] if len(out) < r else out[s : s + rows]
             np.subtract(d_origin, d[k][:, None], out=diff)
             diff += tau
             yield s, diff
@@ -537,8 +592,9 @@ def _lowner_vectors(d, origin, tau, rank):
     # rebuilds them.
     r = d.size
     zhat, norm2 = np.empty(r), np.ones(r + 1)
-    ratio = np.empty((min(max(1, _BLOCK_CELLS // r), r), r))
-    for s, diff in _root_rows(d, origin, tau, rank):
+    shape = _root_block(r)
+    block, ratio = _scratch(shape, (shape[0], r))
+    for s, diff in _root_rows(d, origin, tau, rank, block):
         k = rank[s : s + len(diff)]
         z = zhat[s : s + k.size] = _lowner(diff, d, k, ratio[: k.size])
         np.divide(z[:, None], diff, out=diff)
@@ -562,7 +618,7 @@ def arrowhead_from_spectrum(lam: np.ndarray, w: np.ndarray):
     r = p.size
     z = np.empty(r)
     rows = max(1, _BLOCK_CELLS // (r + 1))
-    diff, ratio = np.empty((min(rows, r), r + 1)), np.empty((min(rows, r), r))
+    diff, ratio = _scratch((min(rows, r), r + 1), (min(rows, r), r))
     # a root rounded onto lam[-1] gives -1/0 in Löwner's formula, and
     # coupling 0, which is exact for it
     with np.errstate(divide="ignore"), _RowBuffers(r):
@@ -653,9 +709,10 @@ class _StarBasis:
                 zb[k] = zhat[k] * (g @ u[1 + members])
             # q_i = head_i^2 phases_i (u_0 + sum_k zhat_k b_k / (lambda_i - d_k))
             q = np.zeros(c, dtype=complex)
+            (block,) = _scratch(_root_block(c - 1))
             if np.count_nonzero(zb):
                 pairs, zpairs = q.view(float).reshape(c, 2), zb.view(float).reshape(c - 1, 2)
-                for s, diff in _root_rows(d, origin, tau, rank):
+                for s, diff in _root_rows(d, origin, tau, rank, block):
                     np.divide(1.0, diff, out=diff)
                     pairs += diff.T @ zpairs[s : s + len(diff)]
             q += u[0]
@@ -665,7 +722,7 @@ class _StarBasis:
             # the image on the bright modes, zhat_k sum_i q_i / (lambda_i - d_k)
             image = np.empty(c - 1, dtype=complex)
             pairs, out = q.view(float).reshape(c, 2), image.view(float).reshape(c - 1, 2)
-            for s, diff in _root_rows(d, origin, tau, rank):
+            for s, diff in _root_rows(d, origin, tau, rank, block):
                 np.divide(1.0, diff, out=diff)
                 np.matmul(diff, pairs, out=out[s : s + len(diff)])
             image *= zhat
@@ -707,7 +764,8 @@ def _star_vectors(n, phase, lowner, deflated=None):
         # rows of the bright modes and the columns of their eigenvalues
         d, origin, tau, rank, zhat, norms = lowner
         head = 1.0 / norms
-        for s, diff in _root_rows(d, origin, tau, rank, None if deflated else vecs[1:]):
+        block = _scratch(_root_block(d.size))[0] if deflated else vecs[1:]
+        for s, diff in _root_rows(d, origin, tau, rank, block):
             np.divide(zhat[s : s + len(diff), None], diff, out=diff)
             diff /= norms
             if deflated:
@@ -719,7 +777,7 @@ def _star_vectors(n, phase, lowner, deflated=None):
         vecs[0] = head
     if phase is not None:
         rows = max(1, _BLOCK_CELLS // n)
-        scratch = np.empty((min(rows, n), n))
+        (scratch,) = _scratch((min(rows, n), n))
         for s in range(0, n, rows):
             blk = scratch[: min(rows, n - s)]
             np.copyto(blk, vecs[s : s + rows])

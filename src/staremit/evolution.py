@@ -18,17 +18,18 @@ offset is the conjugate of one at a positive offset. That takes about
 5e-17. Other times (a scalar, two samples, a non-uniform grid) take the
 direct sum in blocks of the same ``nb`` samples: ``dim S`` exponentials.
 Either path holds ``O(dim sqrt(S) + S)`` memory. On the grid path that is
-four ``dim x nb`` complex arrays at once, beside numpy's ufunc buffers (two
-of ``np.getbufsize()`` complex entries, 256 KiB, for the strided conjugate
-and the broadcast weight products) and arrays of one entry per sample: the
-residual ``r``, the ``2 S`` complex entries of the product and the result,
-48 bytes a sample in all. The rest of the amplitude, ``g0 - i r g1``, its
+three ``dim x nb`` complex arrays at once (the fine phasors are formed in
+place, and the coarse ones in the half of the buffer that weights them),
+beside numpy's ufunc buffers (two of ``np.getbufsize()`` complex entries,
+256 KiB, for the strided conjugate and the broadcast weight products) and
+arrays of one entry per sample: the residual ``r``, the ``2 S`` complex
+entries of the product and the result, 48 bytes a sample in all. The rest of the amplitude, ``g0 - i r g1``, its
 modulus squared and the clip run over blocks of whole coarse rows, about
 4096 samples each, in one reused buffer, and write P straight into the
 result. The direct sum holds about 32 bytes a sample (its blocks'
-amplitudes and their concatenation). ``_series_bytes`` counts the four
+amplitudes and their concatenation). ``_series_bytes`` counts four such
 arrays, a per-level slack, which covers the buffers from about 500 levels
-up (2.46 MB against a count of 2.93 MB at 501 levels and 5000 samples),
+up (1.91 MB against a count of 2.93 MB at 501 levels and 5000 samples),
 and 80 bytes a sample, which covers the per-sample arrays of either path;
 a test holds the ``tracemalloc`` peak of ``survival_probability`` under it.
 """
@@ -105,7 +106,10 @@ def evolve_state(d: SpectralDecomposition, psi0, t: float) -> np.ndarray:
     A star's decomposition from :func:`~staremit.hermitian.eigh` applies
     its eigenvectors from the O(n) state its solve keeps, in row blocks,
     and never builds them: O(n^2) time and O(n) memory beside its row
-    blocks. Any other decomposition reads ``d.eigenvectors``.
+    blocks. The row blocks live in the calling thread's workspace of 1 MiB
+    (4 blocks of 2^15 entries; see :mod:`staremit._arrowhead`), reused by
+    every star solve and propagation in that thread; each thread has its
+    own. Any other decomposition reads ``d.eigenvectors``.
 
     Raises
     ------
@@ -174,8 +178,9 @@ def _survival(levels, weights, t):
 def _series_bytes(levels: int, samples: int, kept: int = 0) -> int:
     # the memory a survival series of this many levels and samples may hold:
     # 512 bytes a level for the arrays of one entry per level (solving an
-    # identical-modes star peaks at about 100), the kernel's four complex
-    # levels x ceil(sqrt(samples)) arrays and 80 bytes a sample for its
+    # identical-modes star peaks at about 100), four complex levels x
+    # ceil(sqrt(samples)) arrays, for the kernel's three and numpy's
+    # buffers beside them, and 80 bytes a sample for its
     # per-sample arrays (48 on the grid path and 32 on the direct sum, see
     # the module docstring), plus `kept` finished
     # series of as many samples, whose times and values take 16 bytes a sample
@@ -199,34 +204,39 @@ def _grid_amplitude(levels, weights, tt):
     if not np.abs(r).max() * np.abs(levels).max() <= _RESIDUAL_TOL:
         return None
     # offset[h - j] = -(step j) exactly, so the fine phasor there is the
-    # conjugate of the one at step j: only offsets 0..h are exponentiated
+    # conjugate of the one at step j: only offsets 0..h are exponentiated.
+    # Those from 0 go straight into their columns of fine; an even nb's
+    # offsets end at h - 1, so its offset h is exponentiated apart, for the
+    # conjugate in column 0
     h = nb // 2
-    half = _phasors(levels, step * np.arange(h + 1))
     fine = np.empty((levels.size, nb), dtype=complex)
-    fine[:, h:] = half[:, : nb - h]
-    np.conjugate(half[:, h:0:-1], out=fine[:, :h])
-    del half
-    # both weighted coarse factors go into one buffer, so that at most four
-    # n x ceil(sqrt(S)) complex arrays are alive at once
-    coarse = _phasors(anchor, levels)
+    _phasors(levels, step * np.arange(nb - h), fine[:, h:])
+    odd = nb % 2
+    if not odd:
+        np.conjugate(_phasors(levels, step * np.arange(h, h + 1)), out=fine[:, :1])
+    np.conjugate(fine[:, nb - 1 : h : -1], out=fine[:, 1 - odd : h])
+    # the coarse phasors go into the half of one buffer that holds their
+    # weighted product, and the other weighted product into the other half,
+    # so that at most three n x ceil(sqrt(S)) complex arrays are alive at once
     both = np.empty((2 * na, levels.size), dtype=complex)
-    np.multiply(weights, coarse, out=both[:na])
+    coarse = _phasors(anchor, levels, both[:na])
     np.multiply(weights * levels, coarse, out=both[na:])
-    del coarse
+    coarse *= weights
     g = both @ fine
     return _grid_blocks(g, r, nb)
 
 
-def _phasors(a, b):
-    # exp(-1j * outer(a, b)) in one complex array: its real parts are +0 and
-    # its imaginary parts -a b, the very operands -1j * outer(a, b) makes,
-    # without that product's float and complex temporaries
-    z = np.empty((a.size, b.size), dtype=complex)
-    parts = z.view(float).reshape(a.size, b.size, 2)
-    parts[..., 0] = 0.0
-    np.multiply.outer(a, b, out=parts[..., 1])
-    np.negative(parts[..., 1], out=parts[..., 1])
-    return np.exp(z, out=z)
+def _phasors(a, b, out=None):
+    # exp(-1j * outer(a, b)) in one complex array, ``out`` (a.size x b.size)
+    # when given: its real parts are +0 and its imaginary parts -a b, the
+    # very operands -1j * outer(a, b) makes, without that product's float
+    # and complex temporaries
+    if out is None:
+        out = np.empty((a.size, b.size), dtype=complex)
+    out.real = 0.0
+    np.multiply.outer(a, b, out=out.imag)
+    np.negative(out.imag, out=out.imag)
+    return np.exp(out, out=out)
 
 
 def _grid_blocks(g, r, nb):

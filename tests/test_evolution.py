@@ -460,9 +460,9 @@ def _grid_amplitude_reference(levels, weights, tt):
     return g[:na].ravel()[:s] - 1j * r * g[na:].ravel()[:s]
 
 
-# nb = ceil(sqrt(S)) is 2 for S = 3, 4, 3 for S = 5..7, 317 for 1e5 and
-# 316 for 99500
-@pytest.mark.parametrize("samples", [3, 4, 5, 6, 7, 99_500, 100_000])
+# nb = ceil(sqrt(S)) is 2 for S = 3, 4, 3 for S = 5..7, 4 for S = 16, 317
+# for 1e5 and 316 for 99500
+@pytest.mark.parametrize("samples", [3, 4, 5, 6, 7, 16, 99_500, 100_000])
 @pytest.mark.parametrize("dim", [1, 9, 200])
 def test_grid_amplitude_mirrors_fine_phasors_exactly(samples, dim):
     # fine phasors at negative offsets are conjugates of the ones at
@@ -493,6 +493,12 @@ def test_phasors_are_exp_of_minus_i_outer_bit_for_bit():
         got, want = _phasors(x, y), np.exp(-1j * np.multiply.outer(x, y))
         assert got.shape == want.shape
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    # into columns of a wider array, as the kernel fills its fine phasors
+    wide = np.full((a.size, b.size + 5), np.nan, dtype=complex)
+    got = _phasors(a, b, wide[:, 3:-2])
+    assert np.shares_memory(got, wide)
+    assert np.array_equal(wide[:, 3:-2].view(np.uint64), _phasors(a, b).view(np.uint64))
+    assert np.isnan(wide[:, :3]).all() and np.isnan(wide[:, -2:]).all()
 
 
 def _rk4_loop(h, psi0, t, dt):

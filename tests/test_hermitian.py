@@ -603,7 +603,7 @@ def _block_reference(sec, i, origin, tau):
     # block sits in a buffer of the solver's layout, as BLAS may sum a row
     # in another order when the rows are laid out otherwise
     d, zeta2 = sec.d, sec.zeta2
-    both = np.empty_like(sec.buf)[:, : tau.size]
+    both = np.empty(sec.block)[:, : tau.size]
     square, rec = both
     np.subtract(d, d[origin][:, None], out=rec)
     rec -= tau[:, None]
